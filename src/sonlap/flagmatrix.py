@@ -4,8 +4,12 @@ The graded flag of trace-polynomial spaces gives the restricted operator an
 upper block triangular matrix whose diagonal blocks carry the whole
 spectrum.  For SO(3) and SO(4) the proven bases make every entry an exact
 rational; eigenvalues are extracted by exact characteristic polynomials and
-deflation against the closed-form candidate set, and eigenspaces by exact
-elimination.  For general N only the spanning-set expression table is
+deflation against the closed-form candidate set.  Each eigenspace is found by
+exact elimination on the leading principal submatrix that ends with the last
+diagonal block whose characteristic polynomial vanishes at the eigenvalue:
+every later block stays invertible after the shift, so the kernel vectors are
+zero there.  Block polynomials and eigenspaces are computed once per matrix
+and cached on it.  For general N only the spanning-set expression table is
 emitted (the monomials are not proven independent), and eigen-extraction is
 refused.
 
@@ -20,7 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from functools import cached_property
+from math import comb, gcd, isqrt, lcm
 
 from .laplacian import lap, lap_partition, so3_lap_pm_btrace, so3_lap_power, so4_lap_monomial
 from .npoly import NPoly
@@ -195,7 +200,11 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 
 @dataclass(frozen=True)
 class FlagMatrix:
-    """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j])."""
+    """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j]).
+
+    Block characteristic polynomials and eigenspaces are cached on the
+    instance, so they are freed with it.
+    """
 
     basis: FlagBasis
     entries: tuple[tuple, ...]  # rows of Fraction (numeric) or NPoly (symbolic)
@@ -209,6 +218,19 @@ class FlagMatrix:
 
     def diagonal_block(self, start: int, end: int) -> list[list]:
         return [[self.entries[i][j] for j in range(start, end)] for i in range(start, end)]
+
+    @cached_property
+    def _block_polys(self) -> tuple[list[Fraction], ...]:
+        """Characteristic polynomial of each diagonal block, in block order."""
+        return tuple(
+            _char_poly(self.diagonal_block(start, end))
+            for start, end, _ in self.basis.block_ranges()
+        )
+
+    @cached_property
+    def _eigenspaces(self) -> dict[Fraction, list[list[Fraction]]]:
+        """Primitive eigenspace bases solved so far, by eigenvalue."""
+        return {}
 
 
 def _is_zero_entry(value) -> bool:
@@ -266,7 +288,8 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         for i in range(nrows):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                # flag matrices are sparse: leave entries over pivot-row zeros as they are
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -303,14 +326,6 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
     return ints
 
 
-def _in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> bool:
-    if not vectors:
-        return all(not t for t in target)
-    rows = [[v[i] for v in vectors] + [target[i]] for i in range(len(target))]
-    _, pivots = _rref(rows)
-    return len(vectors) not in pivots
-
-
 def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
     size = len(a)
     return [
@@ -342,7 +357,24 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fr
     return out[:-1], out[-1]
 
 
+# Largest |leading| or |constant| integer coefficient whose divisors the
+# rational-root search enumerates; a factor past it is refused, not searched.
+_ROOT_SEARCH_LIMIT = 10**6
+
+
+def _divisors(v: int) -> set[int]:
+    """Positive divisors of v > 0 by trial division up to sqrt(v); {1} for 0."""
+    if not v:
+        return {1}
+    out = set()
+    for d in range(1, isqrt(v) + 1):
+        if v % d == 0:
+            out.update((d, v // d))
+    return out
+
+
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
+    """Sorted rational-root candidates p/q (p | constant, q | leading term)."""
     scale = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * scale) for c in coeffs]
     cands = set()
@@ -350,12 +382,13 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         cands.add(Fraction(0))
     lead = abs(ints[0])
     tail = abs(next((v for v in reversed(ints) if v), 0))
-
-    def divisors(v: int) -> set[int]:
-        return {d for d in range(1, v + 1) if v % d == 0} if v else {1}
-
-    for p in divisors(tail):
-        for q in divisors(lead):
+    if max(lead, tail) > _ROOT_SEARCH_LIMIT:
+        raise ArithmeticError(
+            f"non-rational spectral factor {coeffs}: rational roots are searched "
+            f"only up to integer coefficients of size {_ROOT_SEARCH_LIMIT}"
+        )
+    for p in _divisors(tail):
+        for q in _divisors(lead):
             cands.add(Fraction(p, q))
             cands.add(Fraction(-p, q))
     return sorted(cands)
@@ -430,9 +463,7 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
     if mode.tag == "general":
         raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
     found: dict[Fraction, list] = {}
-    for start, end, weight in matrix.basis.block_ranges():
-        block = matrix.diagonal_block(start, end)
-        remaining = _char_poly(block)
+    for (_, _, weight), remaining in zip(matrix.basis.block_ranges(), matrix._block_polys):
         for eig, label in _closed_candidates(mode, weight):
             while len(remaining) > 1:
                 quotient, rem = _deflate(remaining, eig)
@@ -462,16 +493,40 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
 
 
 def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """Exact basis of ker(M - eigenvalue I), primitively normalized."""
+    """Exact basis of ker(M - eigenvalue I), primitively normalized.
+
+    Solved once per matrix and eigenvalue; every call returns fresh lists.
+    """
+    if matrix.basis.mode.symbolic:
+        raise ValueError("exact eigenspaces need rational entries; fix N first")
     eigenvalue = Fraction(eigenvalue)
-    shifted = [
-        [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(matrix.dim)]
-        for i in range(matrix.dim)
-    ]
-    basis = _nullspace(shifted)
-    if not basis:
+    space = matrix._eigenspaces.get(eigenvalue)
+    if space is None:
+        space = matrix._eigenspaces[eigenvalue] = _leading_kernel(matrix, eigenvalue)
+    return [list(v) for v in space]
+
+
+def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
+    """Kernel of M - eigenvalue I from its leading principal submatrix.
+
+    The submatrix ends with the last diagonal block whose characteristic
+    polynomial vanishes at the eigenvalue (the deflation remainder is the
+    polynomial's value).  Later blocks are invertible after the shift, so the
+    RREF free columns and kernel vectors equal those of the full matrix, with
+    zeros past the submatrix.
+    """
+    end = 0
+    for (_, stop, _), poly in zip(matrix.basis.block_ranges(), matrix._block_polys):
+        if not _deflate(poly, eigenvalue)[1]:
+            end = stop
+    if not end:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
-    return [_primitive(v) for v in basis]
+    shifted = [
+        [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(end)]
+        for i in range(end)
+    ]
+    pad = [Fraction(0)] * (matrix.dim - end)
+    return [_primitive(v + pad) for v in _nullspace(shifted)]
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +658,23 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
         raise ValueError("character matching requires SO(3) or SO(4)")
     out = []
     for entry in eigenvalues_exact(matrix):
-        space = eigenspace_exact(matrix, entry.eigenvalue)
         for character in _candidate_characters(matrix.basis, entry.eigenvalue):
             coords = coordinates(character.poly, matrix.basis)
-            if not _in_span(space, coords):
+            if not _in_kernel(matrix, entry.eigenvalue, coords):
                 raise ArithmeticError(
                     f"character {character.label} escaped the eigenspace of {entry.eigenvalue}"
                 )
             out.append((entry, character))
     return out
+
+
+def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) -> bool:
+    """Whether (M - eigenvalue I) vec = 0 exactly."""
+    support = [j for j, v in enumerate(vec) if v]
+    return all(
+        sum((row[j] * vec[j] for j in support if row[j]), Fraction(0)) == eigenvalue * vec[i]
+        for i, row in enumerate(matrix.entries)
+    )
 
 
 # ---------------------------------------------------------------------------

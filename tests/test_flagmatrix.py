@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from sonlap import (
     rotation_from_angles,
     spectrum_closed,
 )
+from sonlap import flagmatrix
 from refdata import (
     SO4_CHARACTER_TABLE,
     SO4_K4_BASIS,
@@ -181,6 +183,13 @@ def test_general_matrix_spanning_table():
     assert col[3] == NPoly(-1)
     ev_error = pytest.raises(ValueError, eigenvalues_exact, matrix)
     assert ev_error
+
+
+def test_general_matrix_eigenspaces():
+    with pytest.raises(ValueError, match="fix N first"):
+        eigenspace_exact(build_matrix(GENERAL, "general", 2), -4)
+    matrix = build_matrix(general_at(5), "general", 2)
+    assert eigenspace_exact(matrix, -5) == [[F(2), F(0), F(-5), F(-5)]]
 
 
 def test_general_matrix_at_fixed_n():
@@ -398,6 +407,135 @@ def test_match_characters_multiplicity_probe_k6():
     assert labels == {(4, 4), (6, 0)}
     assert all(entry.geometric_multiplicity >= 2 for entry, _ in at_minus12)
     assert len(eigenspace_exact(matrix, F(-12))) >= 2
+
+
+def test_match_characters_rejects_a_character_outside_its_eigenspace(monkeypatch):
+    matrix = build_matrix(SO3, "btrace", 3)
+    # offer chi_1 (eigenvalue -1) as the character of every eigenvalue
+    monkeypatch.setattr(flagmatrix, "_candidate_characters", lambda basis, eig: [character_so3(1)])
+    with pytest.raises(ArithmeticError, match="escaped the eigenspace"):
+        match_characters(matrix)
+
+
+# ---------------------------------------------------------------------------
+# eigenspace extraction
+
+
+def full_matrix_eigenspace(matrix, eigenvalue):
+    """Reference: dense Gauss-Jordan elimination of the whole shifted matrix."""
+    dim = matrix.dim
+    mat = [
+        [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(dim)]
+        for i in range(dim)
+    ]
+    pivots = []
+    for c in range(dim):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, dim) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(dim):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(dim) if c not in pivots):
+        vec = [F(0)] * dim
+        vec[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(flagmatrix._primitive(vec))
+    return basis
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, ks",
+    [(SO3, "bprime", range(13)), (SO3, "btrace", range(13)), (SO4, "so4", range(9))],
+    ids=["so3-bprime", "so3-btrace", "so4"],
+)
+def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
+    for k in ks:
+        matrix = build_matrix(mode, basis_id, k)
+        for entry in eigenvalues_exact(matrix):
+            reference = full_matrix_eigenspace(matrix, entry.eigenvalue)
+            assert eigenspace_exact(matrix, entry.eigenvalue) == reference
+            assert entry.geometric_multiplicity == len(reference)
+    if basis_id == "so4":
+        assert len(full_matrix_eigenspace(build_matrix(SO4, "so4", 6), F(-12))) == 2
+
+
+def test_eigenspaces_solved_once_per_matrix(monkeypatch):
+    sizes = []
+    nullspace = flagmatrix._nullspace
+
+    def counting(rows):
+        sizes.append(len(rows))
+        return nullspace(rows)
+
+    monkeypatch.setattr(flagmatrix, "_nullspace", counting)
+    matrix = build_matrix(SO4, "so4", 6)
+    entries = eigenvalues_exact(matrix)
+    for entry in entries:
+        eigenspace_exact(matrix, entry.eigenvalue)
+    match_characters(matrix)
+    assert len(sizes) == len({entry.eigenvalue for entry in entries}) == len(entries)
+    # eigenvalue 0 lives in the weight-0 block alone: a 1x1 solve
+    assert min(sizes) == 1 and max(sizes) == matrix.dim
+
+
+def test_eigenspace_returns_fresh_lists():
+    matrix = build_matrix(SO4, "so4", 6)
+    first = eigenspace_exact(matrix, F(-12))
+    expected = [list(v) for v in first]
+    first[0][0] = F(999)
+    first.append([F(1)] * matrix.dim)
+    assert eigenspace_exact(matrix, -12) == expected
+
+
+def test_eigenspace_rejects_non_eigenvalue_on_every_call():
+    matrix = build_matrix(SO4, "so4", 4)
+    for _ in range(3):
+        with pytest.raises(ArithmeticError, match="not an eigenvalue"):
+            eigenspace_exact(matrix, 17)
+
+
+def divisor_scan_roots(coeffs):
+    """Reference: the rational-root candidates from a full divisor scan."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    cands = {F(0)} if ints[-1] == 0 else set()
+    tail = abs(next((v for v in reversed(ints) if v), 0))
+
+    def divisors(v):
+        return {d for d in range(1, v + 1) if v % d == 0} if v else {1}
+
+    for p in divisors(tail):
+        for q in divisors(abs(ints[0])):
+            cands.update((F(p, q), F(-p, q)))
+    return sorted(cands)
+
+
+def test_rational_roots_match_divisor_scan_on_small_inputs():
+    rng = random.Random(7)
+    polys = [[F(1), F(0)], [F(1), F(0), F(0)], [F(1), F(-12)], [F(1), F(5, 6), F(1, 6)]]
+    for _ in range(40):
+        degree = rng.randint(1, 4)
+        polys.append([F(1)] + [F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(degree)])
+    for coeffs in polys:
+        assert flagmatrix._rational_roots(coeffs) == divisor_scan_roots(coeffs)
+
+
+def test_rational_roots_refuse_a_huge_constant_term_quickly():
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError, match="non-rational spectral factor"):
+        flagmatrix._rational_roots([F(1), F(0), F(-(10**18 + 9))])
+    assert time.perf_counter() - start < 1.0
+    limit = flagmatrix._ROOT_SEARCH_LIMIT
+    assert F(limit) in flagmatrix._rational_roots([F(1), F(-limit)])
 
 
 # ---------------------------------------------------------------------------
