@@ -5,9 +5,11 @@ formula
 
     1/2 tr(Hess f) - (N-1)/2 tr(U^t grad f) - 1/2 tr(Lambda(U) Hess f)
 
-on seeded Haar rotations and compared at relative 1e-8.  The same machinery
-confirms the Gegenbauer entry eigenfunctions and the structure-matrix
-identities behind the Hessian formula.
+on seeded Haar rotations and compared at relative 1e-8.  Both Hessian
+traces come from closed forms in the matrix powers of U, so no n^2 x n^2
+Hessian is built.  The same machinery confirms the Gegenbauer entry
+eigenfunctions, and the identity reports check the dense Hessian, the
+commutation matrix K and Lambda(U) behind those closed forms.
 """
 
 import json

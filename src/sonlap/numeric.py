@@ -13,11 +13,25 @@ vectorization order and Lambda(U) is the n^2 x n^2 block matrix whose
 
     lap h(x) = tr(Hess h) - tr(x x^t Hess h)/R^2 - (N-1) <x, grad h> / R^2.
 
-Derivatives of trace monomials are assembled from exact matrix-calculus
-formulas (gradient of p_m is m (U^t)^{m-1}; its Hessian is
-m K sum_r (U^t)^r kron U^{m-2-r} with K the commutation matrix).  Finite
-differences appear only as a secondary oracle inside verification reports,
-never on the evaluation path.
+The formula needs only two scalar contractions of the Hessian, so trace
+monomials and trace polynomials are evaluated matrix-free.  The gradient of
+p_m is g = m (U^t)^{m-1} and its Hessian is m K sum_r (U^t)^r kron U^{m-2-r}
+with K the commutation matrix; since tr(K (A kron B)) = tr(AB) and
+Lambda K = U^t kron U,
+
+    tr(Hess p_m) = m sum_{r=0}^{m-2} tr((U^t)^r U^{m-2-r}),
+    tr(Lambda Hess p_m) = m sum_{r=0}^{m-2} p_{r+1} p_{m-1-r},
+
+and each rank-one product-rule term vec(g_i) vec(g_j)^t of a monomial adds
+<g_i, g_j> and tr(U^t g_j U^t g_i).  All of these are entries of two small
+tables, <U^a, U^b> and tr(U^a U^b) over the powers up to the largest part,
+so nothing of size n^4 is built: the matrix powers cost O(m n^3) and each
+monomial is then a few float products.  The dense n^2 x n^2 Hessian
+(:func:`euclid_derivatives`) and the explicit K and Lambda(U)
+(:func:`structure_matrices`) remain for caller-supplied derivative bundles
+and for :func:`verify_identities`, which checks them against finite
+differences and each other.  Finite differences appear only as a secondary
+oracle inside verification reports, never on the evaluation path.
 """
 
 from __future__ import annotations
@@ -127,10 +141,9 @@ def rotation_from_angles(n: int, angles) -> RotationSample:
 
 def commutation_matrix(n: int) -> np.ndarray:
     """The n^2 x n^2 permutation with K vec(A) = vec(A^t), column-major."""
+    index = np.arange(n * n).reshape(n, n)
     k = np.zeros((n * n, n * n))
-    for i in range(n):
-        for j in range(n):
-            k[j * n + i, i * n + j] = 1.0
+    k[index.T, index] = 1.0
     return k
 
 
@@ -138,10 +151,7 @@ def structure_matrices(sample: RotationSample) -> tuple[np.ndarray, np.ndarray]:
     """(K, Lambda(U)): commutation matrix and the column-outer block matrix."""
     n = sample.n
     u = sample.matrix
-    lam = np.zeros((n * n, n * n))
-    for a in range(n):
-        for b in range(n):
-            lam[a * n:(a + 1) * n, b * n:(b + 1) * n] = np.outer(u[:, b], u[:, a])
+    lam = np.einsum("ib,ja->aibj", u, u).reshape(n * n, n * n)
     return commutation_matrix(n), lam
 
 
@@ -169,44 +179,96 @@ def euclid_derivatives(partition: Partition, sample: RotationSample) -> Derivati
     return DerivativeBundle(value, grad, hess)
 
 
-def derivative_bundle(target, sample: RotationSample) -> DerivativeBundle:
-    """Bundle for a Partition or a TracePoly with numeric coefficients."""
+def _rest_product(values: list[float], skip: tuple[int, ...]) -> float:
+    """Product of the monomial's factor traces other than those in ``skip``."""
+    prod = 1.0
+    for idx, val in enumerate(values):
+        if idx not in skip:
+            prod *= val
+    return prod
+
+
+def _power_tables(u: np.ndarray, top: int) -> tuple[list[list[float]], list[list[float]]]:
+    """Frobenius products <U^a, U^b> and traces tr(U^a U^b) for 0 <= a, b <= top."""
+    pows = _powers(u, top)
+    flat = np.stack(pows).reshape(top + 1, -1)
+    flat_t = np.stack([p.T for p in pows]).reshape(top + 1, -1)
+    return (flat @ flat.T).tolist(), (flat @ flat_t.T).tolist()
+
+
+def _monomial_traces(
+    partition: Partition, frob: list[list[float]], prod: list[list[float]]
+) -> tuple[float, float, float]:
+    """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of a trace monomial, matrix-free.
+
+    ``frob`` and ``prod`` are the :func:`_power_tables` up to at least the
+    largest part.  tr((U^t)^r U^{m-2-r}) = <U^r, U^{m-2-r}>, and with
+    g_i = m_i (U^t)^{m_i-1} the gradient of the factor p_{m_i}, the
+    rank-one Hessian term vec(g_i) vec(g_j)^t contributes
+    <g_i, g_j> = m_i m_j <U^{m_i-1}, U^{m_j-1}> and
+    tr(U^t g_j U^t g_i) = m_i m_j tr(U^{m_i} U^{m_j}).
+    """
+    parts = partition.parts
+    traces = [row[0] for row in prod]
+    values = [traces[m] for m in parts]
+    radial = tr_hess = tr_lam_hess = 0.0
+    for i, m in enumerate(parts):
+        rest = _rest_product(values, (i,))
+        radial += rest * m * values[i]  # tr(U^t g_i) = m p_m
+        tr_hess += rest * m * sum(frob[r][m - 2 - r] for r in range(m - 1))
+        tr_lam_hess += rest * m * sum(traces[r + 1] * traces[m - 1 - r] for r in range(m - 1))
+        for j, mp in enumerate(parts):
+            if j != i:
+                pair = _rest_product(values, (i, j)) * m * mp
+                tr_hess += pair * frob[m - 1][mp - 1]
+                tr_lam_hess += pair * prod[m][mp]
+    return radial, tr_hess, tr_lam_hess
+
+
+def _group_laplacian(n: int, radial: float, tr_hess: float, tr_lam_hess: float) -> float:
+    """The ambient formula from tr(U^t grad f), tr(Hess f) and tr(Lambda Hess f)."""
+    return 0.5 * tr_hess - 0.5 * (n - 1) * radial - 0.5 * tr_lam_hess
+
+
+def laplace_beltrami_value(bundle: DerivativeBundle, sample: RotationSample) -> float:
+    """Evaluate the group Laplacian from a prolongation's dense derivative bundle.
+
+    tr(Lambda(U) Hess) is contracted against U on the Hessian reshaped to
+    (n, n, n, n), where hess4[j, i, l, k] = d^2 f / du_ij du_kl, without
+    building Lambda(U).
+    """
+    n = sample.n
+    u = sample.matrix
+    hess4 = bundle.hess.reshape(n, n, n, n)
+    radial = float(np.sum(u * bundle.grad))  # tr(U^t grad)
+    curved = float(np.einsum("bkai,ib,ka->", hess4, u, u))
+    return _group_laplacian(n, radial, float(np.trace(bundle.hess)), curved)
+
+
+def lap_numeric(target, sample: RotationSample) -> float:
+    """Group Laplacian of a Partition, TracePoly, or prebuilt bundle at U.
+
+    Partitions and trace polynomials use the closed-form Hessian traces and
+    build nothing of size n^4; a bundle is contracted densely.
+    """
+    if isinstance(target, DerivativeBundle):
+        return laplace_beltrami_value(target, sample)
     if isinstance(target, Partition):
-        return euclid_derivatives(target, sample)
-    if isinstance(target, TracePoly):
+        terms = {target: 1}
+    elif isinstance(target, TracePoly):
         if target.mode.symbolic:
             raise ValueError("substitute a concrete N before numeric evaluation")
         if target.mode.n != sample.n:
             raise ValueError(f"polynomial lives at N={target.mode.n}, sample has n={sample.n}")
-        n = sample.n
-        value = 0.0
-        grad = np.zeros((n, n))
-        hess = np.zeros((n * n, n * n))
-        for part, coeff in target.terms.items():
-            c = float(coeff)
-            piece = euclid_derivatives(part, sample)
-            value += c * piece.value
-            grad += c * piece.grad
-            hess += c * piece.hess
-        return DerivativeBundle(value, grad, hess)
-    raise TypeError(f"cannot build derivatives for {type(target).__name__}")
-
-
-def laplace_beltrami_value(bundle: DerivativeBundle, sample: RotationSample) -> float:
-    """Evaluate the group Laplacian from a prolongation's derivative bundle."""
-    n = sample.n
-    u = sample.matrix
-    _, lam = structure_matrices(sample)
-    euclid_lap = float(np.trace(bundle.hess))
-    radial = float(np.sum(u * bundle.grad))  # tr(U^t grad)
-    curved = float(np.einsum("ij,ji->", lam, bundle.hess))
-    return 0.5 * euclid_lap - 0.5 * (n - 1) * radial - 0.5 * curved
-
-
-def lap_numeric(target, sample: RotationSample) -> float:
-    """Group Laplacian of a Partition, TracePoly, or prebuilt bundle at U."""
-    bundle = target if isinstance(target, DerivativeBundle) else derivative_bundle(target, sample)
-    return laplace_beltrami_value(bundle, sample)
+        terms = target.terms
+    else:
+        raise TypeError(f"cannot evaluate the Laplacian of {type(target).__name__}")
+    top = max((max(p.parts, default=0) for p in terms), default=0)
+    tables = _power_tables(sample.matrix, top)
+    total = 0.0
+    for part, coeff in terms.items():
+        total += float(coeff) * _group_laplacian(sample.n, *_monomial_traces(part, *tables))
+    return total
 
 
 def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
@@ -408,12 +470,9 @@ def verify_gegenbauer(
         sample = random_son(n, stream)
         entry = float(sample.matrix[row, col])
         value, d1, d2 = gegenbauer(k, alpha, entry)
-        grad = np.zeros((n, n))
-        grad[row, col] = d1
-        hess = np.zeros((n * n, n * n))
-        slot = col * n + row
-        hess[slot, slot] = d2
-        got = lap_numeric(DerivativeBundle(value, grad, hess), sample)
+        # grad f = C' e_rc and Hess f = C'' at the one (rc, rc) slot, where
+        # Lambda(U) holds u_rc^2
+        got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
         ref = eigenvalue * value
         errs = _err_update(errs, got, ref)
     return VerifyReport(
@@ -500,7 +559,7 @@ def verify_identities(
                 return eval_tracepoly_matrix(_p, mat)
 
             def grad_fn(mat, _p=partition):
-                return euclid_derivatives_matrix(_p, mat)[0]
+                return _monomial_gradient(_p, mat)
 
             fd_g = fd_gradient(value_fn, u)
             dg = float(np.max(np.abs(bundle.grad - fd_g)))
@@ -519,16 +578,14 @@ def verify_identities(
         traces = [float(np.trace(p)) for p in pows]
         p1 = traces[1]
         for q in range(5 + 1):
-            bundle = euclid_derivatives(Partition((1,) * q), sample)
-            got_m = tangential_gradient(bundle.grad, u)
+            got_m = tangential_gradient(_monomial_gradient(Partition((1,) * q), u), u)
             ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
             diff = float(np.max(np.abs(got_m - ref_m)))
             scale = max(1.0, float(np.max(np.abs(ref_m))) if q else 1.0)
             cur = errs["tangential-gradient"]
             errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
         for m in range(1, 6):
-            bundle = euclid_derivatives(Partition((m,)), sample)
-            got_m = tangential_gradient(bundle.grad, u)
+            got_m = tangential_gradient(_monomial_gradient(Partition((m,)), u), u)
             ref_m = 0.5 * m * (pows_t[m - 1] - pows[m + 1])
             diff = float(np.max(np.abs(got_m - ref_m)))
             scale = max(1.0, float(np.max(np.abs(ref_m))))
@@ -536,9 +593,9 @@ def verify_identities(
             errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
 
         for m in range(1, 6):
-            gm = tangential_gradient(euclid_derivatives(Partition((m,)), sample).grad, u)
+            gm = tangential_gradient(_monomial_gradient(Partition((m,)), u), u)
             for mp in range(1, m + 1):
-                gmp = tangential_gradient(euclid_derivatives(Partition((mp,)), sample).grad, u)
+                gmp = tangential_gradient(_monomial_gradient(Partition((mp,)), u), u)
                 got = 2 * float(np.sum(gm * gmp))
                 base = traces[m - mp] if m != mp else float(n)
                 ref = m * mp * (base - traces[m + mp])
@@ -584,11 +641,24 @@ def eval_tracepoly_matrix(partition: Partition, u: np.ndarray) -> float:
     return out
 
 
+def _monomial_gradient(partition: Partition, u: np.ndarray) -> np.ndarray:
+    """Matrix-form gradient sum_i R_i m_i (U^t)^{m_i-1} of a trace monomial at an
+    arbitrary square matrix, R_i the product of the other factors' traces."""
+    u = np.asarray(u, dtype=float)
+    parts = partition.parts
+    pows = _powers(u, max(parts, default=0))
+    values = [float(np.trace(pows[m])) for m in parts]
+    grad = np.zeros(u.shape)
+    for i, m in enumerate(parts):
+        grad += _rest_product(values, (i,)) * (m * pows[m - 1].T)
+    return grad
+
+
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, Hessian) of a trace monomial at an arbitrary square matrix.
+    """(gradient, dense Hessian) of a trace monomial at an arbitrary square matrix.
 
     Same assembly as :func:`euclid_derivatives` but without the rotation
-    invariant checks, for use at finite-difference displacement points.
+    invariant checks.
     """
     u = np.asarray(u, dtype=float)
     n = u.shape[0]
@@ -598,30 +668,15 @@ def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.n
     k_comm = commutation_matrix(n)
     values = [float(np.trace(pows[m])) for m in parts]
     grads = [m * pows_t[m - 1] for m in parts]
-    hessians = []
-    for m in parts:
-        if m < 2:
-            hessians.append(np.zeros((n * n, n * n)))
-            continue
-        acc = np.zeros((n * n, n * n))
-        for r in range(m - 1):
-            acc += np.kron(pows_t[r], pows[m - 2 - r])
-        hessians.append(m * (k_comm @ acc))
-
-    def rest_product(skip: tuple[int, ...]) -> float:
-        prod = 1.0
-        for idx, val in enumerate(values):
-            if idx not in skip:
-                prod *= val
-        return prod
-
-    grad = np.zeros((n, n))
     hess = np.zeros((n * n, n * n))
-    for i in range(len(parts)):
-        grad += rest_product((i,)) * grads[i]
-        hess += rest_product((i,)) * hessians[i]
+    for i, m in enumerate(parts):
+        if m >= 2:
+            acc = np.zeros((n * n, n * n))
+            for r in range(m - 1):
+                acc += np.kron(pows_t[r], pows[m - 2 - r])
+            hess += _rest_product(values, (i,)) * (m * (k_comm @ acc))
     for i in range(len(parts)):
         for j in range(len(parts)):
             if i != j:
-                hess += rest_product((i, j)) * np.outer(_vec(grads[i]), _vec(grads[j]))
-    return grad, hess
+                hess += _rest_product(values, (i, j)) * np.outer(_vec(grads[i]), _vec(grads[j]))
+    return _monomial_gradient(partition, u), hess

@@ -127,6 +127,13 @@ def test_verify_laplacian_small(capsys):
     assert len(reports) == 4  # partitions of degree <= 2
 
 
+def test_verify_laplacian_large_n(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "laplacian", "--n", "60", "--k", "2",
+                       "--samples", "1")
+    assert code == 0
+    assert all(r["pass"] for r in json.loads(out))
+
+
 def test_verify_gegenbauer_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "gegenbauer", "--n", "4", "--k", "2",
                        "--samples", "4", "--seed", "9")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from sonlap import (
     Partition,
     TracePoly,
     commutation_matrix,
+    enumerate_upto,
     euclid_derivatives,
     eval_tracepoly,
     gegenbauer,
@@ -25,6 +27,8 @@ from sonlap import (
     verify_partition,
 )
 from sonlap.numeric import (
+    _monomial_traces,
+    _power_tables,
     euclid_derivatives_matrix,
     eval_tracepoly_matrix,
     fd_gradient,
@@ -107,6 +111,31 @@ def test_lambda_commutation_identities(n):
         k, lam = structure_matrices(sample)
         assert np.max(np.abs(lam @ k - np.kron(u.T, u))) <= 1e-12
         assert np.max(np.abs(k @ lam - np.kron(u, u.T))) <= 1e-12
+
+
+def _loop_commutation(n):
+    k = np.zeros((n * n, n * n))
+    for i in range(n):
+        for j in range(n):
+            k[j * n + i, i * n + j] = 1.0
+    return k
+
+
+def _loop_lambda(u):
+    n = u.shape[0]
+    lam = np.zeros((n * n, n * n))
+    for a in range(n):
+        for b in range(n):
+            lam[a * n:(a + 1) * n, b * n:(b + 1) * n] = np.outer(u[:, b], u[:, a])
+    return lam
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_structure_matrices_match_loop_reference(n):
+    sample = random_son(n, 50 + n)
+    k, lam = structure_matrices(sample)
+    assert np.array_equal(k, _loop_commutation(n))
+    assert np.array_equal(lam, _loop_lambda(sample.matrix))
 
 
 def test_lambda_at_identity_is_commutation():
@@ -195,6 +224,61 @@ def test_lap_numeric_tracepoly_linearity():
         Partition.of(1, 1), sample
     )
     assert abs(direct - split) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("orthogonal", [True, False])
+def test_closed_form_traces_match_dense_hessian(n, orthogonal):
+    # the closed forms hold at any square matrix; a general one also tells
+    # apart table entries that coincide on rotations, such as <U^a, U^b>
+    # and <U^(a+1), U^(b+1)>
+    if orthogonal:
+        u = random_son(n, 400 + n).matrix
+    else:
+        u = np.random.default_rng(400 + n).standard_normal((n, n)) / math.sqrt(n)
+    lam = _loop_lambda(u)
+    tables = _power_tables(u, 5)
+    for partition in enumerate_upto(5):
+        grad, hess = euclid_derivatives_matrix(partition, u)
+        radial, tr_hess, tr_lam_hess = _monomial_traces(partition, *tables)
+        for got, ref in (
+            (radial, float(np.sum(u * grad))),
+            (tr_hess, float(np.trace(hess))),
+            (tr_lam_hess, float(np.einsum("ij,ji", lam, hess))),
+        ):
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7])
+def test_lap_numeric_matrix_free_matches_dense_bundle(n):
+    sample = random_son(n, 500 + n)
+    for partition in enumerate_upto(5):
+        got = lap_numeric(partition, sample)
+        ref = lap_numeric(euclid_derivatives(partition, sample), sample)
+        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
+
+
+def test_lap_numeric_tracepoly_errors():
+    sample = random_son(4, 1)
+    symbolic = lap_partition(Partition.of(2, 1))
+    with pytest.raises(ValueError, match="concrete N"):
+        lap_numeric(symbolic, sample)
+    with pytest.raises(ValueError, match="N=5"):
+        lap_numeric(symbolic.substitute_n(5), sample)
+    with pytest.raises(TypeError):
+        lap_numeric("p_2", sample)
+
+
+def test_verify_partition_memory_at_n60():
+    # a dense n^2 x n^2 Hessian at n = 60 alone would take 104 MB
+    tracemalloc.start()
+    try:
+        report = verify_partition(60, Partition.of(2, 1), samples=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 10 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +430,29 @@ def test_verify_gegenbauer_examples():
     assert report.passed
     report = verify_gegenbauer(4, 0, 1, 1, samples=5, seed=5)
     assert report.passed and report.max_abs_err == 0.0
+
+
+@pytest.mark.parametrize("n, k, i, j", [(3, 2, 1, 3), (5, 4, 2, 4), (7, 6, 3, 7)])
+def test_verify_gegenbauer_matches_dense_bundle(n, k, i, j):
+    samples, seed = 6, 13
+    report = verify_gegenbauer(n, k, i, j, samples=samples, seed=seed)
+    alpha = (n - 2) / 2
+    abs_errs, rel_errs = [], []
+    for stream in np.random.SeedSequence(seed).spawn(samples):
+        sample = random_son(n, stream)
+        entry = float(sample.matrix[i - 1, j - 1])
+        value, d1, d2 = gegenbauer(k, alpha, entry)
+        grad = np.zeros((n, n))
+        grad[i - 1, j - 1] = d1
+        hess = np.zeros((n * n, n * n))
+        slot = (j - 1) * n + (i - 1)
+        hess[slot, slot] = d2
+        got = lap_numeric(DerivativeBundle(value, grad, hess), sample)
+        ref = -k * (k + n - 2) / 2 * value
+        abs_errs.append(abs(got - ref))
+        rel_errs.append(abs(got - ref) / max(1.0, abs(ref)))
+    assert abs(report.max_abs_err - max(abs_errs)) <= 1e-12
+    assert abs(report.max_rel_err - max(rel_errs)) <= 1e-12
 
 
 def test_verify_identities_default_tolerances():
