@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import flagmatrix, numeric
 from .laplacian import lap, lap_partition
@@ -30,7 +31,9 @@ def _seed_default() -> int:
     return int(env) if env else DEFAULT_SEED
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="sonlap",
         description="Exact Laplace-Beltrami calculus on SO(N) trace polynomials.",
@@ -190,9 +193,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -73,6 +73,11 @@ class FlagBasis:
     def label(self, index: int) -> str:
         return _render_label(self.basis_id, self.elements[index])
 
+    @cached_property
+    def positions(self) -> dict:
+        """Position of each element in ``elements``; built once per basis."""
+        return {elem: i for i, elem in enumerate(self.elements)}
+
 
 def _render_label(basis_id: str, element) -> str:
     if basis_id == "bprime":
@@ -150,26 +155,24 @@ def coordinates(poly: TracePoly, basis: FlagBasis) -> list[Fraction]:
         red = poly if poly.mode == SO4 else poly.reduce(SO4)
         if red.degree > basis.k:
             raise ValueError(f"degree {red.degree} exceeds basis order {basis.k}")
-        index = {elem: i for i, elem in enumerate(basis.elements)}
         coords = [Fraction(0)] * basis.dim
         for part, coeff in red.terms.items():
             if not part.parts:
                 coords[0] += coeff / 4
                 continue
             key = (sum(1 for p in part if p == 1), sum(1 for p in part if p == 2))
-            pos = index.get(key)
+            pos = basis.positions.get(key)
             if pos is None:
                 raise ValueError(f"coordinate extraction failure at monomial {part}")
             coords[pos] += coeff
         return coords
     if basis.basis_id == "general" and not basis.mode.symbolic:
-        index = {elem: i for i, elem in enumerate(basis.elements)}
         coords = [Fraction(0)] * basis.dim
         for part, coeff in poly.terms.items():
             if not part.parts:
                 coords[0] += Fraction(coeff) / basis.mode.n
                 continue
-            pos = index.get(part)
+            pos = basis.positions.get(part)
             if pos is None:
                 raise ValueError(f"coordinate extraction failure at monomial {part}")
             coords[pos] += coeff
@@ -181,16 +184,13 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
     """Spanning-set coordinates with symbolic coefficients; p_0 slot = c/N."""
     if basis.basis_id != "general" or not basis.mode.symbolic:
         raise ValueError("symbolic coordinates require the general spanning set")
-    index = {elem: i for i, elem in enumerate(basis.elements)}
     coords = [NPoly(0)] * basis.dim
     for part, coeff in poly.terms.items():
-        if not part.parts:
-            coords[0] = coords[0] + coeff.div_by_var()
-            continue
-        pos = index.get(part)
+        pos = basis.positions.get(part)
         if pos is None:
             raise ValueError(f"coordinate extraction failure at monomial {part}")
-        coords[pos] = coords[pos] + coeff
+        # every monomial has a slot of its own, so each slot is written once
+        coords[pos] = coeff if part.parts else coeff.div_by_var()
     return coords
 
 
@@ -233,10 +233,6 @@ class FlagMatrix:
         return {}
 
 
-def _is_zero_entry(value) -> bool:
-    return not value
-
-
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     """Assemble the order-k flag matrix and assert block triangularity."""
     basis = basis_for(mode, basis_id, k)
@@ -257,14 +253,18 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
             else:
                 col = coordinates(image.substitute_n(mode.n), basis)
         columns.append(col)
-    entries = tuple(tuple(columns[j][i] for j in range(basis.dim)) for i in range(basis.dim))
     for start, end, _ in basis.block_ranges():
-        for i in range(end, basis.dim):
-            for j in range(start, end):
-                if not _is_zero_entry(entries[i][j]):
-                    raise ArithmeticError(
-                        f"block triangularity violated at entry ({i},{j}); reduction bug"
-                    )
+        # first nonzero under each column of the block; the least (i, j) is
+        # the one a row-major scan below the block would meet first
+        hits = []
+        for j in range(start, end):
+            tail = columns[j][end:]
+            if any(tail):
+                hits.append((end + next(i for i, v in enumerate(tail) if v), j))
+        if hits:
+            i, j = min(hits)
+            raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
+    entries = tuple(zip(*columns))
     return FlagMatrix(basis, entries)
 
 

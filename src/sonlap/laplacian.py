@@ -8,10 +8,18 @@ Base formulas, with D the group Laplacian for the Frobenius metric:
 * ``D p_1^q = -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2``  (q >= 2)
 * ``2 <grad p_m, grad p_m'> = m m' (p_{m-m'} - p_{m+m'})``        (m >= m')
 
-A general monomial is assembled through the Riemannian product rule,
-splitting off the p_1-power factor the way the small worked cases group
-their terms.  No output term ever exceeds the input degree, which is what
-makes the flag of spaces invariant and the restricted operator block
+A general monomial p_lam is assembled by the Riemannian product rule,
+grouped by multiplicity: with the distinct parts m of lam, each of
+multiplicity a,
+
+    D p_lam = sum_m a p_{lam-m} D p_m
+              + sum_{m, a>=2} a(a-1) p_{lam-{m,m}} <grad p_m, grad p_m>
+              + sum_{m>m'} 2ab p_{lam-{m,m'}} <grad p_m, grad p_m'>.
+
+Every coefficient is affine in N with values in (1/2)Z, so the terms are
+summed as pairs of doubled integers and no intermediate trace polynomials
+are multiplied.  No output term ever exceeds the input degree, which is
+what makes the flag of spaces invariant and the restricted operator block
 triangular.
 
 The SO(3) and SO(4) fast paths below are separate closed forms, kept
@@ -27,6 +35,7 @@ each other:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -99,8 +108,84 @@ def grad_inner_pm(m: int, mp: int) -> TracePoly:
     return TracePoly(terms, GENERAL)
 
 
-def _lap_product(parts: tuple[int, ...]) -> TracePoly:
-    """Plain product-rule assembly over the factors p_{m_i}."""
+def _doubled(poly: TracePoly) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """Terms c_0 + c_1 N times p_parts of a symbolic closed form, as
+    (parts, 2 c_0, 2 c_1)."""
+    out = []
+    for part, coeff in poly.terms.items():
+        c = coeff.coeffs
+        c0, c1 = 2 * c.pop(0, Fraction(0)), 2 * c.pop(1, Fraction(0))
+        if c or c0.denominator != 1 or c1.denominator != 1:
+            raise ArithmeticError(f"coefficient {coeff} of {part} is not affine in N over (1/2)Z")
+        out.append((part.parts, int(c0), int(c1)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _lap_pm_doubled(m: int):
+    return _doubled(lap_pm(m))
+
+
+@lru_cache(maxsize=None)
+def _grad_inner_doubled(m: int, mp: int):
+    return _doubled(grad_inner_pm(m, mp))
+
+
+def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
+    """``parts`` with one occurrence of each of ``values`` removed; stays sorted."""
+    rest = list(parts)
+    for v in values:
+        rest.remove(v)
+    return tuple(rest)
+
+
+@lru_cache(maxsize=None)
+def lap_partition(partition: Partition) -> TracePoly:
+    """Laplacian of the trace monomial indexed by ``partition``.
+
+    The product rule grouped by multiplicity, as in the module docstring.
+    Terms are summed in one dict keyed by the sorted parts, as doubled
+    integer coefficients of 1 and N; each output partition and coefficient
+    is built once, at the end.
+    """
+    parts = partition.parts
+    mult = Counter(parts)  # distinct parts in descending order
+    values = tuple(mult)
+    acc: dict[tuple[int, ...], list[int]] = {}
+
+    def add(rest: tuple[int, ...], image, scale: int) -> None:
+        for img, c0, c1 in image:
+            key = tuple(sorted(rest + img, reverse=True)) if img else rest
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [scale * c0, scale * c1]
+            else:
+                slot[0] += scale * c0
+                slot[1] += scale * c1
+
+    for i, m in enumerate(values):
+        a = mult[m]
+        add(_without(parts, m), _lap_pm_doubled(m), a)
+        if a >= 2:
+            add(_without(parts, m, m), _grad_inner_doubled(m, m), a * (a - 1))
+        for mp in values[i + 1:]:
+            add(_without(parts, m, mp), _grad_inner_doubled(m, mp), 2 * a * mult[mp])
+    terms = {
+        Partition(key): NPoly({0: Fraction(c0, 2), 1: Fraction(c1, 2)})
+        for key, (c0, c1) in acc.items()
+        if c0 or c1
+    }
+    return TracePoly(terms, GENERAL)
+
+
+def lap_partition_product_rule(partition: Partition) -> TracePoly:
+    """Same operator, assembled term by term from the plain product rule over
+    the factors p_{m_i}.
+
+    Kept as an independent route so the grouped assembly above can be
+    cross-checked exactly.
+    """
+    parts = partition.parts
     out = TracePoly.zero(GENERAL)
     for i, mi in enumerate(parts):
         rest = Partition.of(*(parts[:i] + parts[i + 1:]))
@@ -110,48 +195,6 @@ def _lap_product(parts: tuple[int, ...]) -> TracePoly:
             rest = Partition.of(*(parts[:i] + parts[i + 1:j] + parts[j + 1:]))
             out = out + TracePoly.monomial(rest, 2, GENERAL) * grad_inner_pm(parts[i], parts[j])
     return out
-
-
-@lru_cache(maxsize=None)
-def lap_partition(partition: Partition) -> TracePoly:
-    """Laplacian of the trace monomial indexed by ``partition``.
-
-    Splits into three cases: all parts >= 2 (direct product rule), all parts
-    equal to 1 (the p_1-power formula), and the mixed case, where the
-    p_1-power factor is peeled off and the cross term uses the closed
-    gradient pairing of p_{m_i} against p_1^q.
-    """
-    parts = partition.parts
-    s = len(parts)
-    if s == 0:
-        return TracePoly.zero(GENERAL)
-    r = sum(1 for p in parts if p >= 2)
-    if r == 0:
-        return lap_p1_pow(s)
-    if r == s:
-        return _lap_product(parts)
-    big = parts[:r]
-    q = s - r
-    big_poly = TracePoly.monomial(Partition(big), 1, GENERAL)
-    ones_poly = TracePoly.monomial(_ones(q), 1, GENERAL)
-    out = _lap_product(big) * ones_poly + big_poly * lap_p1_pow(q)
-    ones_less = TracePoly.monomial(_ones(q - 1), 1, GENERAL)
-    for i, mi in enumerate(big):
-        rest = TracePoly.monomial(Partition.of(*(big[:i] + big[i + 1:])), 1, GENERAL)
-        bracket = TracePoly.power_sum(mi - 1, GENERAL) - TracePoly.power_sum(mi + 1, GENERAL)
-        out = out + rest * ones_less * bracket * Fraction(mi * q)
-    return out
-
-
-def lap_partition_product_rule(partition: Partition) -> TracePoly:
-    """Same operator, assembled term by term from the plain product rule.
-
-    Kept as an independent route so the grouped assembly above can be
-    cross-checked exactly.
-    """
-    if not partition.parts:
-        return TracePoly.zero(GENERAL)
-    return _lap_product(partition.parts)
 
 
 @lru_cache(maxsize=None)

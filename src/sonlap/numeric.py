@@ -274,9 +274,11 @@ def lap_numeric(target, sample: RotationSample) -> float:
 def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
     """Numeric value of a trace polynomial at a rotation.
 
-    With ``exact=True`` the computed traces are rationalized and the
-    polynomial is accumulated in exact arithmetic, removing the monomial
-    cancellation that otherwise dominates high-degree reduced forms.
+    The float path sums the term values with ``math.fsum``, so the result
+    does not depend on the order of the terms.  With ``exact=True`` the
+    computed traces are rationalized and the polynomial is accumulated in
+    exact arithmetic, removing the monomial cancellation that otherwise
+    dominates high-degree reduced forms.
     """
     u = sample.matrix if isinstance(sample, RotationSample) else np.asarray(sample, dtype=float)
     if poly.mode.symbolic:
@@ -295,13 +297,13 @@ def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
                 term *= exact_traces[m]
             total_exact += term
         return float(total_exact)
-    total = 0.0
+    values = []
     for part, coeff in poly.terms.items():
         term = float(coeff)
         for m in part:
             term *= traces[m]
-        total += term
-    return total
+        values.append(term)
+    return math.fsum(values)
 
 
 def sphere_lap_numeric(grad: np.ndarray, hess: np.ndarray, x: np.ndarray, radius: float) -> float:

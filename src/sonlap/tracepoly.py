@@ -365,21 +365,19 @@ def _coeff_chunk(coeff, label: str | None) -> tuple[str, str]:
 
 @lru_cache(maxsize=None)
 def so3_pm_in_p1(m: int) -> TracePoly:
-    """p_m on SO(3) as a polynomial in p_1, via 1 + 2*T_m((p_1 - 1)/2)."""
+    """p_m on SO(3) as a polynomial in p_1, via 1 + 2*T_m((p_1 - 1)/2).
+
+    The Chebyshev recurrence reads p_m = (p_1 - 1)(p_{m-1} - 1) - p_{m-2} + 2,
+    seeded with p_0 = 3; each entry reuses the two cached ones below it.
+    """
     if m < 0:
         raise ValueError("power index must be nonnegative")
-    one = TracePoly.constant(1, SO3)
-    x = (TracePoly.power_sum(1, SO3) - 1) * Fraction(1, 2)
+    p1 = TracePoly.power_sum(1, SO3)
     if m == 0:
-        cheb = one
-    elif m == 1:
-        cheb = x
-    else:
-        prev, cur = one, x
-        for _ in range(m - 1):
-            prev, cur = cur, x * cur * 2 - prev
-        cheb = cur
-    return cheb * 2 + 1
+        return TracePoly.constant(3, SO3)
+    if m == 1:
+        return p1
+    return (p1 - 1) * (so3_pm_in_p1(m - 1) - 1) - so3_pm_in_p1(m - 2) + 2
 
 
 @lru_cache(maxsize=None)

@@ -2,12 +2,21 @@
 
 The symbolic Laplacian table covers every monomial of degree <= 4; the SO(4)
 order-4 matrix, its eigenvector list and the character table are the known
-closed-form results this package must reproduce exactly.
+closed-form results this package must reproduce exactly.  The three-case
+monomial Laplacian is the assembly ``lap_partition`` used before the grouped
+product rule, frozen here as an exact reference.
 """
 
 from fractions import Fraction
 
-from sonlap import NPoly, Partition
+from sonlap import (
+    GENERAL,
+    NPoly,
+    Partition,
+    TracePoly,
+    lap_p1_pow,
+    lap_partition_product_rule,
+)
 
 F = Fraction
 
@@ -128,3 +137,36 @@ def part_of(parts) -> Partition:
 
 def so4_monomial_partition(l: int, m: int) -> Partition:
     return Partition.of(*([2] * m + [1] * l))
+
+
+def lap_partition_three_case(partition: Partition) -> TracePoly:
+    """Laplacian of a trace monomial by the former three-case assembly.
+
+    All parts >= 2: the plain product rule.  All parts 1: the p_1-power
+    formula.  Mixed: the p_1-power factor p_1^q is peeled off, and the cross
+    term pairs each p_{m_i} with it as m_i q p_1^{q-1} (p_{m_i-1} - p_{m_i+1}).
+    """
+    parts = partition.parts
+    s = len(parts)
+    if s == 0:
+        return TracePoly.zero(GENERAL)
+    r = sum(1 for p in parts if p >= 2)
+    if r == 0:
+        return lap_p1_pow(s)
+    if r == s:
+        return lap_partition_product_rule(partition)
+    big = parts[:r]
+    q = s - r
+
+    def mono(*factors) -> TracePoly:
+        return TracePoly.monomial(Partition.of(*factors), 1, GENERAL)
+
+    out = (
+        lap_partition_product_rule(Partition(big)) * mono(*(1,) * q)
+        + mono(*big) * lap_p1_pow(q)
+    )
+    for i, mi in enumerate(big):
+        rest = mono(*(big[:i] + big[i + 1:]))
+        bracket = TracePoly.power_sum(mi - 1, GENERAL) - TracePoly.power_sum(mi + 1, GENERAL)
+        out = out + rest * mono(*(1,) * (q - 1)) * bracket * F(mi * q)
+    return out

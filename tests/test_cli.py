@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sonlap
 from sonlap import GENERAL, SO4, TracePoly, lap_partition, Partition
+from sonlap import cli
 from sonlap.cli import main
 
 
@@ -151,6 +156,33 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, _ = run(capsys, "nonsense")
     assert code == 2
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    calls = [
+        ("lap", "--mode", "bogus", "--partition", "1"),
+        ("--help",),
+        ("lap", "--mode", "generaln", "--partition", "2,1"),
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in reused] == [2, 0, 0]
+    assert reused == fresh
+
+
+def test_parser_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(sonlap.__file__))
+    probe = "import sonlap.cli as c; print(c._build_parser.cache_info().currsize)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.strip() == "0"
 
 
 def test_byte_determinism(capsys):

@@ -99,6 +99,16 @@ def test_basis_weights_are_graded():
         assert ms == sorted(ms)
 
 
+@pytest.mark.parametrize(
+    "mode,basis_id",
+    [(GENERAL, "general"), (general_at(5), "general"), (SO3, "bprime"), (SO3, "btrace"), (SO4, "so4")],
+)
+def test_basis_positions_match_elements(mode, basis_id):
+    basis = basis_for(mode, basis_id, 7)
+    assert basis.positions == {element: i for i, element in enumerate(basis.elements)}
+    assert basis.positions is basis.positions  # built once per basis
+
+
 def test_basis_rejects_bad_combos():
     with pytest.raises(ValueError):
         basis_for(SO4, "bprime", 2)
@@ -159,6 +169,62 @@ def test_block_triangularity_exact(k):
         for i in range(end, matrix.dim):
             for j in range(start, end):
                 assert matrix.entries[i][j] == 0
+
+
+def _row_major_violation(entries, basis):
+    """First nonzero below a diagonal block, block by block, row by row."""
+    for start, end, _ in basis.block_ranges():
+        for i in range(end, basis.dim):
+            for j in range(start, end):
+                if entries[i][j]:
+                    return i, j
+    return None
+
+
+@pytest.mark.parametrize(
+    "mode,basis_id,injections,expected",
+    [
+        # two hits under one block: the row scan meets (6,3) before (10,2)
+        (GENERAL, "general", {2: 10, 3: 6}, (6, 3)),
+        # hits under two blocks: the earlier block is reported, larger row or not
+        (GENERAL, "general", {2: 10, 5: 7}, (10, 2)),
+        (general_at(5), "general", {2: 10, 3: 6}, (6, 3)),
+        (SO4, "so4", {2: 6, 3: 4}, (4, 3)),
+    ],
+)
+def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, injections, expected):
+    """Out-of-flag terms injected into the closed forms (column -> row) raise
+    at the entry the row-major scan below each block meets first."""
+    k = 4
+    basis = basis_for(mode, basis_id, k)
+    extra = {basis.elements[j]: basis.elements[i] for j, i in injections.items()}
+    if basis_id == "general":
+        original = flagmatrix.lap_partition
+
+        def patched(part):
+            image = original(part)
+            if part in extra:
+                image = image + TracePoly.monomial(extra[part], 1, GENERAL)
+            return image
+
+        monkeypatch.setattr(flagmatrix, "lap_partition", patched)
+    else:
+        original = flagmatrix.so4_lap_monomial
+
+        def patched(l, m):
+            image = original(l, m)
+            if (l, m) in extra:
+                image = image + TracePoly.monomial(so4_monomial_partition(*extra[(l, m)]), 1, SO4)
+            return image
+
+        monkeypatch.setattr(flagmatrix, "so4_lap_monomial", patched)
+    with pytest.raises(ArithmeticError, match=rf"at entry \({expected[0]},{expected[1]}\);"):
+        build_matrix(mode, basis_id, k)
+    monkeypatch.undo()
+    entries = [list(row) for row in build_matrix(mode, basis_id, k).entries]
+    for j, i in injections.items():
+        entries[i][j] = 1
+    assert _row_major_violation(entries, basis) == expected
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from sonlap import (
     so3_lap_power,
     so4_lap_monomial,
 )
-from refdata import WORKED_LAPLACIANS, so4_monomial_partition
+from refdata import WORKED_LAPLACIANS, lap_partition_three_case, so4_monomial_partition
 
 F = Fraction
 N = NPoly.var()
@@ -88,9 +88,18 @@ def test_lap_partition_small_degrees(parts):
     assert got == general_poly(WORKED_LAPLACIANS[parts])
 
 
-@pytest.mark.parametrize("partition", enumerate_upto(6))
+@pytest.mark.parametrize("partition", enumerate_upto(10))
 def test_case_split_matches_plain_product_rule(partition):
     assert lap_partition(partition) == lap_partition_product_rule(partition)
+
+
+@pytest.mark.parametrize("partition", enumerate_upto(12))
+def test_grouped_assembly_matches_three_case_reference(partition):
+    got = lap_partition(partition)
+    want = lap_partition_three_case(partition)
+    assert got == want
+    assert got.pretty() == want.pretty()
+    assert got.to_json_obj() == want.to_json_obj()
 
 
 @pytest.mark.parametrize("partition", enumerate_upto(8))

@@ -213,6 +213,20 @@ def test_lap_numeric_vs_symbolic_single_monomial():
         assert abs(got - ref) <= 1e-8 * max(1.0, abs(ref))
 
 
+def test_eval_tracepoly_ignores_term_order():
+    # at U = I every p_m is 4, so the term values are 2^53, 1 and -2^53; a
+    # left-to-right float sum gives 0 in this order and 1 in the reverse one
+    items = [(Partition(), 2**53), (Partition.of(1), Fraction(1, 4)), (Partition.of(2), -(2**51))]
+    forward = TracePoly(dict(items), general_at(4))
+    backward = TracePoly(dict(reversed(items)), general_at(4))
+    assert eval_tracepoly(forward, np.eye(4)) == eval_tracepoly(backward, np.eye(4)) == 1.0
+    image = lap_partition(Partition.of(4, 3, 2, 1, 1)).substitute_n(5)
+    reversed_image = TracePoly(dict(reversed(list(image.terms.items()))), image.mode)
+    for seed in range(5):
+        sample = random_son(5, seed)
+        assert eval_tracepoly(image, sample) == eval_tracepoly(reversed_image, sample)
+
+
 def test_lap_numeric_tracepoly_linearity():
     poly = (
         TracePoly.monomial(Partition.of(2), Fraction(3, 2), general_at(4))

@@ -174,6 +174,20 @@ def test_so3_p3_hand_expansion():
     assert so3_pm_in_p1(3) == expected
 
 
+def so3_pm_full_recurrence(m):
+    """1 + 2 T_m((p_1 - 1)/2), running the Chebyshev recurrence up from T_0, T_1."""
+    two_x = TracePoly.power_sum(1, SO3) - 1
+    prev, cur = TracePoly.constant(1, SO3), two_x * F(1, 2)
+    for _ in range(m):
+        prev, cur = cur, two_x * cur - prev
+    return prev * 2 + 1
+
+
+def test_so3_pm_matches_full_recurrence():
+    for m in range(41):
+        assert so3_pm_in_p1(m) == so3_pm_full_recurrence(m), m
+
+
 @pytest.mark.parametrize("m", range(13))
 def test_so3_pm_matches_angle_trace(m):
     rng = random.Random(991 + m)
