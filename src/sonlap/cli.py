@@ -2,8 +2,9 @@
 
 Output is byte-deterministic for fixed flags and seed.  Exit codes: 0 on
 success or a passing verification, 1 on a verification failure, 2 on usage
-errors.  Rationals are printed as exact p/q strings in JSON; decimals appear
-only in CSV, next to an exact sidecar column.
+errors, including an input above the degree bound ``MAX_DEGREE``.
+Rationals are printed as exact p/q strings in JSON; decimals appear only in
+CSV, next to an exact sidecar column.
 """
 
 from __future__ import annotations
@@ -24,6 +25,19 @@ DEFAULT_SEED = numeric.DEFAULT_SEED
 SEED_ENV_VAR = "SONLAP_SEED"
 
 _MODES = {"generaln": GENERAL, "so3": SO3, "so4": SO4}
+
+# Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
+# and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
+# bound.  At 30 the slowest accepted input, ``characters --mode so4 --j1 15
+# --j2 15``, takes about 2 s on a 2-core machine, and every other command
+# under 1 s; the cost of the exact arithmetic grows steeply past it.
+MAX_DEGREE = 30
+
+
+def _check_degree(what: str, degree) -> None:
+    """Refuse an input above ``MAX_DEGREE`` before any work is done."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"{what} {degree} exceeds the input bound {MAX_DEGREE}")
 
 
 def _seed_default() -> int:
@@ -76,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_lap(args) -> int:
     mode = _MODES[args.mode]
     part = Partition.parse(args.partition)
+    _check_degree("partition degree", part.degree)
     if mode is GENERAL:
         result = lap_partition(part)
     else:
@@ -91,6 +106,7 @@ def _cmd_matrix(args) -> int:
     valid = {"so3": ("bprime", "btrace"), "so4": ("so4",)}
     if basis not in valid[args.mode]:
         raise ValueError(f"--basis {basis} is not valid for --mode {args.mode}")
+    _check_degree("--k", args.k)
     mode = SO3 if args.mode == "so3" else SO4
     matrix = flagmatrix.build_matrix(mode, basis, args.k)
     renderers = {
@@ -115,6 +131,7 @@ def _spectrum_entry_obj(entry) -> dict:
 def _cmd_spectrum(args) -> int:
     if args.target == "sphere" and args.n is None:
         raise ValueError("--target sphere requires --n")
+    _check_degree("--bound", args.bound)
     entries = flagmatrix.spectrum_closed(args.target, args.bound, n=args.n)
     if args.format == "json":
         print(json.dumps([_spectrum_entry_obj(e) for e in entries], sort_keys=True))
@@ -138,12 +155,14 @@ def _cmd_characters(args) -> int:
     if args.mode == "so3":
         if args.k is None:
             raise ValueError("--mode so3 requires --k")
+        _check_degree("--k", args.k)
         character = flagmatrix.character_so3(args.k)
         name = f"chi_{args.k}"
     else:
         if args.j1 is None or args.j2 is None:
             raise ValueError("--mode so4 requires --j1 and --j2")
         j1, j2 = Fraction(args.j1), Fraction(args.j2)
+        _check_degree("twice the spin", 2 * max(j1, j2))
         character = flagmatrix.character_so4(j1, j2)
         name = f"chi_({j1},{j2})"
     if args.format == "json":

@@ -2,9 +2,13 @@
 
 The graded flag of trace-polynomial spaces gives the restricted operator an
 upper block triangular matrix whose diagonal blocks carry the whole
-spectrum.  For SO(3) and SO(4) the proven bases make every entry an exact
-rational; eigenvalues are extracted by exact characteristic polynomials and
-deflation against the closed-form candidate set.  Each eigenspace is found by
+spectrum.  Every basis is a tuple of trace monomials indexed by partitions,
+so one coordinate loop and one label renderer serve all of them.  For SO(3)
+and SO(4) the proven bases make every entry an exact rational, and each
+diagonal block has exactly the closed-form eigenvalues of its weight:
+eigenvalues are extracted by exact characteristic polynomials deflated
+against that candidate set, and a block the candidates do not exhaust is an
+inconsistency, not a case for a root search.  Each eigenspace is found by
 exact elimination on the leading principal submatrix that ends with the last
 diagonal block whose characteristic polynomial vanishes at the eigenvalue:
 every later block stays invertible after the shift, so the kernel vectors are
@@ -16,7 +20,8 @@ refused.
 Irreducible characters are constructed independently of the matrices -- the
 SO(3) ones from the trace-sum / Chebyshev double-binomial forms, the SO(4)
 ones from a product of Chebyshev expansions rewritten symmetrically in
-p_1, p_2 -- and then located inside the computed eigenspaces.
+p_1, p_2 -- one for each label the spectrum carries, and then located inside
+the computed eigenspaces.
 """
 
 from __future__ import annotations
@@ -25,18 +30,18 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, lcm
 
-from .laplacian import lap, lap_partition, so3_lap_pm_btrace, so3_lap_power, so4_lap_monomial
+from .laplacian import lap, lap_monomial, so3_lap_pm_btrace
 from .npoly import NPoly
 from .partitions import EMPTY, Partition, enumerate_upto
 from .tracepoly import (
-    GENERAL,
     SO3,
     SO4,
     GroupMode,
     TracePoly,
     general_at,
+    monomial_label,
     so3_basis_change,
 )
 
@@ -54,7 +59,7 @@ class FlagBasis:
     mode: GroupMode
     basis_id: str
     k: int
-    elements: tuple
+    elements: tuple[Partition, ...]
     weights: tuple[int, ...]
     block_starts: tuple[int, ...]
 
@@ -71,45 +76,25 @@ class FlagBasis:
         ]
 
     def label(self, index: int) -> str:
-        return _render_label(self.basis_id, self.elements[index])
+        return monomial_label(self.elements[index], self.mode.tag)
 
     @cached_property
-    def positions(self) -> dict:
+    def positions(self) -> dict[Partition, int]:
         """Position of each element in ``elements``; built once per basis."""
         return {elem: i for i, elem in enumerate(self.elements)}
-
-
-def _render_label(basis_id: str, element) -> str:
-    if basis_id == "bprime":
-        j = element
-        return "p_0" if j == 0 else ("p_1" if j == 1 else f"p_1^{j}")
-    if basis_id == "btrace":
-        return f"p_{element}"
-    if basis_id == "so4":
-        l, m = element
-        if l == 0 and m == 0:
-            return "p_0"
-        bits = []
-        if l:
-            bits.append("p_1" if l == 1 else f"p_1^{l}")
-        if m:
-            bits.append("p_2" if m == 1 else f"p_2^{m}")
-        return " ".join(bits)
-    part: Partition = element
-    if not part.parts:
-        return "p_0"
-    if part.degree == 1:
-        return "p_1"
-    return "p_(" + ",".join(str(x) for x in part.padded()) + ")"
 
 
 def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
     """Deterministic ordered basis of the order-k flag space.
 
+    Every element is the partition of a trace monomial; the empty partition
+    stands for p_0.
+
     ``general``: all partitions of degree <= k (spanning set, p_0 first).
-    ``bprime``:  p_0, p_1, p_1^2, ..., p_1^k on SO(3).
-    ``btrace``:  p_0, p_1, p_2, ..., p_k on SO(3).
-    ``so4``:     p_0 then p_1^l p_2^m by weight l+2m, ties by increasing m.
+    ``bprime``:  p_0, p_1, p_1^2, ..., p_1^k on SO(3), as (1^j).
+    ``btrace``:  p_0, p_1, p_2, ..., p_k on SO(3), as (j).
+    ``so4``:     p_0 then p_1^l p_2^m, as (2^m, 1^l), by weight l+2m, ties by
+                 increasing m.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -118,80 +103,62 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
     if basis_id == "general":
         if mode.tag != "general":
             raise ValueError("the partition spanning set belongs to general mode")
-        elements = tuple(enumerate_upto(k))
-        weights = tuple(p.degree for p in elements)
+        elements = enumerate_upto(k)
     elif basis_id in ("bprime", "btrace"):
         if mode != SO3:
             raise ValueError(f"basis {basis_id!r} requires SO(3) mode")
-        elements = tuple(range(k + 1))
-        weights = tuple(range(k + 1))
+        if basis_id == "bprime":
+            elements = [Partition((1,) * j) for j in range(k + 1)]
+        else:
+            elements = [Partition.of(j) for j in range(k + 1)]
     else:
         if mode != SO4:
             raise ValueError("basis 'so4' requires SO(4) mode")
-        elems: list[tuple[int, int]] = [(0, 0)]
-        wts = [0]
-        for w in range(1, k + 1):
-            for m in range(w // 2 + 1):
-                elems.append((w - 2 * m, m))
-                wts.append(w)
-        elements = tuple(elems)
-        weights = tuple(wts)
+        elements = [
+            Partition((2,) * m + (1,) * (w - 2 * m)) for w in range(k + 1) for m in range(w // 2 + 1)
+        ]
+    weights = tuple(p.degree for p in elements)
     starts = [0]
     for i in range(1, len(elements)):
         if weights[i] != weights[i - 1]:
             starts.append(i)
-    return FlagBasis(mode, basis_id, k, elements, weights, tuple(starts))
+    return FlagBasis(mode, basis_id, k, tuple(elements), weights, tuple(starts))
 
 
 # ---------------------------------------------------------------------------
 # coordinates
 
 
-def coordinates(poly: TracePoly, basis: FlagBasis) -> list[Fraction]:
-    """Exact coordinates of ``poly`` in a proven basis; raises on mismatch."""
-    if basis.basis_id in ("bprime", "btrace"):
-        return so3_basis_change(poly, basis.basis_id, basis.k)
-    if basis.basis_id == "so4":
-        red = poly if poly.mode == SO4 else poly.reduce(SO4)
-        if red.degree > basis.k:
-            raise ValueError(f"degree {red.degree} exceeds basis order {basis.k}")
-        coords = [Fraction(0)] * basis.dim
-        for part, coeff in red.terms.items():
-            if not part.parts:
-                coords[0] += coeff / 4
-                continue
-            key = (sum(1 for p in part if p == 1), sum(1 for p in part if p == 2))
-            pos = basis.positions.get(key)
-            if pos is None:
-                raise ValueError(f"coordinate extraction failure at monomial {part}")
-            coords[pos] += coeff
-        return coords
-    if basis.basis_id == "general" and not basis.mode.symbolic:
-        coords = [Fraction(0)] * basis.dim
-        for part, coeff in poly.terms.items():
-            if not part.parts:
-                coords[0] += Fraction(coeff) / basis.mode.n
-                continue
-            pos = basis.positions.get(part)
-            if pos is None:
-                raise ValueError(f"coordinate extraction failure at monomial {part}")
-            coords[pos] += coeff
-        return coords
-    raise ValueError("use coordinates_general for the symbolic spanning set")
+def coordinates(poly: TracePoly, basis: FlagBasis) -> list:
+    """Exact coordinates of ``poly`` in a flag basis; raises on mismatch.
+
+    The polynomial is reduced to the basis mode, and each monomial's
+    coefficient goes to the element with the same partition; a constant c
+    goes to the p_0 slot as c/N (an :class:`NPoly` for symbolic N).
+    ``btrace`` coordinates come from the triangular change of basis instead.
+    """
+    if basis.basis_id == "btrace":
+        return so3_basis_change(poly, "btrace", basis.k)
+    mode = basis.mode
+    red = poly if poly.mode == mode else poly.reduce(mode)
+    positions = basis.positions
+    coords = [NPoly(0) if mode.symbolic else Fraction(0)] * basis.dim
+    # a partition has one slot of its own, so each slot is written once
+    for part, coeff in red._terms.items():
+        pos = positions.get(part)
+        if pos is None:
+            raise ValueError(f"coordinate extraction failure at monomial {part}")
+        if not part.parts:
+            coeff = coeff.div_by_var() if mode.symbolic else coeff / mode.n
+        coords[pos] = coeff
+    return coords
 
 
 def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
     """Spanning-set coordinates with symbolic coefficients; p_0 slot = c/N."""
     if basis.basis_id != "general" or not basis.mode.symbolic:
         raise ValueError("symbolic coordinates require the general spanning set")
-    coords = [NPoly(0)] * basis.dim
-    for part, coeff in poly.terms.items():
-        pos = basis.positions.get(part)
-        if pos is None:
-            raise ValueError(f"coordinate extraction failure at monomial {part}")
-        # every monomial has a slot of its own, so each slot is written once
-        coords[pos] = coeff if part.parts else coeff.div_by_var()
-    return coords
+    return coordinates(poly, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -238,20 +205,11 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     basis = basis_for(mode, basis_id, k)
     columns = []
     for element in basis.elements:
-        if basis_id == "bprime":
-            col = so3_basis_change(so3_lap_power(element), "bprime", k)
-        elif basis_id == "btrace":
-            coldict = so3_lap_pm_btrace(element)
+        if basis_id == "btrace":
+            coldict = so3_lap_pm_btrace(element.degree)
             col = [coldict.get(i, Fraction(0)) for i in range(k + 1)]
-        elif basis_id == "so4":
-            l, m = element
-            col = coordinates(so4_lap_monomial(l, m), basis)
         else:
-            image = lap_partition(element)
-            if mode.symbolic:
-                col = coordinates_general(image, basis)
-            else:
-                col = coordinates(image.substitute_n(mode.n), basis)
+            col = coordinates(lap_monomial(element, mode), basis)
         columns.append(col)
     for start, end, _ in basis.block_ranges():
         # first nonzero under each column of the block; the least (i, j) is
@@ -357,43 +315,6 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fr
     return out[:-1], out[-1]
 
 
-# Largest |leading| or |constant| integer coefficient whose divisors the
-# rational-root search enumerates; a factor past it is refused, not searched.
-_ROOT_SEARCH_LIMIT = 10**6
-
-
-def _divisors(v: int) -> set[int]:
-    """Positive divisors of v > 0 by trial division up to sqrt(v); {1} for 0."""
-    if not v:
-        return {1}
-    out = set()
-    for d in range(1, isqrt(v) + 1):
-        if v % d == 0:
-            out.update((d, v // d))
-    return out
-
-
-def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """Sorted rational-root candidates p/q (p | constant, q | leading term)."""
-    scale = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    cands = set()
-    if ints[-1] == 0:
-        cands.add(Fraction(0))
-    lead = abs(ints[0])
-    tail = abs(next((v for v in reversed(ints) if v), 0))
-    if max(lead, tail) > _ROOT_SEARCH_LIMIT:
-        raise ArithmeticError(
-            f"non-rational spectral factor {coeffs}: rational roots are searched "
-            f"only up to integer coefficients of size {_ROOT_SEARCH_LIMIT}"
-        )
-    for p in _divisors(tail):
-        for q in _divisors(lead):
-            cands.add(Fraction(p, q))
-            cands.add(Fraction(-p, q))
-    return sorted(cands)
-
-
 # ---------------------------------------------------------------------------
 # spectra
 
@@ -455,9 +376,10 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
     """Exact spectrum of a flag matrix from its diagonal blocks.
 
     Each block's characteristic polynomial is computed over the rationals and
-    deflated against the closed-form candidate eigenvalues for its weight; a
-    rational-root search is the fallback, and any surviving nonlinear factor
-    is a hard inconsistency.
+    deflated against the closed-form candidate eigenvalues of its weight,
+    which the paper proves complete; each entry carries the labels of the
+    candidates that produced it.  A factor the candidates leave over is an
+    inconsistency and raises, naming the block's weight.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
@@ -470,20 +392,13 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
                 if rem:
                     break
                 remaining = quotient
-                found.setdefault(eig, [])
-                if label not in found[eig]:
-                    found[eig].append(label)
-        if len(remaining) > 1:
-            for cand in _rational_roots(remaining):
-                while len(remaining) > 1:
-                    quotient, rem = _deflate(remaining, cand)
-                    if rem:
-                        break
-                    remaining = quotient
-                    found.setdefault(cand, [])
+                labels = found.setdefault(eig, [])
+                if label not in labels:
+                    labels.append(label)
         if len(remaining) > 1:
             raise ArithmeticError(
-                f"weight-{weight} block has a non-rational spectral factor {remaining}"
+                f"weight-{weight} block has eigenvalues outside the closed-form family: "
+                f"factor {remaining} is left after deflation"
             )
     out = []
     for eig in sorted(found, reverse=True):
@@ -632,33 +547,29 @@ def character_so4(j1, j2) -> Character:
     return Character("so4", (max(ka, kb), min(ka, kb)), eigenvalue, poly)
 
 
-def _candidate_characters(basis: FlagBasis, eigenvalue: Fraction) -> list[Character]:
-    out = []
-    if basis.mode == SO3:
-        for k in range(basis.k + 1):
-            if Fraction(-k * (k + 1), 2) == eigenvalue:
-                out.append(character_so3(k))
-    else:
-        for k1 in range(basis.k + 1):
-            for k2 in range(k1 % 2, k1 + 1, 2):
-                if _so4_eig(k1, k2) == eigenvalue:
-                    out.append(character_so4(Fraction(k1, 2), Fraction(k2, 2)))
-    return out
+def _label_character(mode: GroupMode, label) -> Character:
+    """The irreducible character named by a spectrum label of ``mode``."""
+    if mode.tag == "so3":
+        return character_so3(label)
+    k1, k2 = label
+    return character_so4(Fraction(k1, 2), Fraction(k2, 2))
 
 
 def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]]:
-    """Locate every independently built character inside its eigenspace.
+    """Locate the character of every spectrum label inside its eigenspace.
 
-    Returns one (entry, character) pair per matched character; entries carry
-    the exact geometric multiplicity, so eigenvalues richer than their
+    Returns one (entry, character) pair per label, in spectrum order; entries
+    carry the exact geometric multiplicity, so eigenvalues richer than their
     character count are visible to the caller.  A character missing from its
     eigenspace is an inconsistency and raises.
     """
-    if matrix.basis.mode.tag == "general":
+    mode = matrix.basis.mode
+    if mode.tag == "general":
         raise ValueError("character matching requires SO(3) or SO(4)")
     out = []
     for entry in eigenvalues_exact(matrix):
-        for character in _candidate_characters(matrix.basis, entry.eigenvalue):
+        for label in entry.labels:
+            character = _label_character(mode, label)
             coords = coordinates(character.poly, matrix.basis)
             if not _in_kernel(matrix, entry.eigenvalue, coords):
                 raise ArithmeticError(

@@ -256,30 +256,31 @@ def so4_lap_monomial(l: int, m: int) -> TracePoly:
     return out + mono(l, m) * Fraction(-(6 * m * l + 2 * m * m + 3 * l + 4 * m), 2)
 
 
+def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
+    """Laplacian of the trace monomial ``p_part`` in ``mode``.
+
+    ``part`` must be a monomial of that mode: a power of p_1 on SO(3), a
+    product of p_1 and p_2 on SO(4).  Each mode reads its cached closed form,
+    and fixed-N general mode substitutes the dimension.
+    """
+    if mode.tag == "so3":
+        return so3_lap_power(len(part))
+    if mode.tag == "so4":
+        twos = part.parts.count(2)
+        return so4_lap_monomial(len(part) - twos, twos)
+    image = lap_partition(part)
+    return image if mode.symbolic else image.substitute_n(mode.n)
+
+
 def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:
     """Laplacian of an arbitrary trace polynomial; linear in the input.
 
-    In general mode this extends ``lap_partition`` by linearity (with the
-    dimension substituted when fixed).  In SO(3)/SO(4) mode the dedicated
-    closed forms are used and the result stays in the reduced basis.
+    Extends :func:`lap_monomial` by linearity, so in SO(3)/SO(4) mode the
+    result stays in the reduced basis.
     """
     if mode is not None and mode != a.mode:
         raise ValueError(f"mode mismatch: polynomial is {a.mode}, requested {mode}")
-    mode = a.mode
-    out = TracePoly.zero(mode)
-    if mode.tag == "general":
-        for part, coeff in a.terms.items():
-            base = lap_partition(part)
-            if not mode.symbolic:
-                base = base.substitute_n(mode.n)
-            out = out + base * coeff
-        return out
-    if mode.tag == "so3":
-        for part, coeff in a.terms.items():
-            out = out + so3_lap_power(len(part)) * coeff
-        return out
+    out = TracePoly.zero(a.mode)
     for part, coeff in a.terms.items():
-        l = sum(1 for p in part if p == 1)
-        m = sum(1 for p in part if p == 2)
-        out = out + so4_lap_monomial(l, m) * coeff
+        out = out + lap_monomial(part, a.mode) * coeff
     return out

@@ -249,7 +249,9 @@ def lap_numeric(target, sample: RotationSample) -> float:
     """Group Laplacian of a Partition, TracePoly, or prebuilt bundle at U.
 
     Partitions and trace polynomials use the closed-form Hessian traces and
-    build nothing of size n^4; a bundle is contracted densely.
+    build nothing of size n^4; a bundle is contracted densely.  The term
+    values are summed with ``math.fsum``, so the result does not depend on
+    the order of the terms.
     """
     if isinstance(target, DerivativeBundle):
         return laplace_beltrami_value(target, sample)
@@ -265,10 +267,10 @@ def lap_numeric(target, sample: RotationSample) -> float:
         raise TypeError(f"cannot evaluate the Laplacian of {type(target).__name__}")
     top = max((max(p.parts, default=0) for p in terms), default=0)
     tables = _power_tables(sample.matrix, top)
-    total = 0.0
-    for part, coeff in terms.items():
-        total += float(coeff) * _group_laplacian(sample.n, *_monomial_traces(part, *tables))
-    return total
+    return math.fsum(
+        float(coeff) * _group_laplacian(sample.n, *_monomial_traces(part, *tables))
+        for part, coeff in terms.items()
+    )
 
 
 def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:

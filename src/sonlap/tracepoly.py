@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 
 from .npoly import NPoly
 from .partitions import EMPTY, Partition
@@ -260,23 +261,7 @@ class TracePoly:
     # -- rendering ---------------------------------------------------------
 
     def _label(self, part: Partition) -> str | None:
-        if not part.parts:
-            return None
-        if self.mode.tag == "so3":
-            j = len(part)
-            return "p_1" if j == 1 else f"p_1^{j}"
-        if self.mode.tag == "so4":
-            l = sum(1 for p in part if p == 1)
-            m = sum(1 for p in part if p == 2)
-            bits = []
-            if l:
-                bits.append("p_1" if l == 1 else f"p_1^{l}")
-            if m:
-                bits.append("p_2" if m == 1 else f"p_2^{m}")
-            return " ".join(bits)
-        if part.degree == 1:
-            return "p_1"
-        return "p_(" + ",".join(str(x) for x in part.padded()) + ")"
+        return monomial_label(part, self.mode.tag) if part.parts else None
 
     def _constant_str(self, coeff) -> tuple[str, str]:
         # returns (sign, body) for the degree-zero term
@@ -336,6 +321,25 @@ class TracePoly:
 
     def __repr__(self) -> str:
         return f"TracePoly({self.pretty()!r}, mode={self.mode})"
+
+
+def monomial_label(part: Partition, tag: str) -> str:
+    """Printed name of the trace monomial ``p_part`` in a mode with ``tag``.
+
+    The constant is ``p_0``.  General mode prints the zero-padded partition
+    (``p_(2,1,0)``, with ``p_1`` for degree one); SO(3) and SO(4) print the
+    product of powers by increasing trace (``p_1^2 p_2``, and ``p_j`` for a
+    single trace).
+    """
+    if not part.parts:
+        return "p_0"
+    if tag == "general":
+        return "p_1" if part.degree == 1 else "p_(" + ",".join(map(str, part.padded())) + ")"
+    bits = []
+    for value, run in groupby(reversed(part.parts)):
+        power = sum(1 for _ in run)
+        bits.append(f"p_{value}" if power == 1 else f"p_{value}^{power}")
+    return " ".join(bits)
 
 
 def _coeff_chunk(coeff, label: str | None) -> tuple[str, str]:

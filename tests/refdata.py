@@ -4,7 +4,9 @@ The symbolic Laplacian table covers every monomial of degree <= 4; the SO(4)
 order-4 matrix, its eigenvector list and the character table are the known
 closed-form results this package must reproduce exactly.  The three-case
 monomial Laplacian is the assembly ``lap_partition`` used before the grouped
-product rule, frozen here as an exact reference.
+product rule, and the character enumeration is the candidate search
+``match_characters`` used before it read the spectrum's labels; both are
+frozen here as exact references.
 """
 
 from fractions import Fraction
@@ -14,6 +16,8 @@ from sonlap import (
     NPoly,
     Partition,
     TracePoly,
+    character_so3,
+    character_so4,
     lap_p1_pow,
     lap_partition_product_rule,
 )
@@ -77,8 +81,11 @@ WORKED_LAPLACIANS = {
     },
 }
 
-# SO(4) order-4 basis labels in order, as (l, m) exponents of p_1^l p_2^m.
-SO4_K4_BASIS = [(0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1), (4, 0), (2, 1), (0, 2)]
+# SO(4) order-4 basis in order: p_1^l p_2^m as the partition (2^m, 1^l).
+SO4_K4_BASIS = [
+    Partition(parts)
+    for parts in [(), (1,), (1, 1), (2,), (1, 1, 1), (2, 1), (1, 1, 1, 1), (2, 1, 1), (2, 2)]
+]
 
 # Rows of the order-4 SO(4) flag matrix.
 SO4_K4_MATRIX = [
@@ -169,4 +176,20 @@ def lap_partition_three_case(partition: Partition) -> TracePoly:
         rest = mono(*(big[:i] + big[i + 1:]))
         bracket = TracePoly.power_sum(mi - 1, GENERAL) - TracePoly.power_sum(mi + 1, GENERAL)
         out = out + rest * mono(*(1,) * (q - 1)) * bracket * F(mi * q)
+    return out
+
+
+def candidate_characters(basis, eigenvalue: F) -> list:
+    """Every character of weight <= k with the given eigenvalue, by the former
+    search over all SO(3) weights or SO(4) same-parity pairs k2 <= k1 <= k."""
+    out = []
+    if basis.mode.tag == "so3":
+        for k in range(basis.k + 1):
+            if F(-k * (k + 1), 2) == eigenvalue:
+                out.append(character_so3(k))
+    else:
+        for k1 in range(basis.k + 1):
+            for k2 in range(k1 % 2, k1 + 1, 2):
+                if -F(k1 * (k1 + 2) + k2 * (k2 + 2), 4) == eigenvalue:
+                    out.append(character_so4(F(k1, 2), F(k2, 2)))
     return out

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -201,3 +202,53 @@ def test_seed_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "identities", "--n", "3", "--samples", "2")
     assert code == 0
     assert all(r["seed"] == 31415 for r in json.loads(out))
+
+
+OVERSIZE = [
+    ("lap", "--mode", "so3", "--partition", "900"),
+    ("lap", "--mode", "so4", "--partition", "300"),
+    ("lap", "--mode", "generaln", "--partition", "16,15"),
+    ("matrix", "--mode", "so4", "--k", "31"),
+    ("matrix", "--mode", "so3", "--basis", "btrace", "--k", "100000"),
+    ("characters", "--mode", "so3", "--k", "1200"),
+    ("characters", "--mode", "so4", "--j1", "31/2", "--j2", "1/2"),
+    ("characters", "--mode", "so4", "--j1", "0", "--j2", "16"),
+    ("spectrum", "--target", "so4", "--bound", "100000"),
+    ("spectrum", "--target", "sphere", "--n", "4", "--bound", "31"),
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZE, ids=[" ".join(a) for a in OVERSIZE])
+def test_oversize_input_is_refused_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert f"exceeds the input bound {cli.MAX_DEGREE}" in err
+
+
+def test_inputs_at_the_bound_are_accepted(capsys):
+    bound = str(cli.MAX_DEGREE)
+    for argv in [
+        ("lap", "--mode", "so3", "--partition", bound),
+        ("matrix", "--mode", "so3", "--k", bound, "--format", "json"),
+        ("characters", "--mode", "so3", "--k", bound),
+        ("spectrum", "--target", "so4", "--bound", bound),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out
+
+
+def test_oversize_partition_exits_2_in_a_fresh_process():
+    """A cold SO(3) table recursed past the interpreter limit here once."""
+    src = os.path.dirname(os.path.dirname(sonlap.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "sonlap.cli", "lap", "--mode", "so3", "--partition", "900"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"error: partition degree 900 exceeds the input bound {cli.MAX_DEGREE}\n"

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 from fractions import Fraction
 
 import pytest
@@ -29,13 +28,14 @@ from sonlap import (
     rotation_from_angles,
     spectrum_closed,
 )
-from sonlap import flagmatrix
+from sonlap import flagmatrix, laplacian
 from refdata import (
     SO4_CHARACTER_TABLE,
     SO4_K4_BASIS,
     SO4_K4_EIGENVALUES,
     SO4_K4_EIGENVECTORS,
     SO4_K4_MATRIX,
+    candidate_characters,
     so4_monomial_partition,
 )
 
@@ -95,7 +95,7 @@ def test_basis_weights_are_graded():
     assert list(basis.weights) == sorted(basis.weights)
     # inside one weight the p_2 count increases
     for start, end, w in basis.block_ranges():
-        ms = [basis.elements[i][1] for i in range(start, end)]
+        ms = [basis.elements[i].parts.count(2) for i in range(start, end)]
         assert ms == sorted(ms)
 
 
@@ -199,7 +199,7 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
     basis = basis_for(mode, basis_id, k)
     extra = {basis.elements[j]: basis.elements[i] for j, i in injections.items()}
     if basis_id == "general":
-        original = flagmatrix.lap_partition
+        original = laplacian.lap_partition
 
         def patched(part):
             image = original(part)
@@ -207,17 +207,18 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
                 image = image + TracePoly.monomial(extra[part], 1, GENERAL)
             return image
 
-        monkeypatch.setattr(flagmatrix, "lap_partition", patched)
+        monkeypatch.setattr(laplacian, "lap_partition", patched)
     else:
-        original = flagmatrix.so4_lap_monomial
+        original = laplacian.so4_lap_monomial
 
         def patched(l, m):
             image = original(l, m)
-            if (l, m) in extra:
-                image = image + TracePoly.monomial(so4_monomial_partition(*extra[(l, m)]), 1, SO4)
+            part = so4_monomial_partition(l, m)
+            if part in extra:
+                image = image + TracePoly.monomial(extra[part], 1, SO4)
             return image
 
-        monkeypatch.setattr(flagmatrix, "so4_lap_monomial", patched)
+        monkeypatch.setattr(laplacian, "so4_lap_monomial", patched)
     with pytest.raises(ArithmeticError, match=rf"at entry \({expected[0]},{expected[1]}\);"):
         build_matrix(mode, basis_id, k)
     monkeypatch.undo()
@@ -475,10 +476,29 @@ def test_match_characters_multiplicity_probe_k6():
     assert len(eigenspace_exact(matrix, F(-12))) >= 2
 
 
+@pytest.mark.parametrize(
+    "mode, basis_id, ks",
+    [(SO3, "bprime", range(13)), (SO3, "btrace", range(13)), (SO4, "so4", range(9))],
+    ids=["so3-bprime", "so3-btrace", "so4"],
+)
+def test_match_characters_equal_the_candidate_search(mode, basis_id, ks):
+    """The characters named by the spectrum labels are the ones the former
+    search over every weight <= k found, in the same order."""
+    for k in ks:
+        matrix = build_matrix(mode, basis_id, k)
+        expected = [
+            (entry.eigenvalue, character.label)
+            for entry in eigenvalues_exact(matrix)
+            for character in candidate_characters(matrix.basis, entry.eigenvalue)
+        ]
+        got = [(entry.eigenvalue, character.label) for entry, character in match_characters(matrix)]
+        assert got == expected
+
+
 def test_match_characters_rejects_a_character_outside_its_eigenspace(monkeypatch):
     matrix = build_matrix(SO3, "btrace", 3)
     # offer chi_1 (eigenvalue -1) as the character of every eigenvalue
-    monkeypatch.setattr(flagmatrix, "_candidate_characters", lambda basis, eig: [character_so3(1)])
+    monkeypatch.setattr(flagmatrix, "_label_character", lambda mode, label: character_so3(1))
     with pytest.raises(ArithmeticError, match="escaped the eigenspace"):
         match_characters(matrix)
 
@@ -569,39 +589,19 @@ def test_eigenspace_rejects_non_eigenvalue_on_every_call():
             eigenspace_exact(matrix, 17)
 
 
-def divisor_scan_roots(coeffs):
-    """Reference: the rational-root candidates from a full divisor scan."""
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    cands = {F(0)} if ints[-1] == 0 else set()
-    tail = abs(next((v for v in reversed(ints) if v), 0))
-
-    def divisors(v):
-        return {d for d in range(1, v + 1) if v % d == 0} if v else {1}
-
-    for p in divisors(tail):
-        for q in divisors(abs(ints[0])):
-            cands.update((F(p, q), F(-p, q)))
-    return sorted(cands)
-
-
-def test_rational_roots_match_divisor_scan_on_small_inputs():
-    rng = random.Random(7)
-    polys = [[F(1), F(0)], [F(1), F(0), F(0)], [F(1), F(-12)], [F(1), F(5, 6), F(1, 6)]]
-    for _ in range(40):
-        degree = rng.randint(1, 4)
-        polys.append([F(1)] + [F(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(degree)])
-    for coeffs in polys:
-        assert flagmatrix._rational_roots(coeffs) == divisor_scan_roots(coeffs)
-
-
-def test_rational_roots_refuse_a_huge_constant_term_quickly():
-    start = time.perf_counter()
-    with pytest.raises(ArithmeticError, match="non-rational spectral factor"):
-        flagmatrix._rational_roots([F(1), F(0), F(-(10**18 + 9))])
-    assert time.perf_counter() - start < 1.0
-    limit = flagmatrix._ROOT_SEARCH_LIMIT
-    assert F(limit) in flagmatrix._rational_roots([F(1), F(-limit)])
+@pytest.mark.parametrize(
+    "mode, basis_id, k", [(SO4, "so4", 6), (SO3, "bprime", 5), (SO3, "btrace", 5)]
+)
+def test_eigenvalues_exact_names_a_block_outside_the_closed_family(mode, basis_id, k):
+    """Perturbing one diagonal entry moves the block's trace, so the closed
+    candidates cannot exhaust its characteristic polynomial any more."""
+    matrix = build_matrix(mode, basis_id, k)
+    for start, end, weight in matrix.basis.block_ranges():
+        entries = [list(row) for row in matrix.entries]
+        entries[end - 1][end - 1] += F(1, 7)
+        perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
+        with pytest.raises(ArithmeticError, match=rf"^weight-{weight} block .*closed-form family"):
+            eigenvalues_exact(perturbed)
 
 
 # ---------------------------------------------------------------------------

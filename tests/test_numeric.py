@@ -227,6 +227,14 @@ def test_eval_tracepoly_ignores_term_order():
         assert eval_tracepoly(image, sample) == eval_tracepoly(reversed_image, sample)
 
 
+def test_lap_numeric_ignores_term_order():
+    image = lap_partition(Partition.of(4, 3, 2, 1, 1)).substitute_n(5)
+    reversed_image = TracePoly(dict(reversed(list(image.terms.items()))), image.mode)
+    for seed in range(20):
+        sample = random_son(5, seed)
+        assert lap_numeric(image, sample) == lap_numeric(reversed_image, sample)
+
+
 def test_lap_numeric_tracepoly_linearity():
     poly = (
         TracePoly.monomial(Partition.of(2), Fraction(3, 2), general_at(4))

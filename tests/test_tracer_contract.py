@@ -43,3 +43,25 @@ def test_hessian_builders_bind_what_hess_bytes_reads(tracer):
         args, kwargs, expected = calls[name]
         signature = inspect.signature(getattr(numeric, name))
         assert tracer._hess_bytes(signature, args, kwargs) == expected
+
+
+def test_caches_expose_cache_info(tracer):
+    for name, fn in tracer.CACHES.items():
+        hits, misses, _, _ = fn.cache_info()
+        assert hits >= 0 and misses >= 0, name
+    snapshot = tracer.cache_snapshot()
+    assert set(snapshot) == set(tracer.CACHES)
+    assert all(len(counts) == 2 for counts in snapshot.values())
+
+
+def test_flag_matrices_read_the_cached_closed_forms(tracer):
+    """The SO(3)/SO(4) matrices reach these caches through the per-monomial
+    dispatch, so their hit counts still describe the benchmark's work."""
+    from sonlap import SO3, SO4, build_matrix
+
+    before = tracer.cache_snapshot()
+    build_matrix(SO3, "bprime", 3)
+    build_matrix(SO4, "so4", 3)
+    delta = tracer.cache_delta(before, tracer.cache_snapshot())
+    for name in ("laplacian.so3_lap_power", "laplacian.so4_lap_monomial"):
+        assert delta[name]["hits"] + delta[name]["misses"] >= 4, name
