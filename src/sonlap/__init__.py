@@ -66,6 +66,7 @@ from .tracepoly import (
     SO4,
     GroupMode,
     TracePoly,
+    elementary,
     general_at,
     so3_basis_change,
     so3_from_coordinates,

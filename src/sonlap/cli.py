@@ -29,8 +29,9 @@ _MODES = {"generaln": GENERAL, "so3": SO3, "so4": SO4}
 # Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
 # and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
 # bound.  At 30 the slowest accepted input, ``characters --mode so4 --j1 15
-# --j2 15``, takes about 2 s on a 2-core machine, and every other command
-# under 1 s; the cost of the exact arithmetic grows steeply past it.
+# --j2 15``, takes about 0.55 s in a fresh process on a 2-core machine, and
+# every other command at most 0.45 s; the exact arithmetic grows steeply
+# with the degree.
 MAX_DEGREE = 30
 
 

@@ -17,11 +17,11 @@ and cached on it.  For general N only the spanning-set expression table is
 emitted (the monomials are not proven independent), and eigen-extraction is
 refused.
 
-Irreducible characters are constructed independently of the matrices -- the
-SO(3) ones from the trace-sum / Chebyshev double-binomial forms, the SO(4)
-ones from a product of Chebyshev expansions rewritten symmetrically in
-p_1, p_2 -- one for each label the spectrum carries, and then located inside
-the computed eigenspaces.
+Irreducible characters are built independently of the matrices, one per
+spectrum label lam, as Koike-Terada orthogonal characters over the elementary
+symmetric functions of :func:`tracepoly.elementary`, and then located inside
+the computed eigenspaces.  Every eigenvalue, sphere ones included, is the
+Casimir value -sum_i lam_i(lam_i + N - 2i)/2 of its label.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import comb, gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .laplacian import lap, lap_monomial, so3_lap_pm_btrace
 from .npoly import NPoly
@@ -40,6 +40,7 @@ from .tracepoly import (
     SO4,
     GroupMode,
     TracePoly,
+    elementary,
     general_at,
     monomial_label,
     so3_basis_change,
@@ -328,15 +329,22 @@ class SpectrumEntry:
     geometric_multiplicity: int | None = None
 
 
-def _so4_eig(k1: int, k2: int) -> Fraction:
-    return -Fraction(k1 * (k1 + 2) + k2 * (k2 + 2), 4)
+def _casimir(n: int, lam: tuple[int, ...]) -> Fraction:
+    """Laplacian eigenvalue -sum_i lam_i(lam_i + n - 2i)/2 of the SO(n)
+    character with highest weight ``lam`` (i counted from 1)."""
+    return -Fraction(sum(part * (part + n - 2 * i) for i, part in enumerate(lam, 1)), 2)
+
+
+def _so4_weight(k1: int, k2: int) -> tuple[int, int]:
+    """Highest weight ((k1+k2)/2, |k1-k2|/2) of the SO(4) label (k1, k2) = (2j1, 2j2)."""
+    return (k1 + k2) // 2, abs(k1 - k2) // 2
 
 
 def _closed_candidates(mode: GroupMode, weight: int) -> list[tuple[Fraction, object]]:
     if mode.tag == "so3":
-        return [(Fraction(-weight * (weight + 1), 2), weight)]
+        return [(_casimir(3, (weight,)), weight)]
     return [
-        (_so4_eig(weight, k2), (weight, k2))
+        (_casimir(4, _so4_weight(weight, k2)), (weight, k2))
         for k2 in range(weight % 2, weight + 1, 2)
     ]
 
@@ -356,14 +364,14 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
         if n is None or n < 2:
             raise ValueError("sphere spectrum needs the ambient dimension n >= 2")
         for k in range(bound + 1):
-            found.setdefault(Fraction(-k * (k + n - 2), 2), []).append(k)
+            found.setdefault(_casimir(n, (k,)), []).append(k)
     elif target == "so3":
         for k in range(bound + 1):
-            found.setdefault(Fraction(-k * (k + 1), 2), []).append(k)
+            found.setdefault(_casimir(3, (k,)), []).append(k)
     elif target == "so4":
         for k1 in range(bound + 1):
             for k2 in range(k1 % 2, min(k1, bound - k1) + 1, 2):
-                found.setdefault(_so4_eig(k1, k2), []).append((k1, k2))
+                found.setdefault(_casimir(4, _so4_weight(k1, k2)), []).append((k1, k2))
     else:
         raise ValueError(f"unknown spectrum target {target!r}")
     return [
@@ -459,13 +467,48 @@ class Character:
     alt: TracePoly | None = None  # SO(3): the plain trace-sum form
 
 
+@lru_cache(maxsize=None)
+def _complete(mode: GroupMode, k: int) -> TracePoly:
+    """Complete symmetric function h_k of a rotation's eigenvalues in ``mode``.
+
+    h_k = sum_{i=1}^{min(k, N)} (-1)^{i-1} e_i h_{k-i}, with h_0 = 1 and
+    h_k = 0 for k < 0.
+    """
+    if k <= 0:
+        return TracePoly.constant(int(k == 0), mode)
+    e = elementary(mode)
+    terms = (
+        e[i] * _complete(mode, k - i) * (-1) ** (i - 1) for i in range(1, min(k, mode.n) + 1)
+    )
+    return sum(terms, TracePoly.zero(mode))
+
+
+def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TracePoly, Fraction]:
+    """Koike-Terada orthogonal character o_lam in ``mode``, and its eigenvalue.
+
+    o_lam = det(h_{lam_i-i+j} - h_{lam_i-i-j})_{i,j <= N // 2} (Koike and
+    Terada, J. Algebra 107, 1987); ``lam`` has N // 2 parts, zeros allowed.
+    The eigen-equation D o_lam = c o_lam, c the Casimir value of lam, is
+    verified exactly.
+    """
+    size = range(len(lam))  # 0-based i, j: the 1-based indices shift the lower h by 2
+    rows = [
+        [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
+        for i in size
+    ]
+    poly = rows[0][0] if len(lam) == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    eigenvalue = _casimir(mode.n, lam)
+    if lap(poly) != poly * eigenvalue:
+        raise ArithmeticError(f"character eigen-equation fails at {lam} in {mode}")
+    return poly, eigenvalue
+
+
 def character_so3(k: int) -> Character:
     """Weight-k irreducible SO(3) character, in both flag bases.
 
-    The trace form is -(k-1)/3 p_0 + p_1 + ... + p_k; the power form expands
-    the same function in powers of p_1 with double-binomial integer
-    coefficients.  Both the equality of the two forms and the eigen-equation
-    are verified exactly on construction.
+    The power form is o_(k) = h_k - h_{k-2} in powers of p_1; the trace form
+    is -(k-1)/3 p_0 + p_1 + ... + p_k.  The equality of the two forms and
+    the eigen-equation are verified exactly on construction.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -473,49 +516,10 @@ def character_so3(k: int) -> Character:
     for m in range(1, k + 1):
         trace_terms[Partition((m,))] = 1
     trace_form = TracePoly(trace_terms, general_at(3))
-    power_terms: dict[Partition, object] = {}
-    for j in range(k + 1):
-        coeff = sum(
-            (-1) ** (k - l) * comb(k + l, 2 * l) * comb(l, j) for l in range(j, k + 1)
-        )
-        power_terms[Partition((1,) * j)] = coeff
-    power_form = TracePoly(power_terms, SO3)
+    power_form, eigenvalue = _orthogonal_character(SO3, (k,))
     if trace_form.reduce(SO3) != power_form:
         raise ArithmeticError(f"character forms disagree at k={k}")
-    eigenvalue = Fraction(-k * (k + 1), 2)
-    if lap(power_form) != power_form * eigenvalue:
-        raise ArithmeticError(f"character eigen-equation fails at k={k}")
     return Character("so3", (k,), eigenvalue, power_form, trace_form)
-
-
-def _cheb2_coeff(m: int, s: int) -> Fraction:
-    # coefficient of x^{m-2s} in the Chebyshev polynomial of the second kind
-    return Fraction((-1) ** s * comb(m - s, s) * 2 ** (m - 2 * s))
-
-
-def _sym_power_pair(a: int, b: int) -> TracePoly:
-    """X^a Y^b + X^b Y^a in p_1, p_2, for X = cos((alpha+beta)/2) etc.
-
-    Uses XY = p_1/4, X^2+Y^2 = (p_1^2-p_2+4)/8, X^2 Y^2 = p_1^2/16 and the
-    Newton recurrence for the symmetric power sums of X^2, Y^2; a and b must
-    have equal parity for the expression to be symmetric in the angles.
-    """
-    if (a - b) % 2:
-        raise ValueError("exponents must share parity")
-    p1 = TracePoly.power_sum(1, SO4)
-    xy = p1 * Fraction(1, 4)
-    e1 = (p1 * p1 - TracePoly.power_sum(2, SO4) + 4) * Fraction(1, 8)
-    e2 = p1 * p1 * Fraction(1, 16)
-    d = abs(a - b) // 2
-    s_prev = TracePoly.constant(2, SO4)
-    s_cur = e1
-    if d == 0:
-        power_sum = s_prev
-    else:
-        for _ in range(d - 1):
-            s_prev, s_cur = s_cur, e1 * s_cur - e2 * s_prev
-        power_sum = s_cur
-    return xy ** min(a, b) * power_sum
 
 
 def character_so4(j1, j2) -> Character:
@@ -524,7 +528,9 @@ def character_so4(j1, j2) -> Character:
     Admissible pairs are nonnegative half-integers with integer sum; the
     result is the symmetric trace polynomial covering the unordered pair
     (the mirror labels (j1,j2) and (j2,j1) give one and the same function).
-    The eigen-equation D chi = -(j1(j1+1)+j2(j2+1)) chi is verified exactly.
+    It is the sum of the characters of the two mirror labels:
+    o_(j1+j2, |j1-j2|) when j1 != j2, twice it when j1 = j2.  The eigen-equation
+    D chi = -(j1(j1+1)+j2(j2+1)) chi is verified exactly.
     """
     j1 = Fraction(j1)
     j2 = Fraction(j2)
@@ -536,14 +542,9 @@ def character_so4(j1, j2) -> Character:
         )
     ka = int(2 * j1)
     kb = int(2 * j2)
-    poly = TracePoly.zero(SO4)
-    for q in range(ka // 2 + 1):
-        for r in range(kb // 2 + 1):
-            coeff = _cheb2_coeff(ka, q) * _cheb2_coeff(kb, r)
-            poly = poly + _sym_power_pair(ka - 2 * q, kb - 2 * r) * coeff
-    eigenvalue = -(j1 * (j1 + 1) + j2 * (j2 + 1))
-    if lap(poly) != poly * eigenvalue:
-        raise ArithmeticError(f"character eigen-equation fails at ({j1}, {j2})")
+    poly, eigenvalue = _orthogonal_character(SO4, _so4_weight(ka, kb))
+    if ka == kb:
+        poly = poly * 2
     return Character("so4", (max(ka, kb), min(ka, kb)), eigenvalue, poly)
 
 

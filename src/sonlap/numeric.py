@@ -277,35 +277,27 @@ def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
     """Numeric value of a trace polynomial at a rotation.
 
     The float path sums the term values with ``math.fsum``, so the result
-    does not depend on the order of the terms.  With ``exact=True`` the
-    computed traces are rationalized and the polynomial is accumulated in
-    exact arithmetic, removing the monomial cancellation that otherwise
-    dominates high-degree reduced forms.
+    does not depend on the order of the terms.  Where sum |term| * 2^-52 *
+    (degree + 2), a bound on its rounding error, exceeds 1e-9 * max(1, |sum|)
+    (high-degree reduced forms cancel), or with ``exact=True``, the value is
+    accumulated exactly over the rationalized traces instead.
     """
     u = sample.matrix if isinstance(sample, RotationSample) else np.asarray(sample, dtype=float)
     if poly.mode.symbolic:
         raise ValueError("substitute a concrete N before numeric evaluation")
     if poly.mode.n != u.shape[0]:
         raise ValueError(f"polynomial lives at N={poly.mode.n}, matrix is {u.shape[0]}x{u.shape[0]}")
-    top = max((max(p.parts, default=0) for p in poly.terms), default=0)
+    terms = poly.terms
+    top = max((max(p.parts, default=0) for p in terms), default=0)
     pows = _powers(u, top)
     traces = [float(np.trace(p)) for p in pows]
-    if exact:
-        exact_traces = [Fraction(t) for t in traces]
-        total_exact = Fraction(0)
-        for part, coeff in poly.terms.items():
-            term = Fraction(coeff)
-            for m in part:
-                term *= exact_traces[m]
-            total_exact += term
-        return float(total_exact)
-    values = []
-    for part, coeff in poly.terms.items():
-        term = float(coeff)
-        for m in part:
-            term *= traces[m]
-        values.append(term)
-    return math.fsum(values)
+    values = [math.prod((traces[m] for m in part), start=float(c)) for part, c in terms.items()]
+    total = math.fsum(values)
+    slack = math.fsum(map(abs, values)) * 2.0**-52 * (poly.degree + 2)
+    if not exact and slack <= 1e-9 * max(1.0, abs(total)):
+        return total
+    rational = [Fraction(t) for t in traces]
+    return float(sum(math.prod((rational[m] for m in part), start=c) for part, c in terms.items()))
 
 
 def sphere_lap_numeric(grad: np.ndarray, hess: np.ndarray, x: np.ndarray, radius: float) -> float:

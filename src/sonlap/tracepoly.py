@@ -7,11 +7,11 @@ once a concrete dimension has been substituted they are plain rationals.
 
 The empty partition stands for the constant 1, and the degree-zero trace
 p_0 is the constant N, represented internally as N times the empty
-partition.  On SO(3) every p_m is a Chebyshev polynomial in p_1
-(``p_m = 1 + 2 T_m((p_1 - 1)/2)``); on SO(4) the Cayley-Hamilton identity
-rewrites every p_m as a polynomial in p_1 and p_2.  ``TracePoly.reduce``
-performs those rewrites onto the canonical generator sets; no reduction
-exists for N >= 5, where the monomials are treated as free generators.
+partition.  On SO(3) and SO(4) the elementary symmetric functions of a
+rotation's eigenvalues are self-reciprocal, e_{N-i} = e_i, so they and, by
+one Newton / Cayley-Hamilton step, every p_m are polynomials in p_1, ...,
+p_{N//2}.  ``TracePoly.reduce`` performs that rewrite; no reduction exists
+for N >= 5, where the monomials are treated as free generators.
 """
 
 from __future__ import annotations
@@ -74,26 +74,18 @@ def _coerce_coeff(value, mode: GroupMode):
     raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
-def _allowed_parts(mode: GroupMode) -> set[int] | None:
-    if mode.tag == "so3":
-        return {1}
-    if mode.tag == "so4":
-        return {1, 2}
-    return None
-
-
 class TracePoly:
     """Linear combination of partition-indexed trace monomials."""
 
     __slots__ = ("_terms", "mode")
 
     def __init__(self, terms=None, mode: GroupMode = GENERAL):
-        allowed = _allowed_parts(mode)
+        largest = None if mode.tag == "general" else mode.n // 2  # reduced: parts <= N // 2
         data = {}
         for part, coeff in (terms or {}).items():
             if not isinstance(part, Partition):
                 part = Partition.of(*part)
-            if allowed is not None and any(p not in allowed for p in part):
+            if largest is not None and part.parts and part.parts[0] > largest:
                 raise ValueError(f"monomial {part} is not reduced for {mode}")
             c = _coerce_coeff(coeff, mode)
             if part in data:
@@ -238,12 +230,7 @@ class TracePoly:
 
         Idempotent; requires numeric coefficients at the matching dimension.
         """
-        if mode.tag == "so3":
-            table = so3_pm_in_p1
-        elif mode.tag == "so4":
-            table = so4_pm_in_p1p2
-        else:
-            raise ValueError("reduction target must be SO3 or SO4")
+        table = _pm_table(mode)
         if self.mode == mode:
             return self
         if self.mode.symbolic:
@@ -368,48 +355,64 @@ def _coeff_chunk(coeff, label: str | None) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=None)
-def so3_pm_in_p1(m: int) -> TracePoly:
-    """p_m on SO(3) as a polynomial in p_1, via 1 + 2*T_m((p_1 - 1)/2).
+def elementary(mode: GroupMode) -> tuple[TracePoly, ...]:
+    """e_0, ..., e_N of a rotation's eigenvalues, in the generators of ``mode``.
 
-    The Chebyshev recurrence reads p_m = (p_1 - 1)(p_{m-1} - 1) - p_{m-2} + 2,
-    seeded with p_0 = 3; each entry reuses the two cached ones below it.
+    With r = N // 2, Newton's identities k e_k = sum_{i=1}^k (-1)^{i-1}
+    e_{k-i} p_i give e_1, ..., e_r in p_1, ..., p_r; the eigenvalues come in
+    inverse pairs and det U = 1, so e_{N-i} = e_i gives the rest.
+    """
+    if mode.tag == "general":
+        raise ValueError("elementary symmetric functions need SO3 or SO4")
+    n = mode.n
+    e = [TracePoly.constant(1, mode)]
+    for k in range(1, n // 2 + 1):
+        terms = (e[k - i] * TracePoly.power_sum(i, mode) * (-1) ** (i - 1) for i in range(1, k + 1))
+        e.append(sum(terms, TracePoly.zero(mode)) * Fraction(1, k))
+    return tuple(e + [e[n - i] for i in range(n // 2 + 1, n + 1)])
+
+
+def _pm_table(mode: GroupMode):
+    """The cached p_m table of a reduced mode."""
+    if mode.tag == "so3":
+        return so3_pm_in_p1
+    if mode.tag == "so4":
+        return so4_pm_in_p1p2
+    raise ValueError("reduction target must be SO3 or SO4")
+
+
+def _reduced_pm(mode: GroupMode, m: int) -> TracePoly:
+    """p_m in the generators of ``mode`` by one Newton / Cayley-Hamilton step.
+
+    p_m = sum_{i=1}^{min(m, N)} (-1)^{i-1} e_i p_{m-i}, reading the lower
+    entries of the mode's table, where the i = m term is Newton's m e_m in
+    place of e_m p_0.  For m <= N // 2 the step returns the generator p_m.
     """
     if m < 0:
         raise ValueError("power index must be nonnegative")
-    p1 = TracePoly.power_sum(1, SO3)
     if m == 0:
-        return TracePoly.constant(3, SO3)
-    if m == 1:
-        return p1
-    return (p1 - 1) * (so3_pm_in_p1(m - 1) - 1) - so3_pm_in_p1(m - 2) + 2
+        return TracePoly.constant(mode.n, mode)
+    table = _pm_table(mode)
+    e = elementary(mode)
+    terms = (
+        e[i] * (table(m - i) if i < m else m) * (-1) ** (i - 1)
+        for i in range(1, min(m, mode.n) + 1)
+    )
+    return sum(terms, TracePoly.zero(mode))
+
+
+@lru_cache(maxsize=None)
+def so3_pm_in_p1(m: int) -> TracePoly:
+    """p_m on SO(3) in p_1, that is 1 + 2 T_m((p_1 - 1)/2); with e_1 = e_2 = p_1
+    and e_3 = 1, each entry reads the three cached entries below it."""
+    return _reduced_pm(SO3, m)
 
 
 @lru_cache(maxsize=None)
 def so4_pm_in_p1p2(m: int) -> TracePoly:
-    """p_m on SO(4) as a polynomial in p_1, p_2 via the Cayley-Hamilton recurrence.
-
-    p_{s+1} = p_1 p_s - (p_1^2 - p_2)/2 p_{s-1} + p_1 p_{s-2} - p_{s-3},
-    seeded with p_0 = 4 and p_3 = -p_1^3/2 + 3 p_1 p_2 / 2 + 3 p_1.
-    """
-    if m < 0:
-        raise ValueError("power index must be nonnegative")
-    p1 = TracePoly.power_sum(1, SO4)
-    p2 = TracePoly.power_sum(2, SO4)
-    if m == 0:
-        return TracePoly.constant(4, SO4)
-    if m == 1:
-        return p1
-    if m == 2:
-        return p2
-    if m == 3:
-        return p1 * p1 * p1 * Fraction(-1, 2) + p1 * p2 * Fraction(3, 2) + p1 * 3
-    half_q = (p1 * p1 - p2) * Fraction(1, 2)
-    return (
-        p1 * so4_pm_in_p1p2(m - 1)
-        - half_q * so4_pm_in_p1p2(m - 2)
-        + p1 * so4_pm_in_p1p2(m - 3)
-        - so4_pm_in_p1p2(m - 4)
-    )
+    """p_m on SO(4) in p_1, p_2; with e_1 = e_3 = p_1, e_2 = (p_1^2 - p_2)/2
+    and e_4 = 1, each entry reads the four cached entries below it."""
+    return _reduced_pm(SO4, m)
 
 
 def so3_basis_change(a: TracePoly, target: str, k: int | None = None) -> list[Fraction]:

@@ -5,14 +5,20 @@ order-4 matrix, its eigenvector list and the character table are the known
 closed-form results this package must reproduce exactly.  The three-case
 monomial Laplacian is the assembly ``lap_partition`` used before the grouped
 product rule, and the character enumeration is the candidate search
-``match_characters`` used before it read the spectrum's labels; both are
-frozen here as exact references.
+``match_characters`` used before it read the spectrum's labels.  The
+hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
+replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
+SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
+are frozen here too.  All of them serve as exact references.
 """
 
 from fractions import Fraction
+from math import comb
 
 from sonlap import (
     GENERAL,
+    SO3,
+    SO4,
     NPoly,
     Partition,
     TracePoly,
@@ -193,3 +199,75 @@ def candidate_characters(basis, eigenvalue: F) -> list:
                 if -F(k1 * (k1 + 2) + k2 * (k2 + 2), 4) == eigenvalue:
                     out.append(character_so4(F(k1, 2), F(k2, 2)))
     return out
+
+
+def so3_character_double_binomial(k: int) -> TracePoly:
+    """Weight-k SO(3) character in powers of p_1, with the former
+    double-binomial coefficients sum_l (-1)^(k-l) C(k+l, 2l) C(l, j) on p_1^j."""
+    terms = {}
+    for j in range(k + 1):
+        terms[Partition((1,) * j)] = sum(
+            (-1) ** (k - l) * comb(k + l, 2 * l) * comb(l, j) for l in range(j, k + 1)
+        )
+    return TracePoly(terms, SO3)
+
+
+def cheb2_coeff(m: int, s: int) -> F:
+    """Coefficient of x^(m-2s) in the Chebyshev polynomial of the second kind."""
+    return F((-1) ** s * comb(m - s, s) * 2 ** (m - 2 * s))
+
+
+def sym_power_pair(a: int, b: int) -> TracePoly:
+    """X^a Y^b + X^b Y^a in p_1, p_2, for X = cos((alpha+beta)/2) etc.
+
+    Uses XY = p_1/4, X^2+Y^2 = (p_1^2-p_2+4)/8, X^2 Y^2 = p_1^2/16 and the
+    Newton recurrence for the symmetric power sums of X^2, Y^2.
+    """
+    p1 = TracePoly.power_sum(1, SO4)
+    xy = p1 * F(1, 4)
+    e1 = (p1 * p1 - TracePoly.power_sum(2, SO4) + 4) * F(1, 8)
+    e2 = p1 * p1 * F(1, 16)
+    d = abs(a - b) // 2
+    s_prev = TracePoly.constant(2, SO4)
+    s_cur = e1
+    if d == 0:
+        power_sum = s_prev
+    else:
+        for _ in range(d - 1):
+            s_prev, s_cur = s_cur, e1 * s_cur - e2 * s_prev
+        power_sum = s_cur
+    return xy ** min(a, b) * power_sum
+
+
+def so4_character_chebyshev(ka: int, kb: int) -> TracePoly:
+    """SO(4) character of the spin pair (ka/2, kb/2) as the former symmetrized
+    product of second-kind Chebyshev expansions."""
+    poly = TracePoly.zero(SO4)
+    for q in range(ka // 2 + 1):
+        for r in range(kb // 2 + 1):
+            coeff = cheb2_coeff(ka, q) * cheb2_coeff(kb, r)
+            poly = poly + sym_power_pair(ka - 2 * q, kb - 2 * r) * coeff
+    return poly
+
+
+def so4_pm_hand_recurrence(top: int) -> list:
+    """[p_0, ..., p_top] on SO(4) by the former Cayley-Hamilton recurrence
+
+    p_{s+1} = p_1 p_s - (p_1^2 - p_2)/2 p_{s-1} + p_1 p_{s-2} - p_{s-3},
+
+    seeded with p_0 = 4, p_1, p_2 and p_3 = -p_1^3/2 + 3 p_1 p_2 / 2 + 3 p_1.
+    """
+    p1 = TracePoly.power_sum(1, SO4)
+    p2 = TracePoly.power_sum(2, SO4)
+    table = [
+        TracePoly.constant(4, SO4),
+        p1,
+        p2,
+        p1 * p1 * p1 * F(-1, 2) + p1 * p2 * F(3, 2) + p1 * 3,
+    ]
+    half_q = (p1 * p1 - p2) * F(1, 2)
+    for m in range(4, top + 1):
+        table.append(
+            p1 * table[m - 1] - half_q * table[m - 2] + p1 * table[m - 3] - table[m - 4]
+        )
+    return table[: top + 1]

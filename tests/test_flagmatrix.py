@@ -36,6 +36,8 @@ from refdata import (
     SO4_K4_EIGENVECTORS,
     SO4_K4_MATRIX,
     candidate_characters,
+    so3_character_double_binomial,
+    so4_character_chebyshev,
     so4_monomial_partition,
 )
 
@@ -428,6 +430,29 @@ def test_character_so4_eigen_equation_through_k8():
             chi = character_so4(F(k1, 2), F(k2, 2))
             assert lap(chi.poly) == chi.poly * chi.eigenvalue
             assert chi.poly.degree == k1
+
+
+@pytest.mark.parametrize("k", range(31))
+def test_character_so3_equals_the_double_binomial_form(k):
+    assert character_so3(k).poly == so3_character_double_binomial(k)
+
+
+@pytest.mark.parametrize(
+    "k1, k2",
+    [(k1, k2) for k1 in range(17) for k2 in range(k1 % 2, k1 + 1, 2)] + [(30, 30)],
+)
+def test_character_so4_equals_the_chebyshev_form(k1, k2):
+    assert character_so4(F(k1, 2), F(k2, 2)).poly == so4_character_chebyshev(k1, k2)
+
+
+def test_casimir_gives_every_closed_family():
+    for k in range(12):
+        assert flagmatrix._casimir(3, (k,)) == F(-k * (k + 1), 2)
+        for n in range(2, 8):
+            assert flagmatrix._casimir(n, (k,)) == F(-k * (k + n - 2), 2)
+        for k2 in range(k % 2, k + 1, 2):
+            expected = -F(k * (k + 2) + k2 * (k2 + 2), 4)
+            assert flagmatrix._casimir(4, flagmatrix._so4_weight(k, k2)) == expected
 
 
 def test_character_so4_parity_rejected():

@@ -9,6 +9,8 @@ from sonlap import (
     DerivativeBundle,
     Partition,
     TracePoly,
+    character_so3,
+    character_so4,
     commutation_matrix,
     enumerate_upto,
     euclid_derivatives,
@@ -225,6 +227,16 @@ def test_eval_tracepoly_ignores_term_order():
     for seed in range(5):
         sample = random_son(5, seed)
         assert eval_tracepoly(image, sample) == eval_tracepoly(reversed_image, sample)
+
+
+def test_eval_tracepoly_float_path_survives_cancellation():
+    # the reduced high-degree characters cancel huge power-form terms; the
+    # float path used to be off by 0.19 (SO(3), k=30) and 3e-5 (SO(4), 15/15)
+    for poly in (character_so3(30).poly, character_so4(15, 15).poly):
+        for seed in range(20):
+            sample = random_son(poly.mode.n, seed)
+            want = eval_tracepoly(poly, sample, exact=True)
+            assert abs(eval_tracepoly(poly, sample) - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_lap_numeric_ignores_term_order():

@@ -1,0 +1,59 @@
+"""Property tests of the reduced modes SO(3) and SO(4) on random small
+trace polynomials: ``reduce`` is a ring homomorphism and idempotent, and the
+Laplacian is linear and commutes with ``reduce``."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sonlap import SO3, SO4, Partition, TracePoly, general_at, lap
+
+PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
+
+modes = st.sampled_from([SO3, SO4])
+partitions = st.lists(st.integers(1, 4), max_size=3).map(lambda parts: Partition.of(*parts))
+coefficients = st.fractions(-5, 5, max_denominator=4)
+
+
+@st.composite
+def mode_and_polys(draw, count: int):
+    """A reduced mode and ``count`` random polynomials at its dimension, unreduced."""
+    mode = draw(modes)
+    polys = [
+        TracePoly(draw(st.dictionaries(partitions, coefficients, max_size=4)), general_at(mode.n))
+        for _ in range(count)
+    ]
+    return mode, polys
+
+
+@PROPERTIES
+@given(mode_and_polys(2))
+def test_reduce_is_multiplicative(case):
+    mode, (a, b) = case
+    assert (a * b).reduce(mode) == a.reduce(mode) * b.reduce(mode)
+
+
+@PROPERTIES
+@given(mode_and_polys(1))
+def test_reduce_is_idempotent(case):
+    mode, (a,) = case
+    reduced = a.reduce(mode)
+    assert reduced.reduce(mode) == reduced
+    assert TracePoly(reduced.terms, general_at(mode.n)).reduce(mode) == reduced
+
+
+@PROPERTIES
+@given(mode_and_polys(2), coefficients)
+def test_lap_is_linear(case, scale: Fraction):
+    mode, (a, b) = case
+    assert lap(a + b * scale) == lap(a) + lap(b) * scale
+    ra, rb = a.reduce(mode), b.reduce(mode)
+    assert lap(ra + rb * scale) == lap(ra) + lap(rb) * scale
+
+
+@PROPERTIES
+@given(mode_and_polys(1))
+def test_lap_commutes_with_reduce(case):
+    mode, (a,) = case
+    assert lap(a).reduce(mode) == lap(a.reduce(mode))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from refdata import so4_pm_hand_recurrence
 from sonlap import (
     GENERAL,
     SO3,
@@ -11,6 +12,7 @@ from sonlap import (
     NPoly,
     Partition,
     TracePoly,
+    elementary,
     eval_tracepoly,
     general_at,
     random_son,
@@ -219,6 +221,38 @@ def test_so4_p4_one_recurrence_step():
     p2 = TracePoly.power_sum(2, SO4)
     expected = p1 ** 4 * F(-1, 2) + p1 ** 2 * p2 + 4 * p1 ** 2 + p2 ** 2 * F(1, 2) - 4
     assert so4_pm_in_p1p2(4) == expected
+
+
+def test_so4_pm_matches_hand_recurrence():
+    for m, expected in enumerate(so4_pm_hand_recurrence(40)):
+        assert so4_pm_in_p1p2(m) == expected, m
+
+
+def test_elementary_symmetric_functions_are_self_reciprocal():
+    p1 = TracePoly.power_sum(1, SO3)
+    one = TracePoly.constant(1, SO3)
+    assert elementary(SO3) == (one, p1, p1, one)
+    p1 = TracePoly.power_sum(1, SO4)
+    p2 = TracePoly.power_sum(2, SO4)
+    one = TracePoly.constant(1, SO4)
+    assert elementary(SO4) == (one, p1, (p1 * p1 - p2) * F(1, 2), p1, one)
+
+
+@pytest.mark.parametrize("mode", [SO3, SO4])
+def test_elementary_matches_characteristic_polynomial(mode):
+    # det(t - U) = sum_i (-1)^i e_i t^(N-i) at Haar samples
+    import numpy as np
+
+    for i in range(10):
+        sample = random_son(mode.n, 700 + i)
+        want = np.poly(sample.matrix)
+        got = [(-1) ** j * eval_tracepoly(e, sample) for j, e in enumerate(elementary(mode))]
+        assert np.allclose(got, want, atol=1e-12)
+
+
+def test_elementary_needs_a_reduced_mode():
+    with pytest.raises(ValueError):
+        elementary(general_at(3))
 
 
 @pytest.mark.parametrize("m", range(13))

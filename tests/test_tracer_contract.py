@@ -56,8 +56,9 @@ def test_caches_expose_cache_info(tracer):
 
 def test_flag_matrices_read_the_cached_closed_forms(tracer):
     """The SO(3)/SO(4) matrices reach these caches through the per-monomial
-    dispatch, so their hit counts still describe the benchmark's work."""
-    from sonlap import SO3, SO4, build_matrix
+    dispatch, and ``reduce`` reaches the p_m tables, so their hit counts
+    still describe the benchmark's work."""
+    from sonlap import SO3, SO4, TracePoly, build_matrix, general_at
 
     before = tracer.cache_snapshot()
     build_matrix(SO3, "bprime", 3)
@@ -65,3 +66,8 @@ def test_flag_matrices_read_the_cached_closed_forms(tracer):
     delta = tracer.cache_delta(before, tracer.cache_snapshot())
     for name in ("laplacian.so3_lap_power", "laplacian.so4_lap_monomial"):
         assert delta[name]["hits"] + delta[name]["misses"] >= 4, name
+    for mode, name in ((SO3, "tracepoly.so3_pm_in_p1"), (SO4, "tracepoly.so4_pm_in_p1p2")):
+        before = tracer.cache_snapshot()
+        TracePoly.power_sum(5, general_at(mode.n)).reduce(mode)
+        delta = tracer.cache_delta(before, tracer.cache_snapshot())
+        assert delta[name]["hits"] + delta[name]["misses"] >= 1, name
