@@ -2,7 +2,8 @@
 
 Output is byte-deterministic for fixed flags and seed.  Exit codes: 0 on
 success or a passing verification, 1 on a verification failure, 2 on usage
-errors, including an input above the degree bound ``MAX_DEGREE``.
+errors, including an input above the degree bound ``MAX_DEGREE`` or a
+``verify`` suite's bound, and a ``verify`` run that would check nothing.
 Rationals are printed as exact p/q strings in JSON; decimals appear only in
 CSV, next to an exact sidecar column.
 """
@@ -33,6 +34,19 @@ _MODES = {"generaln": GENERAL, "so3": SO3, "so4": SO4}
 # every other command at most 0.45 s; the exact arithmetic grows steeply
 # with the degree.
 MAX_DEGREE = 30
+
+# ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
+# 2-core machine (the time grows linearly with the samples).  The laplacian
+# suite walks every partition of degree <= --k: 0.56 s at k=12, 1.3 s at 16.
+# The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and 114 MB at
+# n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.
+MAX_LAPLACIAN_K = 12
+MAX_IDENTITIES_N = 30
+_VERIFY_BOUNDS = {
+    "laplacian": ("k", MAX_LAPLACIAN_K),
+    "gegenbauer": ("k", MAX_DEGREE),
+    "identities": ("n", MAX_IDENTITIES_N),
+}
 
 
 def _check_degree(what: str, degree) -> None:
@@ -177,6 +191,12 @@ def _cmd_characters(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.k < 0:
+        raise ValueError(f"--k must be nonnegative, got {args.k}")
+    name, bound = _VERIFY_BOUNDS[args.suite]
+    value = getattr(args, name)
+    if value > bound:
+        raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
     seed = args.seed if args.seed is not None else _seed_default()
     reports = []
     if args.suite == "laplacian":

@@ -5,17 +5,17 @@ upper block triangular matrix whose diagonal blocks carry the whole
 spectrum.  Every basis is a tuple of trace monomials indexed by partitions,
 so one coordinate loop and one label renderer serve all of them.  For SO(3)
 and SO(4) the proven bases make every entry an exact rational, and each
-diagonal block has exactly the closed-form eigenvalues of its weight:
-eigenvalues are extracted by exact characteristic polynomials deflated
-against that candidate set, and a block the candidates do not exhaust is an
-inconsistency, not a case for a root search.  Each eigenspace is found by
-exact elimination on the leading principal submatrix that ends with the last
-diagonal block whose characteristic polynomial vanishes at the eigenvalue:
-every later block stays invertible after the shift, so the kernel vectors are
-zero there.  Block polynomials and eigenspaces are computed once per matrix
-and cached on it.  For general N only the spanning-set expression table is
-emitted (the monomials are not proven independent), and eigen-extraction is
-refused.
+diagonal block has exactly the closed-form eigenvalues of its weight.  The
+blocks are diagonalizable (the operator is self-adjoint for the Haar inner
+product) and their candidates distinct, so the candidates exhaust a block
+exactly when their nullities sum to its size; a block they do not exhaust
+is an inconsistency, not a case for a root search.  Each eigenspace is found
+on the leading principal submatrix that ends with the last diagonal block
+made singular by the shift: every later block stays invertible, so the
+kernel vectors are zero there.  One RREF routine does all this elimination,
+and eigenspaces are cached on the matrix.  For general N only the
+spanning-set expression table is emitted (the monomials are not proven
+independent), and eigen-extraction is refused.
 
 Irreducible characters are built independently of the matrices, one per
 spectrum label lam, as Koike-Terada orthogonal characters over the elementary
@@ -170,8 +170,7 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 class FlagMatrix:
     """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j]).
 
-    Block characteristic polynomials and eigenspaces are cached on the
-    instance, so they are freed with it.
+    Eigenspaces are cached on the instance, so they are freed with it.
     """
 
     basis: FlagBasis
@@ -186,14 +185,6 @@ class FlagMatrix:
 
     def diagonal_block(self, start: int, end: int) -> list[list]:
         return [[self.entries[i][j] for j in range(start, end)] for i in range(start, end)]
-
-    @cached_property
-    def _block_polys(self) -> tuple[list[Fraction], ...]:
-        """Characteristic polynomial of each diagonal block, in block order."""
-        return tuple(
-            _char_poly(self.diagonal_block(start, end))
-            for start, end, _ in self.basis.block_ranges()
-        )
 
     @cached_property
     def _eigenspaces(self) -> dict[Fraction, list[list[Fraction]]]:
@@ -285,35 +276,14 @@ def _primitive(vec: list[Fraction]) -> list[Fraction]:
     return ints
 
 
-def _matmul(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
-    size = len(a)
-    return [
-        [sum((a[i][t] * b[t][j] for t in range(size)), Fraction(0)) for j in range(size)]
-        for i in range(size)
-    ]
+def _shifted(block: list[list[Fraction]], eigenvalue: Fraction) -> list[list[Fraction]]:
+    """block - eigenvalue I."""
+    return [[v - eigenvalue if i == j else v for j, v in enumerate(row)] for i, row in enumerate(block)]
 
 
-def _char_poly(block: list[list[Fraction]]) -> list[Fraction]:
-    """Monic characteristic polynomial of a small exact matrix (descending)."""
-    size = len(block)
-    coeffs = [Fraction(1)]
-    work = [list(row) for row in block]
-    for k in range(1, size + 1):
-        ck = -sum(work[i][i] for i in range(size)) / k
-        coeffs.append(ck)
-        if k == size:
-            break
-        for i in range(size):
-            work[i][i] += ck
-        work = _matmul(block, work)
-    return coeffs
-
-
-def _deflate(coeffs: list[Fraction], root: Fraction) -> tuple[list[Fraction], Fraction]:
-    out = [coeffs[0]]
-    for c in coeffs[1:]:
-        out.append(c + root * out[-1])
-    return out[:-1], out[-1]
+def _nullity(block: list[list[Fraction]], eigenvalue: Fraction) -> int:
+    """dim ker(block - eigenvalue I): the block size minus the RREF rank."""
+    return len(block) - len(_rref(_shifted(block, eigenvalue))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +353,29 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
 def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
     """Exact spectrum of a flag matrix from its diagonal blocks.
 
-    Each block's characteristic polynomial is computed over the rationals and
-    deflated against the closed-form candidate eigenvalues of its weight,
-    which the paper proves complete; each entry carries the labels of the
-    candidates that produced it.  A factor the candidates leave over is an
-    inconsistency and raises, naming the block's weight.
+    Each block is checked against the closed-form candidate eigenvalues of
+    its weight, which the paper proves complete.  The blocks are
+    diagonalizable and their candidates distinct, so the candidates exhaust
+    a block exactly when their nullities sum to its size.  A candidate of
+    nonzero nullity contributes its label; a shortfall is an inconsistency
+    and raises, naming the block's weight.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
         raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
     found: dict[Fraction, list] = {}
-    for (_, _, weight), remaining in zip(matrix.basis.block_ranges(), matrix._block_polys):
+    for start, end, weight in matrix.basis.block_ranges():
+        block = matrix.diagonal_block(start, end)
+        covered = 0
         for eig, label in _closed_candidates(mode, weight):
-            while len(remaining) > 1:
-                quotient, rem = _deflate(remaining, eig)
-                if rem:
-                    break
-                remaining = quotient
-                labels = found.setdefault(eig, [])
-                if label not in labels:
-                    labels.append(label)
-        if len(remaining) > 1:
+            nullity = _nullity(block, eig)
+            if nullity:
+                covered += nullity
+                found.setdefault(eig, []).append(label)
+        if covered != end - start:
             raise ArithmeticError(
                 f"weight-{weight} block has eigenvalues outside the closed-form family: "
-                f"factor {remaining} is left after deflation"
+                f"the candidates' nullities sum to {covered} of {end - start}"
             )
     out = []
     for eig in sorted(found, reverse=True):
@@ -432,23 +401,19 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
 def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
     """Kernel of M - eigenvalue I from its leading principal submatrix.
 
-    The submatrix ends with the last diagonal block whose characteristic
-    polynomial vanishes at the eigenvalue (the deflation remainder is the
-    polynomial's value).  Later blocks are invertible after the shift, so the
-    RREF free columns and kernel vectors equal those of the full matrix, with
-    zeros past the submatrix.
+    The submatrix ends with the last diagonal block B for which
+    B - eigenvalue I is singular, found by scanning the blocks from the last
+    one down.  Later blocks are invertible after the shift, so the RREF free
+    columns and kernel vectors equal those of the full matrix, with zeros
+    past the submatrix.
     """
-    end = 0
-    for (_, stop, _), poly in zip(matrix.basis.block_ranges(), matrix._block_polys):
-        if not _deflate(poly, eigenvalue)[1]:
-            end = stop
-    if not end:
+    for start, end, _ in reversed(matrix.basis.block_ranges()):
+        if _nullity(matrix.diagonal_block(start, end), eigenvalue):
+            break
+    else:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
-    shifted = [
-        [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(end)]
-        for i in range(end)
-    ]
     pad = [Fraction(0)] * (matrix.dim - end)
+    shifted = _shifted(matrix.diagonal_block(0, end), eigenvalue)
     return [_primitive(v + pad) for v in _nullspace(shifted)]
 
 
@@ -480,7 +445,7 @@ def _complete(mode: GroupMode, k: int) -> TracePoly:
     terms = (
         e[i] * _complete(mode, k - i) * (-1) ** (i - 1) for i in range(1, min(k, mode.n) + 1)
     )
-    return sum(terms, TracePoly.zero(mode))
+    return TracePoly.sum(terms, mode)
 
 
 def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TracePoly, Fraction]:

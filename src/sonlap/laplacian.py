@@ -280,7 +280,6 @@ def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:
     """
     if mode is not None and mode != a.mode:
         raise ValueError(f"mode mismatch: polynomial is {a.mode}, requested {mode}")
-    out = TracePoly.zero(a.mode)
-    for part, coeff in a.terms.items():
-        out = out + lap_monomial(part, a.mode) * coeff
-    return out
+    return TracePoly.sum(
+        (lap_monomial(part, a.mode) * coeff for part, coeff in a._terms.items()), a.mode
+    )

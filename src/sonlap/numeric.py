@@ -405,6 +405,9 @@ class VerifyReport:
 
 
 def _sample_streams(seed: int, samples: int):
+    """One independent stream per sample; a run with no samples checks nothing."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     return np.random.SeedSequence(seed).spawn(samples)
 
 
@@ -423,9 +426,10 @@ def verify_partition(
 ) -> VerifyReport:
     """Compare the ambient-formula Laplacian of a trace monomial against the
     evaluated closed-form symbolic result on Haar samples."""
+    streams = _sample_streams(seed, samples)
     symbolic = lap_partition(partition).substitute_n(n)
     errs = (0.0, 0.0)
-    for stream in _sample_streams(seed, samples):
+    for stream in streams:
         sample = random_son(n, stream)
         got = lap_numeric(partition, sample)
         ref = eval_tracepoly(symbolic, sample)

@@ -74,6 +74,18 @@ def _coerce_coeff(value, mode: GroupMode):
     raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
+def _accumulate(out: dict, terms: dict) -> None:
+    """Add ``terms`` into ``out`` in place; a sum that cancels leaves no entry."""
+    for part, coeff in terms.items():
+        s = out.get(part)
+        if s is None:
+            out[part] = coeff
+        elif s := s + coeff:
+            out[part] = s
+        else:
+            del out[part]
+
+
 class TracePoly:
     """Linear combination of partition-indexed trace monomials."""
 
@@ -110,6 +122,14 @@ class TracePoly:
     @classmethod
     def monomial(cls, part: Partition, coeff=1, mode: GroupMode = GENERAL) -> "TracePoly":
         return cls({part: coeff}, mode)
+
+    @classmethod
+    def sum(cls, polys, mode: GroupMode) -> "TracePoly":
+        """Sum of ``polys``, all in ``mode``, accumulated in one dict."""
+        out: dict[Partition, object] = {}
+        for poly in polys:
+            _accumulate(out, poly._terms)
+        return cls(out, mode)
 
     @classmethod
     def power_sum(cls, m: int, mode: GroupMode = GENERAL) -> "TracePoly":
@@ -168,14 +188,8 @@ class TracePoly:
         return TracePoly.constant(other, self.mode)
 
     def __add__(self, other) -> "TracePoly":
-        rhs = self._rhs(other)
         out = dict(self._terms)
-        for part, coeff in rhs._terms.items():
-            s = out.get(part, 0) + coeff
-            if s:
-                out[part] = s
-            else:
-                out.pop(part, None)
+        _accumulate(out, self._rhs(other)._terms)
         return TracePoly(out, self.mode)
 
     __radd__ = __add__
@@ -197,13 +211,8 @@ class TracePoly:
         rhs = self._rhs(other)
         out: dict[Partition, object] = {}
         for p1, c1 in self._terms.items():
-            for p2, c2 in rhs._terms.items():
-                key = p1.concat(p2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+            # p1.concat is injective, so each row's keys are distinct
+            _accumulate(out, {p1.concat(p2): c1 * c2 for p2, c2 in rhs._terms.items()})
         return TracePoly(out, self.mode)
 
     __rmul__ = __mul__
@@ -237,13 +246,13 @@ class TracePoly:
             raise ValueError("substitute a concrete N before reducing")
         if self.mode.n != mode.n:
             raise ValueError(f"operand lives at N={self.mode.n}, target needs N={mode.n}")
-        out = TracePoly.zero(mode)
+        factors = []
         for part, coeff in self._terms.items():
             factor = TracePoly.constant(coeff, mode)
             for m in part:
                 factor = factor * table(m)
-            out = out + factor
-        return out
+            factors.append(factor)
+        return TracePoly.sum(factors, mode)
 
     # -- rendering ---------------------------------------------------------
 

@@ -9,7 +9,9 @@ product rule, and the character enumeration is the candidate search
 hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
 replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
 SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
-are frozen here too.  All of them serve as exact references.
+are frozen here too, as is the Faddeev-LeVerrier characteristic polynomial
+that the spectra were deflated from before the block nullity check.  All of
+them serve as exact references.
 """
 
 from fractions import Fraction
@@ -271,3 +273,29 @@ def so4_pm_hand_recurrence(top: int) -> list:
             p1 * table[m - 1] - half_q * table[m - 2] + p1 * table[m - 3] - table[m - 4]
         )
     return table[: top + 1]
+
+
+def matmul(a: list, b: list) -> list:
+    """Product of two square Fraction matrices."""
+    size = len(a)
+    return [
+        [sum((a[i][t] * b[t][j] for t in range(size)), F(0)) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+def char_poly(block: list) -> list:
+    """Monic characteristic polynomial of a small exact matrix (descending),
+    by the former Faddeev-LeVerrier recursion."""
+    size = len(block)
+    coeffs = [F(1)]
+    work = [list(row) for row in block]
+    for k in range(1, size + 1):
+        ck = -sum(work[i][i] for i in range(size)) / k
+        coeffs.append(ck)
+        if k == size:
+            break
+        for i in range(size):
+            work[i][i] += ck
+        work = matmul(block, work)
+    return coeffs

@@ -252,3 +252,45 @@ def test_oversize_partition_exits_2_in_a_fresh_process():
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr == f"error: partition degree 900 exceeds the input bound {cli.MAX_DEGREE}\n"
+
+
+VERIFY_REFUSED = [
+    (("--suite", "laplacian", "--samples", "0"), "samples must be at least 1, got 0"),
+    (("--suite", "gegenbauer", "--samples", "0"), "samples must be at least 1, got 0"),
+    (("--suite", "identities", "--samples", "-1"), "samples must be at least 1, got -1"),
+    (("--suite", "gegenbauer", "--k", "-1"), "--k must be nonnegative, got -1"),
+    (("--suite", "laplacian", "--k", "-1"), "--k must be nonnegative, got -1"),
+    (("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K + 1)),
+     f"exceeds the input bound {cli.MAX_LAPLACIAN_K} of the laplacian suite"),
+    (("--suite", "gegenbauer", "--k", "100000"),
+     f"exceeds the input bound {cli.MAX_DEGREE} of the gegenbauer suite"),
+    (("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N + 1)),
+     f"exceeds the input bound {cli.MAX_IDENTITIES_N} of the identities suite"),
+    (("--suite", "identities", "--n", "100000"),
+     f"exceeds the input bound {cli.MAX_IDENTITIES_N} of the identities suite"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", VERIFY_REFUSED, ids=[" ".join(a) for a, _ in VERIFY_REFUSED]
+)
+def test_verify_refuses_bad_input_before_any_work(capsys, argv, message):
+    """A run that checks nothing must not print a passing report."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
+
+def test_verify_inputs_at_the_bounds_are_accepted(capsys):
+    for argv in [
+        ("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K)),
+        ("--suite", "gegenbauer", "--n", "5", "--k", str(cli.MAX_DEGREE)),
+        ("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N)),
+    ]:
+        code, out, err = run(capsys, "verify", *argv, "--samples", "1", "--seed", "3")
+        assert (code, err) == (0, "")
+        reports = json.loads(out)
+        assert reports and all(r["pass"] and r["samples"] == 1 for r in reports)

@@ -36,6 +36,7 @@ from refdata import (
     SO4_K4_EIGENVECTORS,
     SO4_K4_MATRIX,
     candidate_characters,
+    char_poly,
     so3_character_double_binomial,
     so4_character_chebyshev,
     so4_monomial_partition,
@@ -612,6 +613,26 @@ def test_eigenspace_rejects_non_eigenvalue_on_every_call():
     for _ in range(3):
         with pytest.raises(ArithmeticError, match="not an eigenvalue"):
             eigenspace_exact(matrix, 17)
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, k", [(SO3, "bprime", 16), (SO3, "btrace", 16), (SO4, "so4", 10)]
+)
+def test_block_nullities_agree_with_the_characteristic_polynomial(mode, basis_id, k):
+    """The nullity check says what the former deflation said: each block's
+    characteristic polynomial is prod (x - c)^nullity(B - c) over its distinct
+    closed-form candidates c.  The order-k matrix holds every block of the
+    lower orders as a diagonal block."""
+    matrix = build_matrix(mode, basis_id, k)
+    for start, end, weight in matrix.basis.block_ranges():
+        block = matrix.diagonal_block(start, end)
+        candidates = [eig for eig, _ in flagmatrix._closed_candidates(mode, weight)]
+        assert len(set(candidates)) == len(candidates), weight
+        product = [F(1)]
+        for eig in candidates:
+            for _ in range(flagmatrix._nullity(block, eig)):
+                product = [a - eig * b for a, b in zip(product + [F(0)], [F(0)] + product)]
+        assert product == char_poly(block), weight
 
 
 @pytest.mark.parametrize(

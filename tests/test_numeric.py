@@ -496,6 +496,18 @@ def test_verify_identities_default_tolerances():
             assert report.passed, (n, report.params, report.max_rel_err)
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_verify_suites_refuse_an_empty_sample_set(samples):
+    """A report over no samples would pass without checking anything."""
+    for suite in (
+        lambda: verify_partition(3, Partition.of(1), samples=samples),
+        lambda: verify_gegenbauer(3, 1, 1, 1, samples=samples),
+        lambda: verify_identities(3, samples=samples),
+    ):
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            suite()
+
+
 def test_verify_report_json_shape():
     report = verify_partition(3, Partition.of(1), samples=3, seed=1)
     obj = report.to_json_obj()

@@ -1,13 +1,15 @@
 """Property tests of the reduced modes SO(3) and SO(4) on random small
 trace polynomials: ``reduce`` is a ring homomorphism and idempotent, and the
-Laplacian is linear and commutes with ``reduce``."""
+Laplacian is linear and commutes with ``reduce``.  In symbolic general mode
+too, the Laplacian is a second-order operator that kills constants."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonlap import SO3, SO4, Partition, TracePoly, general_at, lap
+from sonlap import GENERAL, SO3, SO4, NPoly, Partition, TracePoly, general_at, lap
 
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -57,3 +59,38 @@ def test_lap_is_linear(case, scale: Fraction):
 def test_lap_commutes_with_reduce(case):
     mode, (a,) = case
     assert lap(a).reduce(mode) == lap(a.reduce(mode))
+
+
+@st.composite
+def mode_polys(draw, mode, count: int):
+    """``count`` random polynomials in ``mode``: reduced ones on SO(3) and
+    SO(4), coefficients affine in N in symbolic general mode."""
+    small = st.lists(st.integers(1, 3), max_size=2).map(lambda parts: Partition.of(*parts))
+    polys = []
+    for _ in range(count):
+        terms = draw(st.dictionaries(small, coefficients, max_size=3))
+        if mode.symbolic:
+            terms = {part: NPoly({0: c, 1: draw(coefficients)}) for part, c in terms.items()}
+            polys.append(TracePoly(terms, GENERAL))
+        else:
+            polys.append(TracePoly(terms, general_at(mode.n)).reduce(mode))
+    return polys
+
+
+@pytest.mark.parametrize("mode", [GENERAL, SO3, SO4], ids=str)
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_lap_is_a_second_order_operator(mode, data):
+    """The defect below vanishes for every f, g, h exactly when the operator
+    has order at most two and no zeroth-order term; a third-order part or a
+    multiplication part would leave it nonzero."""
+    f, g, h = data.draw(mode_polys(mode, 3))
+    defect = (
+        lap(f * g * h)
+        - f * lap(g * h) - g * lap(f * h) - h * lap(f * g)
+        + f * g * lap(h) + f * h * lap(g) + g * h * lap(f)
+    )
+    assert defect.is_zero
+    constant = data.draw(coefficients)
+    assert lap(TracePoly.constant(constant, mode)).is_zero
+    assert lap(TracePoly.power_sum(0, mode)).is_zero
