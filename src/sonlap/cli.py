@@ -39,13 +39,19 @@ MAX_DEGREE = 30
 # 2-core machine (the time grows linearly with the samples).  The laplacian
 # suite walks every partition of degree <= --k: 0.56 s at k=12, 1.3 s at 16.
 # The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and 114 MB at
-# n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.
+# n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.  The other
+# two suites draw n x n rotations: laplacian k=12 takes 0.7-1.1 s at n=60,
+# 1.6 s at n=100 and 5.2 s at n=200.  Every sample's random stream is
+# spawned before the first check; the cheapest suite, laplacian n=3 k=0,
+# takes 0.53 s over 1000 samples and 2.2 s over 10000.
 MAX_LAPLACIAN_K = 12
 MAX_IDENTITIES_N = 30
+MAX_VERIFY_N = 60
+MAX_SAMPLES = 1000
 _VERIFY_BOUNDS = {
-    "laplacian": ("k", MAX_LAPLACIAN_K),
-    "gegenbauer": ("k", MAX_DEGREE),
-    "identities": ("n", MAX_IDENTITIES_N),
+    "laplacian": (("k", MAX_LAPLACIAN_K), ("n", MAX_VERIFY_N), ("samples", MAX_SAMPLES)),
+    "gegenbauer": (("k", MAX_DEGREE), ("n", MAX_VERIFY_N), ("samples", MAX_SAMPLES)),
+    "identities": (("n", MAX_IDENTITIES_N), ("samples", MAX_SAMPLES)),
 }
 
 
@@ -193,10 +199,10 @@ def _cmd_characters(args) -> int:
 def _cmd_verify(args) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
-    name, bound = _VERIFY_BOUNDS[args.suite]
-    value = getattr(args, name)
-    if value > bound:
-        raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
+    for name, bound in _VERIFY_BOUNDS[args.suite]:
+        value = getattr(args, name)
+        if value > bound:
+            raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
     seed = args.seed if args.seed is not None else _seed_default()
     reports = []
     if args.suite == "laplacian":

@@ -170,7 +170,7 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 class FlagMatrix:
     """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j]).
 
-    Eigenspaces are cached on the instance, so they are freed with it.
+    Block nullities and eigenspaces are cached on the instance, so they are freed with it.
     """
 
     basis: FlagBasis
@@ -190,6 +190,11 @@ class FlagMatrix:
     def _eigenspaces(self) -> dict[Fraction, list[list[Fraction]]]:
         """Primitive eigenspace bases solved so far, by eigenvalue."""
         return {}
+
+    @cached_property
+    def _eigenblocks(self) -> dict[Fraction, list[tuple[object, int, int]]]:
+        """(label, block end, nullity) of every diagonal block each eigenvalue is a root of."""
+        return _block_nullities(self)
 
 
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
@@ -350,20 +355,19 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
     ]
 
 
-def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
-    """Exact spectrum of a flag matrix from its diagonal blocks.
+def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, int, int]]]:
+    """The one candidate-nullity pass over the diagonal blocks.
 
     Each block is checked against the closed-form candidate eigenvalues of
     its weight, which the paper proves complete.  The blocks are
     diagonalizable and their candidates distinct, so the candidates exhaust
-    a block exactly when their nullities sum to its size.  A candidate of
-    nonzero nullity contributes its label; a shortfall is an inconsistency
-    and raises, naming the block's weight.
+    a block exactly when their nullities sum to its size; a shortfall is an
+    inconsistency and raises, naming the block's weight.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
         raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
-    found: dict[Fraction, list] = {}
+    found: dict[Fraction, list[tuple[object, int, int]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
         block = matrix.diagonal_block(start, end)
         covered = 0
@@ -371,16 +375,32 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
             nullity = _nullity(block, eig)
             if nullity:
                 covered += nullity
-                found.setdefault(eig, []).append(label)
+                found.setdefault(eig, []).append((label, end, nullity))
         if covered != end - start:
             raise ArithmeticError(
                 f"weight-{weight} block has eigenvalues outside the closed-form family: "
                 f"the candidates' nullities sum to {covered} of {end - start}"
             )
+    return found
+
+
+def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
+    """Exact spectrum of a flag matrix from the block nullities of :func:`_block_nullities`.
+
+    M is diagonalizable (the operator is self-adjoint), so a geometric
+    multiplicity other than the sum of the eigenvalue's block nullities raises.
+    """
+    blocks = matrix._eigenblocks
     out = []
-    for eig in sorted(found, reverse=True):
+    for eig in sorted(blocks, reverse=True):
         multiplicity = len(eigenspace_exact(matrix, eig))
-        out.append(SpectrumEntry(eig, tuple(found[eig]), multiplicity))
+        nullities = sum(nullity for _, _, nullity in blocks[eig])
+        if multiplicity != nullities:
+            raise ArithmeticError(
+                f"eigenvalue {eig} has geometric multiplicity {multiplicity}, "
+                f"but its block nullities sum to {nullities}"
+            )
+        out.append(SpectrumEntry(eig, tuple(label for label, _, _ in blocks[eig]), multiplicity))
     return out
 
 
@@ -402,19 +422,22 @@ def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fract
     """Kernel of M - eigenvalue I from its leading principal submatrix.
 
     The submatrix ends with the last diagonal block B for which
-    B - eigenvalue I is singular, found by scanning the blocks from the last
-    one down.  Later blocks are invertible after the shift, so the RREF free
-    columns and kernel vectors equal those of the full matrix, with zeros
-    past the submatrix.
+    B - eigenvalue I is singular, read from the spectrum's block nullities.
+    Later blocks are invertible after the shift, so the RREF free columns
+    and kernel vectors equal those of the full matrix, with zeros past the
+    submatrix.  Fixed-N ``general`` matrices have no closed-form spectrum
+    and are solved whole.
     """
-    for start, end, _ in reversed(matrix.basis.block_ranges()):
-        if _nullity(matrix.diagonal_block(start, end), eigenvalue):
-            break
+    if matrix.basis.mode.tag == "general":
+        end = matrix.dim
     else:
+        blocks = matrix._eigenblocks.get(eigenvalue)
+        end = blocks[-1][1] if blocks else 0
+    kernel = _nullspace(_shifted(matrix.diagonal_block(0, end), eigenvalue)) if end else []
+    if not kernel:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
     pad = [Fraction(0)] * (matrix.dim - end)
-    shifted = _shifted(matrix.diagonal_block(0, end), eigenvalue)
-    return [_primitive(v + pad) for v in _nullspace(shifted)]
+    return [_primitive(v + pad) for v in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +552,10 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
     character count are visible to the caller.  A character missing from its
     eigenspace is an inconsistency and raises.
     """
-    mode = matrix.basis.mode
-    if mode.tag == "general":
-        raise ValueError("character matching requires SO(3) or SO(4)")
     out = []
     for entry in eigenvalues_exact(matrix):
         for label in entry.labels:
-            character = _label_character(mode, label)
+            character = _label_character(matrix.basis.mode, label)
             coords = coordinates(character.poly, matrix.basis)
             if not _in_kernel(matrix, entry.eigenvalue, coords):
                 raise ArithmeticError(

@@ -31,7 +31,10 @@ monomial is then a few float products.  The dense n^2 x n^2 Hessian
 (:func:`structure_matrices`) remain for caller-supplied derivative bundles
 and for :func:`verify_identities`, which checks them against finite
 differences and each other.  Finite differences appear only as a secondary
-oracle inside verification reports, never on the evaluation path.
+oracle inside verification reports, never on the evaluation path; one
+central-difference sweep takes a monomial's value and gradient from one set
+of powers at each displaced point.  Every report keeps max |got - ref| and
+its ratio to max(1, |ref|), and passes when that ratio is within tol.
 """
 
 from __future__ import annotations
@@ -164,6 +167,15 @@ def _powers(u: np.ndarray, top: int) -> list[np.ndarray]:
     for _ in range(top):
         out.append(out[-1] @ u)
     return out
+
+
+def _powers_and_traces(
+    partition: Partition, u: np.ndarray
+) -> tuple[list[np.ndarray], list[float]]:
+    """Powers I, U, ..., U^top of a square matrix, top the largest part, and
+    the trace p_m(U) of each factor of the monomial, in part order."""
+    pows = _powers(np.asarray(u, dtype=float), max(partition.parts, default=0))
+    return pows, [float(np.trace(pows[m])) for m in partition.parts]
 
 
 def euclid_derivatives(partition: Partition, sample: RotationSample) -> DerivativeBundle:
@@ -348,28 +360,30 @@ def gegenbauer(k: int, alpha: float, x: float) -> tuple[float, float, float]:
 # finite differences (secondary, report-time oracle)
 
 
-def fd_gradient(value_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
+def _central_differences(fn, u: np.ndarray, step: float) -> np.ndarray:
+    """(fn(U + step E_ij) - fn(U - step E_ij)) / (2 step) for every entry (i, j),
+    one row per entry in column-major order; ``fn`` returns a float or a
+    1-d array."""
     n = u.shape[0]
-    out = np.zeros((n, n))
+    out = None
     for j in range(n):
         for i in range(n):
             bump = np.zeros((n, n))
             bump[i, j] = step
-            out[i, j] = (value_fn(u + bump) - value_fn(u - bump)) / (2 * step)
+            row = (np.asarray(fn(u + bump)) - fn(u - bump)) / (2 * step)
+            if out is None:
+                out = np.empty((n * n,) + row.shape)
+            out[j * n + i] = row
     return out
+
+
+def fd_gradient(value_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
+    return _central_differences(value_fn, u, step).reshape(u.shape, order="F")
 
 
 def fd_hessian(grad_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central differences of the gradient, columns in column-major order."""
-    n = u.shape[0]
-    out = np.zeros((n * n, n * n))
-    for j in range(n):
-        for i in range(n):
-            bump = np.zeros((n, n))
-            bump[i, j] = step
-            column = (grad_fn(u + bump) - grad_fn(u - bump)) / (2 * step)
-            out[:, j * n + i] = _vec(column)
-    return out
+    return _central_differences(lambda mat: _vec(grad_fn(mat)), u, step).T
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +425,23 @@ def _sample_streams(seed: int, samples: int):
     return np.random.SeedSequence(seed).spawn(samples)
 
 
-def _err_update(errs: tuple[float, float], got: float, ref: float) -> tuple[float, float]:
-    abs_err = abs(got - ref)
-    rel_err = abs_err / max(1.0, abs(ref))
-    return max(errs[0], abs_err), max(errs[1], rel_err)
+def _err_update(errs: tuple[float, float], got, ref) -> tuple[float, float]:
+    """Running (max abs, max relative) error; arrays compare by their largest
+    entries.  Floats stay on plain ``abs``: numpy costs 20x more per call."""
+    if isinstance(ref, np.ndarray):
+        abs_err = float(np.max(np.abs(got - ref)))
+        scale = float(np.max(np.abs(ref)))
+    else:
+        abs_err = abs(got - ref)
+        scale = abs(ref)
+    return max(errs[0], abs_err), max(errs[1], abs_err / max(1.0, scale))
+
+
+def _report(
+    target: str, n: int, params: dict, samples: int, seed: int, tol: float, errs
+) -> VerifyReport:
+    """The report of one family; it passes when the max relative error is within ``tol``."""
+    return VerifyReport(target, n, params, samples, seed, tol, errs[0], errs[1], errs[1] <= tol)
 
 
 def verify_partition(
@@ -434,17 +461,7 @@ def verify_partition(
         got = lap_numeric(partition, sample)
         ref = eval_tracepoly(symbolic, sample)
         errs = _err_update(errs, got, ref)
-    return VerifyReport(
-        "laplacian",
-        n,
-        {"partition": partition.serialize()},
-        samples,
-        seed,
-        tol,
-        errs[0],
-        errs[1],
-        errs[1] <= tol,
-    )
+    return _report("laplacian", n, {"partition": partition.serialize()}, samples, seed, tol, errs)
 
 
 def verify_gegenbauer(
@@ -475,17 +492,7 @@ def verify_gegenbauer(
         got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
         ref = eigenvalue * value
         errs = _err_update(errs, got, ref)
-    return VerifyReport(
-        "gegenbauer",
-        n,
-        {"k": k, "i": i, "j": j},
-        samples,
-        seed,
-        tol,
-        errs[0],
-        errs[1],
-        errs[1] <= tol,
-    )
+    return _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs)
 
 
 def _sphere_test_h(y: np.ndarray):
@@ -529,6 +536,14 @@ def verify_identities(
     group Laplacian with the sphere Laplacian for functions of one column.
     """
     errs = {name: (0.0, 0.0) for name in _IDENTITY_TOLS}
+
+    def check(name, got, ref):
+        errs[name] = _err_update(errs[name], got, ref)
+
+    def tangent(partition, u):
+        grad = _monomial_gradient(partition, *_powers_and_traces(partition, u))
+        return tangential_gradient(grad, u)
+
     for stream in _sample_streams(seed, samples):
         rotation_stream, aux_stream = stream.spawn(2)
         sample = random_son(n, rotation_stream)
@@ -538,68 +553,39 @@ def verify_identities(
 
         a = rng.standard_normal((n, n))
         b = rng.standard_normal((n, n))
-        got = float(np.trace(k_comm @ np.kron(a, b)))
-        ref = float(np.trace(a @ b))
-        errs["commutation-trace"] = _err_update(errs["commutation-trace"], got, ref)
-
-        for lhs, rhs in (
-            (lam @ k_comm, np.kron(u.T, u)),
-            (k_comm @ lam, np.kron(u, u.T)),
-        ):
-            diff = float(np.max(np.abs(lhs - rhs)))
-            scale = max(1.0, float(np.max(np.abs(rhs))))
-            cur = errs["lambda-commutation"]
-            errs["lambda-commutation"] = (max(cur[0], diff), max(cur[1], diff / scale))
+        check("commutation-trace", float(np.trace(k_comm @ np.kron(a, b))), float(np.trace(a @ b)))
+        check("lambda-commutation", lam @ k_comm, np.kron(u.T, u))
+        check("lambda-commutation", k_comm @ lam, np.kron(u, u.T))
 
         for parts in _FD_PARTITIONS:
             partition = Partition.of(*parts)
             bundle = euclid_derivatives(partition, sample)
 
-            def value_fn(mat, _p=partition):
-                return eval_tracepoly_matrix(_p, mat)
+            def value_and_gradient(mat, _p=partition):
+                pows, values = _powers_and_traces(_p, mat)
+                grad = _monomial_gradient(_p, pows, values)
+                return np.concatenate(([_rest_product(values, ())], _vec(grad)))
 
-            def grad_fn(mat, _p=partition):
-                return _monomial_gradient(_p, mat)
-
-            fd_g = fd_gradient(value_fn, u)
-            dg = float(np.max(np.abs(bundle.grad - fd_g)))
-            scale = max(1.0, float(np.max(np.abs(bundle.grad))))
-            cur = errs["gradient-fd"]
-            errs["gradient-fd"] = (max(cur[0], dg), max(cur[1], dg / scale))
-
-            fd_h = fd_hessian(grad_fn, u)
-            dh = float(np.max(np.abs(bundle.hess - fd_h)))
-            scale = max(1.0, float(np.max(np.abs(bundle.hess))))
-            cur = errs["hessian-fd"]
-            errs["hessian-fd"] = (max(cur[0], dh), max(cur[1], dh / scale))
+            # one sweep: column 0 differentiates the value, the rest the gradient
+            sweep = _central_differences(value_and_gradient, u, 1e-5)
+            check("gradient-fd", sweep[:, 0].reshape(n, n, order="F"), bundle.grad)
+            check("hessian-fd", sweep[:, 1:].T, bundle.hess)
 
         pows = _powers(u, 10)  # gradient pairings reach p_{m+m'} with m, m' <= 5
-        pows_t = [p.T for p in pows]
         traces = [float(np.trace(p)) for p in pows]
         p1 = traces[1]
         for q in range(5 + 1):
-            got_m = tangential_gradient(_monomial_gradient(Partition((1,) * q), u), u)
             ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
-            diff = float(np.max(np.abs(got_m - ref_m)))
-            scale = max(1.0, float(np.max(np.abs(ref_m))) if q else 1.0)
-            cur = errs["tangential-gradient"]
-            errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
-        for m in range(1, 6):
-            got_m = tangential_gradient(_monomial_gradient(Partition((m,)), u), u)
-            ref_m = 0.5 * m * (pows_t[m - 1] - pows[m + 1])
-            diff = float(np.max(np.abs(got_m - ref_m)))
-            scale = max(1.0, float(np.max(np.abs(ref_m))))
-            cur = errs["tangential-gradient"]
-            errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
-
-        for m in range(1, 6):
-            gm = tangential_gradient(_monomial_gradient(Partition((m,)), u), u)
-            for mp in range(1, m + 1):
-                gmp = tangential_gradient(_monomial_gradient(Partition((mp,)), u), u)
+            check("tangential-gradient", tangent(Partition((1,) * q), u), ref_m)
+        # the tangential gradients of p_1, ..., p_5 serve the next two families
+        tangents = [tangent(Partition((m,)), u) for m in range(1, 6)]
+        for m, got_m in enumerate(tangents, 1):
+            check("tangential-gradient", got_m, 0.5 * m * (pows[m - 1].T - pows[m + 1]))
+        for m, gm in enumerate(tangents, 1):
+            for mp, gmp in enumerate(tangents[:m], 1):
                 got = 2 * float(np.sum(gm * gmp))
                 base = traces[m - mp] if m != mp else float(n)
-                ref = m * mp * (base - traces[m + mp])
-                errs["gradient-inner"] = _err_update(errs["gradient-inner"], got, ref)
+                check("gradient-inner", got, m * mp * (base - traces[m + mp]))
 
         y = math.sqrt(2.0) * u[:, -1]
         h_val, h_grad, h_hess = _sphere_test_h(y)
@@ -608,48 +594,28 @@ def verify_identities(
         f_hess = np.zeros((n * n, n * n))
         f_hess[(n - 1) * n:, (n - 1) * n:] = 2.0 * h_hess
         got = lap_numeric(DerivativeBundle(h_val, f_grad, f_hess), sample)
-        ref = sphere_lap_numeric(h_grad, h_hess, y, math.sqrt(2.0))
-        errs["sphere-restriction"] = _err_update(errs["sphere-restriction"], got, ref)
+        check("sphere-restriction", got, sphere_lap_numeric(h_grad, h_hess, y, math.sqrt(2.0)))
 
-    reports = []
-    for name, default_tol in _IDENTITY_TOLS.items():
-        use_tol = default_tol if tol is None else tol
-        max_abs, max_rel = errs[name]
-        reports.append(
-            VerifyReport(
-                "identities",
-                n,
-                {"identity": name},
-                samples,
-                seed,
-                use_tol,
-                max_abs,
-                max_rel,
-                max_rel <= use_tol,
-            )
-        )
-    return reports
+    return [
+        _report("identities", n, {"identity": name}, samples, seed,
+                default_tol if tol is None else tol, errs[name])
+        for name, default_tol in _IDENTITY_TOLS.items()
+    ]
 
 
 def eval_tracepoly_matrix(partition: Partition, u: np.ndarray) -> float:
     """Value of a single trace monomial at an arbitrary square matrix."""
-    top = max(partition.parts, default=0)
-    pows = _powers(np.asarray(u, dtype=float), top)
-    out = 1.0
-    for m in partition:
-        out *= float(np.trace(pows[m]))
-    return out
+    return _rest_product(_powers_and_traces(partition, u)[1], ())
 
 
-def _monomial_gradient(partition: Partition, u: np.ndarray) -> np.ndarray:
-    """Matrix-form gradient sum_i R_i m_i (U^t)^{m_i-1} of a trace monomial at an
-    arbitrary square matrix, R_i the product of the other factors' traces."""
-    u = np.asarray(u, dtype=float)
-    parts = partition.parts
-    pows = _powers(u, max(parts, default=0))
-    values = [float(np.trace(pows[m])) for m in parts]
-    grad = np.zeros(u.shape)
-    for i, m in enumerate(parts):
+def _monomial_gradient(
+    partition: Partition, pows: list[np.ndarray], values: list[float]
+) -> np.ndarray:
+    """Matrix-form gradient sum_i R_i m_i (U^t)^{m_i-1} of a trace monomial,
+    R_i the product of the other factors' traces, from the powers and factor
+    traces of :func:`_powers_and_traces`."""
+    grad = np.zeros(pows[0].shape)
+    for i, m in enumerate(partition.parts):
         grad += _rest_product(values, (i,)) * (m * pows[m - 1].T)
     return grad
 
@@ -660,23 +626,20 @@ def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.n
     Same assembly as :func:`euclid_derivatives` but without the rotation
     invariant checks.
     """
-    u = np.asarray(u, dtype=float)
-    n = u.shape[0]
+    pows, values = _powers_and_traces(partition, u)
+    n = pows[0].shape[0]
     parts = partition.parts
-    pows = _powers(u, max(parts, default=0))
-    pows_t = [p.T for p in pows]
     k_comm = commutation_matrix(n)
-    values = [float(np.trace(pows[m])) for m in parts]
-    grads = [m * pows_t[m - 1] for m in parts]
+    grads = [_vec(m * pows[m - 1].T) for m in parts]
     hess = np.zeros((n * n, n * n))
     for i, m in enumerate(parts):
         if m >= 2:
             acc = np.zeros((n * n, n * n))
             for r in range(m - 1):
-                acc += np.kron(pows_t[r], pows[m - 2 - r])
+                acc += np.kron(pows[r].T, pows[m - 2 - r])
             hess += _rest_product(values, (i,)) * (m * (k_comm @ acc))
     for i in range(len(parts)):
         for j in range(len(parts)):
             if i != j:
-                hess += _rest_product(values, (i, j)) * np.outer(_vec(grads[i]), _vec(grads[j]))
-    return _monomial_gradient(partition, u), hess
+                hess += _rest_product(values, (i, j)) * np.outer(grads[i], grads[j])
+    return _monomial_gradient(partition, pows, values), hess

@@ -11,11 +11,18 @@ replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
 SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
 are frozen here too, as is the Faddeev-LeVerrier characteristic polynomial
 that the spectra were deflated from before the block nullity check.  All of
-them serve as exact references.
+them serve as exact references.  The numeric identity suite as it stood
+before its finite differences shared one sweep -- each monomial's powers
+formed afresh for every value and gradient, with hand-written error maxima
+-- is frozen at the end; its reports must match the current ones float for
+float.
 """
 
+import math
 from fractions import Fraction
 from math import comb
+
+import numpy as np
 
 from sonlap import (
     GENERAL,
@@ -299,3 +306,212 @@ def char_poly(block: list) -> list:
             work[i][i] += ck
         work = matmul(block, work)
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# the numeric identity suite before the shared finite-difference sweep
+
+
+def _powers_ref(u, top):
+    out = [np.eye(u.shape[0])]
+    for _ in range(top):
+        out.append(out[-1] @ u)
+    return out
+
+
+def _rest_product_ref(values, skip):
+    prod = 1.0
+    for idx, val in enumerate(values):
+        if idx not in skip:
+            prod *= val
+    return prod
+
+
+def _value_ref(partition, u):
+    pows = _powers_ref(np.asarray(u, dtype=float), max(partition.parts, default=0))
+    out = 1.0
+    for m in partition:
+        out *= float(np.trace(pows[m]))
+    return out
+
+
+def _gradient_ref(partition, u):
+    u = np.asarray(u, dtype=float)
+    parts = partition.parts
+    pows = _powers_ref(u, max(parts, default=0))
+    values = [float(np.trace(pows[m])) for m in parts]
+    grad = np.zeros(u.shape)
+    for i, m in enumerate(parts):
+        grad += _rest_product_ref(values, (i,)) * (m * pows[m - 1].T)
+    return grad
+
+
+def _dense_derivatives_ref(partition, u):
+    from sonlap.numeric import commutation_matrix
+
+    n = u.shape[0]
+    parts = partition.parts
+    pows = _powers_ref(u, max(parts, default=0))
+    pows_t = [p.T for p in pows]
+    k_comm = commutation_matrix(n)
+    values = [float(np.trace(pows[m])) for m in parts]
+    grads = [m * pows_t[m - 1] for m in parts]
+    hess = np.zeros((n * n, n * n))
+    for i, m in enumerate(parts):
+        if m >= 2:
+            acc = np.zeros((n * n, n * n))
+            for r in range(m - 1):
+                acc += np.kron(pows_t[r], pows[m - 2 - r])
+            hess += _rest_product_ref(values, (i,)) * (m * (k_comm @ acc))
+    for i in range(len(parts)):
+        for j in range(len(parts)):
+            if i != j:
+                hess += _rest_product_ref(values, (i, j)) * np.outer(
+                    grads[i].flatten(order="F"), grads[j].flatten(order="F")
+                )
+    return _gradient_ref(partition, u), hess
+
+
+def _fd_gradient_ref(value_fn, u, step=1e-5):
+    n = u.shape[0]
+    out = np.zeros((n, n))
+    for j in range(n):
+        for i in range(n):
+            bump = np.zeros((n, n))
+            bump[i, j] = step
+            out[i, j] = (value_fn(u + bump) - value_fn(u - bump)) / (2 * step)
+    return out
+
+
+def _fd_hessian_ref(grad_fn, u, step=1e-5):
+    n = u.shape[0]
+    out = np.zeros((n * n, n * n))
+    for j in range(n):
+        for i in range(n):
+            bump = np.zeros((n, n))
+            bump[i, j] = step
+            column = (grad_fn(u + bump) - grad_fn(u - bump)) / (2 * step)
+            out[:, j * n + i] = column.flatten(order="F")
+    return out
+
+
+def _err_update_ref(errs, got, ref):
+    abs_err = abs(got - ref)
+    rel_err = abs_err / max(1.0, abs(ref))
+    return max(errs[0], abs_err), max(errs[1], rel_err)
+
+
+def verify_identities_reference(n, samples=20, seed=None, tol=None):
+    """The identity suite with a separate finite-difference sweep for the
+    gradient and for the Hessian, each recomputing the monomial's powers at
+    every displaced point, and array errors kept by hand."""
+    from sonlap.numeric import (
+        _FD_PARTITIONS,
+        _IDENTITY_TOLS,
+        DEFAULT_SEED,
+        DerivativeBundle,
+        VerifyReport,
+        _sample_streams,
+        _sphere_test_h,
+        lap_numeric,
+        random_son,
+        sphere_lap_numeric,
+        structure_matrices,
+        tangential_gradient,
+    )
+
+    seed = DEFAULT_SEED if seed is None else seed
+    errs = {name: (0.0, 0.0) for name in _IDENTITY_TOLS}
+    for stream in _sample_streams(seed, samples):
+        rotation_stream, aux_stream = stream.spawn(2)
+        sample = random_son(n, rotation_stream)
+        rng = np.random.default_rng(aux_stream)
+        u = sample.matrix
+        k_comm, lam = structure_matrices(sample)
+
+        a = rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        got = float(np.trace(k_comm @ np.kron(a, b)))
+        ref = float(np.trace(a @ b))
+        errs["commutation-trace"] = _err_update_ref(errs["commutation-trace"], got, ref)
+
+        for lhs, rhs in (
+            (lam @ k_comm, np.kron(u.T, u)),
+            (k_comm @ lam, np.kron(u, u.T)),
+        ):
+            diff = float(np.max(np.abs(lhs - rhs)))
+            scale = max(1.0, float(np.max(np.abs(rhs))))
+            cur = errs["lambda-commutation"]
+            errs["lambda-commutation"] = (max(cur[0], diff), max(cur[1], diff / scale))
+
+        for parts in _FD_PARTITIONS:
+            partition = Partition.of(*parts)
+            grad, hess = _dense_derivatives_ref(partition, u)
+
+            def value_fn(mat, _p=partition):
+                return _value_ref(_p, mat)
+
+            def grad_fn(mat, _p=partition):
+                return _gradient_ref(_p, mat)
+
+            fd_g = _fd_gradient_ref(value_fn, u)
+            dg = float(np.max(np.abs(grad - fd_g)))
+            scale = max(1.0, float(np.max(np.abs(grad))))
+            cur = errs["gradient-fd"]
+            errs["gradient-fd"] = (max(cur[0], dg), max(cur[1], dg / scale))
+
+            fd_h = _fd_hessian_ref(grad_fn, u)
+            dh = float(np.max(np.abs(hess - fd_h)))
+            scale = max(1.0, float(np.max(np.abs(hess))))
+            cur = errs["hessian-fd"]
+            errs["hessian-fd"] = (max(cur[0], dh), max(cur[1], dh / scale))
+
+        pows = _powers_ref(u, 10)
+        pows_t = [p.T for p in pows]
+        traces = [float(np.trace(p)) for p in pows]
+        p1 = traces[1]
+        for q in range(5 + 1):
+            got_m = tangential_gradient(_gradient_ref(Partition((1,) * q), u), u)
+            ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
+            diff = float(np.max(np.abs(got_m - ref_m)))
+            scale = max(1.0, float(np.max(np.abs(ref_m))) if q else 1.0)
+            cur = errs["tangential-gradient"]
+            errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
+        for m in range(1, 6):
+            got_m = tangential_gradient(_gradient_ref(Partition((m,)), u), u)
+            ref_m = 0.5 * m * (pows_t[m - 1] - pows[m + 1])
+            diff = float(np.max(np.abs(got_m - ref_m)))
+            scale = max(1.0, float(np.max(np.abs(ref_m))))
+            cur = errs["tangential-gradient"]
+            errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
+
+        for m in range(1, 6):
+            gm = tangential_gradient(_gradient_ref(Partition((m,)), u), u)
+            for mp in range(1, m + 1):
+                gmp = tangential_gradient(_gradient_ref(Partition((mp,)), u), u)
+                got = 2 * float(np.sum(gm * gmp))
+                base = traces[m - mp] if m != mp else float(n)
+                ref = m * mp * (base - traces[m + mp])
+                errs["gradient-inner"] = _err_update_ref(errs["gradient-inner"], got, ref)
+
+        y = math.sqrt(2.0) * u[:, -1]
+        h_val, h_grad, h_hess = _sphere_test_h(y)
+        f_grad = np.zeros((n, n))
+        f_grad[:, -1] = math.sqrt(2.0) * h_grad
+        f_hess = np.zeros((n * n, n * n))
+        f_hess[(n - 1) * n:, (n - 1) * n:] = 2.0 * h_hess
+        got = lap_numeric(DerivativeBundle(h_val, f_grad, f_hess), sample)
+        ref = sphere_lap_numeric(h_grad, h_hess, y, math.sqrt(2.0))
+        errs["sphere-restriction"] = _err_update_ref(errs["sphere-restriction"], got, ref)
+
+    reports = []
+    for name, default_tol in _IDENTITY_TOLS.items():
+        use_tol = default_tol if tol is None else tol
+        max_abs, max_rel = errs[name]
+        reports.append(
+            VerifyReport(
+                "identities", n, {"identity": name}, samples, seed, use_tol,
+                max_abs, max_rel, max_rel <= use_tol,
+            )
+        )
+    return reports

@@ -268,6 +268,16 @@ VERIFY_REFUSED = [
      f"exceeds the input bound {cli.MAX_IDENTITIES_N} of the identities suite"),
     (("--suite", "identities", "--n", "100000"),
      f"exceeds the input bound {cli.MAX_IDENTITIES_N} of the identities suite"),
+    (("--suite", "laplacian", "--n", str(cli.MAX_VERIFY_N + 1)),
+     f"exceeds the input bound {cli.MAX_VERIFY_N} of the laplacian suite"),
+    (("--suite", "gegenbauer", "--n", "100000"),
+     f"exceeds the input bound {cli.MAX_VERIFY_N} of the gegenbauer suite"),
+    (("--suite", "laplacian", "--samples", str(cli.MAX_SAMPLES + 1)),
+     f"exceeds the input bound {cli.MAX_SAMPLES} of the laplacian suite"),
+    (("--suite", "gegenbauer", "--samples", "10000000"),
+     f"exceeds the input bound {cli.MAX_SAMPLES} of the gegenbauer suite"),
+    (("--suite", "identities", "--samples", "10000000"),
+     f"exceeds the input bound {cli.MAX_SAMPLES} of the identities suite"),
 ]
 
 
@@ -285,12 +295,15 @@ def test_verify_refuses_bad_input_before_any_work(capsys, argv, message):
 
 
 def test_verify_inputs_at_the_bounds_are_accepted(capsys):
-    for argv in [
-        ("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K)),
-        ("--suite", "gegenbauer", "--n", "5", "--k", str(cli.MAX_DEGREE)),
-        ("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N)),
+    for argv, samples in [
+        (("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K)), 1),
+        (("--suite", "gegenbauer", "--n", "5", "--k", str(cli.MAX_DEGREE)), 1),
+        (("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N)), 1),
+        (("--suite", "laplacian", "--n", str(cli.MAX_VERIFY_N), "--k", "2"), 1),
+        (("--suite", "gegenbauer", "--n", str(cli.MAX_VERIFY_N), "--k", str(cli.MAX_DEGREE)), 1),
+        (("--suite", "laplacian", "--k", "0"), cli.MAX_SAMPLES),
     ]:
-        code, out, err = run(capsys, "verify", *argv, "--samples", "1", "--seed", "3")
+        code, out, err = run(capsys, "verify", *argv, "--samples", str(samples), "--seed", "3")
         assert (code, err) == (0, "")
         reports = json.loads(out)
-        assert reports and all(r["pass"] and r["samples"] == 1 for r in reports)
+        assert reports and all(r["pass"] and r["samples"] == samples for r in reports)

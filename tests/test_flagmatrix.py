@@ -582,21 +582,34 @@ def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
 
 def test_eigenspaces_solved_once_per_matrix(monkeypatch):
     sizes = []
+    nullities = []
     nullspace = flagmatrix._nullspace
+    nullity = flagmatrix._nullity
 
     def counting(rows):
         sizes.append(len(rows))
         return nullspace(rows)
 
+    def counting_nullity(block, eigenvalue):
+        nullities.append(eigenvalue)
+        return nullity(block, eigenvalue)
+
     monkeypatch.setattr(flagmatrix, "_nullspace", counting)
+    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
     matrix = build_matrix(SO4, "so4", 6)
     entries = eigenvalues_exact(matrix)
     for entry in entries:
         eigenspace_exact(matrix, entry.eigenvalue)
     match_characters(matrix)
+    eigenvalues_exact(matrix)
+    with pytest.raises(ArithmeticError, match="not an eigenvalue"):
+        eigenspace_exact(matrix, 17)
     assert len(sizes) == len({entry.eigenvalue for entry in entries}) == len(entries)
     # eigenvalue 0 lives in the weight-0 block alone: a 1x1 solve
     assert min(sizes) == 1 and max(sizes) == matrix.dim
+    # one nullity per closed-form candidate per block, however many queries follow
+    blocks = matrix.basis.block_ranges()
+    assert len(nullities) == sum(len(flagmatrix._closed_candidates(SO4, w)) for _, _, w in blocks)
 
 
 def test_eigenspace_returns_fresh_lists():
@@ -648,6 +661,26 @@ def test_eigenvalues_exact_names_a_block_outside_the_closed_family(mode, basis_i
         perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
         with pytest.raises(ArithmeticError, match=rf"^weight-{weight} block .*closed-form family"):
             eigenvalues_exact(perturbed)
+
+
+def test_eigenvalues_exact_names_an_eigenvalue_short_of_its_block_nullities():
+    """-12 is a root of the weight-4 and the weight-6 block of SO(4) k=6.
+    Any change to an entry coupling the two leaves the block nullities as
+    they are but makes M defective there: its kernel drops to dimension 1."""
+    matrix = build_matrix(SO4, "so4", 6)
+    ranges = {weight: (start, end) for start, end, weight in matrix.basis.block_ranges()}
+    rows, cols = range(*ranges[4]), range(*ranges[6])
+    assert (len(rows), len(cols)) == (3, 4)
+    for i in rows:
+        for j in cols:
+            entries = [list(row) for row in matrix.entries]
+            entries[i][j] += F(1, 7)
+            perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
+            with pytest.raises(
+                ArithmeticError,
+                match="^eigenvalue -12 has geometric multiplicity 1, but its block nullities sum to 2$",
+            ):
+                eigenvalues_exact(perturbed)
 
 
 # ---------------------------------------------------------------------------

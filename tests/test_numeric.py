@@ -28,6 +28,7 @@ from sonlap import (
     verify_identities,
     verify_partition,
 )
+from sonlap import numeric
 from sonlap.numeric import (
     _monomial_traces,
     _power_tables,
@@ -36,6 +37,8 @@ from sonlap.numeric import (
     fd_gradient,
     fd_hessian,
 )
+
+from refdata import verify_identities_reference
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +497,40 @@ def test_verify_identities_default_tolerances():
         reports = verify_identities(n, samples=6, seed=42)
         for report in reports:
             assert report.passed, (n, report.params, report.max_rel_err)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_identities_matches_the_frozen_suite(n):
+    """One shared finite-difference sweep and one error rule give the former
+    suite's reports field for field, floats included."""
+    for seed in (1, 77):
+        assert verify_identities(n, samples=3, seed=seed) == verify_identities_reference(
+            n, samples=3, seed=seed
+        )
+
+
+def test_identity_suite_forms_powers_once_per_displaced_point(monkeypatch):
+    n = 4
+    drawn, displaced = [], []
+    powers, draw = numeric._powers, numeric.random_son
+
+    def recording_draw(*args):
+        sample = draw(*args)
+        drawn.append(sample.matrix)
+        return sample
+
+    def counting(u, top):
+        if not np.array_equal(u, drawn[-1]):
+            displaced.append(u.tobytes())
+        return powers(u, top)
+
+    monkeypatch.setattr(numeric, "random_son", recording_draw)
+    monkeypatch.setattr(numeric, "_powers", counting)
+    verify_identities(n, samples=1)
+    # the value and the gradient at U +- step E_ij come from one set of powers,
+    # once for each finite-differenced monomial
+    assert len(set(displaced)) == 2 * n * n
+    assert len(displaced) == len(numeric._FD_PARTITIONS) * 2 * n * n
 
 
 @pytest.mark.parametrize("samples", [0, -1])
