@@ -41,9 +41,9 @@ MAX_DEGREE = 30
 # The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and 114 MB at
 # n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.  The other
 # two suites draw n x n rotations: laplacian k=12 takes 0.7-1.1 s at n=60,
-# 1.6 s at n=100 and 5.2 s at n=200.  Every sample's random stream is
-# spawned before the first check; the cheapest suite, laplacian n=3 k=0,
-# takes 0.53 s over 1000 samples and 2.2 s over 10000.
+# 1.6 s at n=100 and 5.2 s at n=200.  Each sample's random stream is made
+# as it is drawn, so the sample bound is one of time: the cheapest suite,
+# laplacian n=3 k=0, takes 0.53 s over 1000 samples and 2.2 s over 10000.
 MAX_LAPLACIAN_K = 12
 MAX_IDENTITIES_N = 30
 MAX_VERIFY_N = 60

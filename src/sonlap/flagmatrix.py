@@ -10,10 +10,12 @@ blocks are diagonalizable (the operator is self-adjoint for the Haar inner
 product) and their candidates distinct, so the candidates exhaust a block
 exactly when their nullities sum to its size; a block they do not exhaust
 is an inconsistency, not a case for a root search.  Each eigenspace is found
-on the leading principal submatrix that ends with the last diagonal block
-made singular by the shift: every later block stays invertible, so the
-kernel vectors are zero there.  One RREF routine does all this elimination,
-and eigenspaces are cached on the matrix.  For general N only the
+block by block, as the triangular form allows: kernel vectors are zero past
+the last diagonal block made singular by the shift, and from there down to
+block 0 each step is one nullspace of a block-sized system that also carries
+the solvability conditions on the vectors found so far.  One fraction-free
+Gauss-Jordan routine over the integers does all this elimination, and
+eigenspaces are cached on the matrix.  For general N only the
 spanning-set expression table is emitted (the monomials are not proven
 independent), and eigen-extraction is refused.
 
@@ -196,6 +198,11 @@ class FlagMatrix:
         """(label, block end, nullity) of every diagonal block each eigenvalue is a root of."""
         return _block_nullities(self)
 
+    @cached_property
+    def _integer_rows(self) -> list[tuple[int, list[int]]]:
+        """Each row as (scale, ints), ints = scale * row with scale its least common denominator."""
+        return [_cleared(row) for row in self.entries]
+
 
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     """Assemble the order-k flag matrix and assert block triangularity."""
@@ -224,11 +231,32 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over Fraction
+# exact linear algebra over the integers
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    mat = [list(row) for row in rows]
+def _cleared(row: list) -> tuple[int, list[int]]:
+    """(d, d * row) for the least common denominator d of a rational row."""
+    denom = lcm(*(v.denominator for v in row))
+    return denom, [v.numerator * (denom // v.denominator) for v in row]
+
+
+def _integral(row: list) -> list[int]:
+    """Primitive integer multiple of a rational row, sign kept; a zero row stays zero."""
+    ints = _cleared(row)[1]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _rref(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of rational rows.
+
+    The rows are scaled to primitive integer rows first.  A row is cleared
+    against the pivot row by cross-multiplication and divided by its content
+    again, so every row stays a primitive integer row.  Each returned row is
+    a nonzero multiple of the matching RREF row: every pivot column is zero
+    outside its pivot row.
+    """
+    mat = [_integral(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -238,13 +266,12 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = mat[r][c]
-        mat[r] = [v / inv for v in mat[r]]
+        top = mat[r]
         for i in range(nrows):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                # flag matrices are sparse: leave entries over pivot-row zeros as they are
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+                g = gcd(top[c], mat[i][c])
+                s, t = top[c] // g, mat[i][c] // g
+                mat[i] = _integral([s * a - t * b for a, b in zip(mat[i], top)])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -252,33 +279,34 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     return mat, pivots
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+def _nullspace(rows: list[list]) -> list[list[int]]:
+    """Kernel basis of rational rows as primitive integer vectors.
+
+    The vector of free column f is a multiple of the RREF nullspace vector:
+    nonzero at f, zero at the other free columns.
+    """
     mat, pivots = _rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+    ncols = len(mat[0])
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        used = [(r, pc) for r, pc in enumerate(pivots) if mat[r][fc]]
+        scale = lcm(*(mat[r][pc] for r, pc in used))
+        vec = [0] * ncols
+        vec[fc] = scale
+        for r, pc in used:
+            vec[pc] = -mat[r][fc] * (scale // mat[r][pc])
+        basis.append(_integral(vec))
     return basis
 
 
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
+def _primitive(vec: list) -> list[Fraction]:
     """Scale to coprime integers with a positive leading nonzero entry."""
-    denom = lcm(*(v.denominator for v in vec)) if vec else 1
-    ints = [v * denom for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v.numerator))
-    if g:
-        ints = [v / g for v in ints]
-    lead = next((v for v in ints if v), Fraction(0))
-    if lead < 0:
+    ints = _integral(vec)
+    if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
-    return ints
+    return [Fraction(v) for v in ints]
 
 
 def _shifted(block: list[list[Fraction]], eigenvalue: Fraction) -> list[list[Fraction]]:
@@ -419,25 +447,58 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
 
 
 def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """Kernel of M - eigenvalue I from its leading principal submatrix.
+    """Kernel of M - eigenvalue I by block back-substitution.
 
-    The submatrix ends with the last diagonal block B for which
-    B - eigenvalue I is singular, read from the spectrum's block nullities.
-    Later blocks are invertible after the shift, so the RREF free columns
-    and kernel vectors equal those of the full matrix, with zeros past the
-    submatrix.  Fixed-N ``general`` matrices have no closed-form spectrum
-    and are solved whole.
+    A kernel vector is zero on every block after the last diagonal block B
+    for which B - eigenvalue I is singular, read from the spectrum's block
+    nullities (fixed-N ``general`` matrices have no closed-form spectrum and
+    start at their last block).  From there the blocks are walked down to
+    block 0.  With X the q kernel vectors found so far on the later blocks,
+    one nullspace of the b x (b + q) system [B_s - eigenvalue | M[s, >s] X]
+    gives the block's new kernel vectors together with the solvability
+    conditions on the old ones, so singular and invertible blocks, and
+    eigenvalues of several blocks, take the same step.  The system rows are
+    integer multiples of the matrix rows and X is kept as primitive integer
+    vectors, so no step builds a Fraction.
+
+    Every step keeps X in the normal form of the RREF nullspace, which the
+    kernel alone fixes: the vectors are ordered by their last nonzero entry,
+    and each is zero at the others' last nonzero entries.  A block's new
+    vectors end inside the block, before every old one.  An old vector that
+    survives picks up only earlier old vectors, the ones the block's
+    solvability conditions remove.  So the primitive basis is the one a
+    full-matrix elimination gives.
     """
     if matrix.basis.mode.tag == "general":
         end = matrix.dim
     else:
         blocks = matrix._eigenblocks.get(eigenvalue)
         end = blocks[-1][1] if blocks else 0
-    kernel = _nullspace(_shifted(matrix.diagonal_block(0, end), eigenvalue)) if end else []
+    num, den = eigenvalue.numerator, eigenvalue.denominator
+    kernel: list[list[int]] = []  # restricted to the columns from the last solved block to end
+    for start, stop, _ in reversed(matrix.basis.block_ranges()):
+        if stop > end:
+            continue
+        rows = []
+        # row i of M is ints / scale; the system row is scaled by scale * den
+        for i, (scale, ints) in enumerate(matrix._integer_rows[start:stop], start):
+            row = [den * v for v in ints[start:stop]]
+            row[i - start] -= num * scale
+            support = [j for j in range(stop, end) if ints[j]]
+            row += [den * sum(ints[j] * vec[j - stop] for j in support) for vec in kernel]
+            rows.append(row)
+        width = stop - start
+        solved = []
+        for sol in _nullspace(rows):
+            # the block part, then the combination of the old vectors it asks for
+            used = [(c, vec) for c, vec in zip(sol[width:], kernel) if c]
+            tail = [sum(c * vec[j] for c, vec in used) for j in range(end - stop)]
+            solved.append(_integral(sol[:width] + tail))
+        kernel = solved
     if not kernel:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
-    pad = [Fraction(0)] * (matrix.dim - end)
-    return [_primitive(v + pad) for v in kernel]
+    pad = [0] * (matrix.dim - end)
+    return [_primitive(vec + pad) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +597,13 @@ def character_so4(j1, j2) -> Character:
     return Character("so4", (max(ka, kb), min(ka, kb)), eigenvalue, poly)
 
 
+@lru_cache(maxsize=None)
 def _label_character(mode: GroupMode, label) -> Character:
-    """The irreducible character named by a spectrum label of ``mode``."""
+    """The irreducible character named by a spectrum label of ``mode``.
+
+    Built and verified once per label; :func:`match_characters` still checks
+    it against every matrix.
+    """
     if mode.tag == "so3":
         return character_so3(label)
     k1, k2 = label
@@ -566,11 +632,13 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
 
 
 def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) -> bool:
-    """Whether (M - eigenvalue I) vec = 0 exactly."""
-    support = [j for j, v in enumerate(vec) if v]
+    """Whether (M - eigenvalue I) vec = 0 exactly, in integer arithmetic."""
+    ints = _integral(vec)
+    support = [j for j, v in enumerate(ints) if v]
+    num, den = eigenvalue.numerator, eigenvalue.denominator
     return all(
-        sum((row[j] * vec[j] for j in support if row[j]), Fraction(0)) == eigenvalue * vec[i]
-        for i, row in enumerate(matrix.entries)
+        den * sum(row[j] * ints[j] for j in support) == num * scale * ints[i]
+        for i, (scale, row) in enumerate(matrix._integer_rows)
     )
 
 

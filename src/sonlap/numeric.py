@@ -419,10 +419,16 @@ class VerifyReport:
 
 
 def _sample_streams(seed: int, samples: int):
-    """One independent stream per sample; a run with no samples checks nothing."""
+    """One independent stream per sample, made as it is drawn; a run with no
+    samples checks nothing, and is refused at the call.
+
+    Stream i is ``SeedSequence(seed, spawn_key=(i,))``, the i-th child that
+    ``SeedSequence(seed).spawn(samples)`` would build up front.
+    """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    return np.random.SeedSequence(seed).spawn(samples)
+    entropy = np.random.SeedSequence(seed).entropy
+    return (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(samples))
 
 
 def _err_update(errs: tuple[float, float], got, ref) -> tuple[float, float]:

@@ -9,13 +9,14 @@ product rule, and the character enumeration is the candidate search
 hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
 replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
 SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
-are frozen here too, as is the Faddeev-LeVerrier characteristic polynomial
-that the spectra were deflated from before the block nullity check.  All of
-them serve as exact references.  The numeric identity suite as it stood
-before its finite differences shared one sweep -- each monomial's powers
-formed afresh for every value and gradient, with hand-written error maxima
--- is frozen at the end; its reports must match the current ones float for
-float.
+are frozen here too, as are the Faddeev-LeVerrier characteristic polynomial
+that the spectra were deflated from before the block nullity check and the
+eigenspace solve by one Fraction RREF of a leading principal submatrix that
+block back-substitution replaced.  All of them serve as exact references.
+The numeric identity suite as it stood before its finite differences shared
+one sweep -- each monomial's powers formed afresh for every value and
+gradient, with hand-written error maxima -- is frozen at the end; its
+reports must match the current ones float for float.
 """
 
 import math
@@ -306,6 +307,73 @@ def char_poly(block: list) -> list:
             work[i][i] += ck
         work = matmul(block, work)
     return coeffs
+
+
+def _rref_fraction(rows: list) -> tuple:
+    """Gauss-Jordan elimination over Fraction, as the eigenspaces used it."""
+    mat = [list(row) for row in rows]
+    nrows = len(mat)
+    ncols = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        inv = mat[r][c]
+        mat[r] = [v / inv for v in mat[r]]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return mat, pivots
+
+
+def _primitive_fraction(vec: list) -> list:
+    denom = math.lcm(*(v.denominator for v in vec)) if vec else 1
+    ints = [v * denom for v in vec]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v.numerator))
+    if g:
+        ints = [v / g for v in ints]
+    lead = next((v for v in ints if v), F(0))
+    if lead < 0:
+        ints = [-v for v in ints]
+    return ints
+
+
+def leading_kernel_reference(matrix, eigenvalue: F) -> list:
+    """Primitive kernel basis of M - eigenvalue I by the former solve: one
+    Fraction RREF of the leading principal submatrix that ends with the last
+    diagonal block the eigenvalue is a root of (the whole matrix in fixed-N
+    general mode), zero-padded past it."""
+    if matrix.basis.mode.tag == "general":
+        end = matrix.dim
+    else:
+        blocks = matrix._eigenblocks.get(eigenvalue)
+        end = blocks[-1][1] if blocks else 0
+    shifted = [
+        [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(end)]
+        for i in range(end)
+    ]
+    mat, pivots = _rref_fraction(shifted)
+    kernel = []
+    for fc in (c for c in range(end) if c not in pivots):
+        vec = [F(0)] * end
+        vec[fc] = F(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        kernel.append(vec)
+    if not kernel:
+        raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
+    pad = [F(0)] * (matrix.dim - end)
+    return [_primitive_fraction(v + pad) for v in kernel]
 
 
 # ---------------------------------------------------------------------------

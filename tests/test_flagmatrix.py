@@ -29,6 +29,7 @@ from sonlap import (
     spectrum_closed,
 )
 from sonlap import flagmatrix, laplacian
+from sonlap.partitions import enumerate_upto
 from refdata import (
     SO4_CHARACTER_TABLE,
     SO4_K4_BASIS,
@@ -37,6 +38,7 @@ from refdata import (
     SO4_K4_MATRIX,
     candidate_characters,
     char_poly,
+    leading_kernel_reference,
     so3_character_double_binomial,
     so4_character_chebyshev,
     so4_monomial_partition,
@@ -529,6 +531,40 @@ def test_match_characters_rejects_a_character_outside_its_eigenspace(monkeypatch
         match_characters(matrix)
 
 
+def test_characters_are_built_once_per_label(monkeypatch):
+    """The SO(3) bprime and btrace matrices share their labels, so each
+    character's eigen-equation is checked once over all of them."""
+    flagmatrix._label_character.cache_clear()
+    built = []
+    orthogonal = flagmatrix._orthogonal_character
+
+    def counting(mode, lam):
+        built.append(lam)
+        return orthogonal(mode, lam)
+
+    monkeypatch.setattr(flagmatrix, "_orthogonal_character", counting)
+    for basis_id in ("bprime", "btrace"):
+        for k in range(9):
+            match_characters(build_matrix(SO3, basis_id, k))
+    assert sorted(built) == [(k,) for k in range(9)]
+
+
+def test_cached_characters_are_still_checked_against_every_matrix():
+    """A warm cache skips the construction, never the per-matrix check: a
+    matrix with the same spectrum and labels but other eigenvectors still
+    lets a character escape."""
+    matrix = build_matrix(SO3, "btrace", 3)
+    match_characters(matrix)
+    entries = [list(row) for row in matrix.entries]
+    entries[1][3] += F(1, 7)  # above the diagonal: eigenvalues and labels stay
+    perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
+    assert eigenvalues_exact(perturbed) == eigenvalues_exact(matrix)
+    misses = flagmatrix._label_character.cache_info().misses
+    with pytest.raises(ArithmeticError, match="escaped the eigenspace"):
+        match_characters(perturbed)
+    assert flagmatrix._label_character.cache_info().misses == misses
+
+
 # ---------------------------------------------------------------------------
 # eigenspace extraction
 
@@ -566,7 +602,7 @@ def full_matrix_eigenspace(matrix, eigenvalue):
 
 @pytest.mark.parametrize(
     "mode, basis_id, ks",
-    [(SO3, "bprime", range(13)), (SO3, "btrace", range(13)), (SO4, "so4", range(9))],
+    [(SO3, "bprime", range(13)), (SO3, "btrace", range(13)), (SO4, "so4", range(11))],
     ids=["so3-bprime", "so3-btrace", "so4"],
 )
 def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
@@ -581,20 +617,30 @@ def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
 
 
 def test_eigenspaces_solved_once_per_matrix(monkeypatch):
-    sizes = []
+    """One kernel solve per distinct eigenvalue, however many queries follow;
+    every elimination is the size of a diagonal block at most."""
+    solves = []
+    rows = []
     nullities = []
-    nullspace = flagmatrix._nullspace
+    leading_kernel = flagmatrix._leading_kernel
+    rref = flagmatrix._rref
     nullity = flagmatrix._nullity
 
-    def counting(rows):
-        sizes.append(len(rows))
-        return nullspace(rows)
+    def counting_solve(matrix, eigenvalue):
+        space = leading_kernel(matrix, eigenvalue)
+        solves.append(eigenvalue)
+        return space
+
+    def counting_rref(block_rows):
+        rows.append(len(block_rows))
+        return rref(block_rows)
 
     def counting_nullity(block, eigenvalue):
         nullities.append(eigenvalue)
         return nullity(block, eigenvalue)
 
-    monkeypatch.setattr(flagmatrix, "_nullspace", counting)
+    monkeypatch.setattr(flagmatrix, "_leading_kernel", counting_solve)
+    monkeypatch.setattr(flagmatrix, "_rref", counting_rref)
     monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
     matrix = build_matrix(SO4, "so4", 6)
     entries = eigenvalues_exact(matrix)
@@ -602,14 +648,55 @@ def test_eigenspaces_solved_once_per_matrix(monkeypatch):
         eigenspace_exact(matrix, entry.eigenvalue)
     match_characters(matrix)
     eigenvalues_exact(matrix)
+    eliminations = len(rows)
     with pytest.raises(ArithmeticError, match="not an eigenvalue"):
         eigenspace_exact(matrix, 17)
-    assert len(sizes) == len({entry.eigenvalue for entry in entries}) == len(entries)
-    # eigenvalue 0 lives in the weight-0 block alone: a 1x1 solve
-    assert min(sizes) == 1 and max(sizes) == matrix.dim
-    # one nullity per closed-form candidate per block, however many queries follow
+    assert len(rows) == eliminations  # refused with no elimination
+    assert sorted(solves) == sorted(entry.eigenvalue for entry in entries)
     blocks = matrix.basis.block_ranges()
+    assert max(rows) <= max(end - start for start, end, _ in blocks) == 4
+    # one nullity per closed-form candidate per block, however many queries follow
     assert len(nullities) == sum(len(flagmatrix._closed_candidates(SO4, w)) for _, _, w in blocks)
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, ks",
+    [(SO3, "bprime", range(25)), (SO3, "btrace", range(25)), (SO4, "so4", range(13))],
+    ids=["so3-bprime", "so3-btrace", "so4"],
+)
+def test_back_substitution_equals_the_leading_submatrix_solve(mode, basis_id, ks):
+    """Block back-substitution returns the primitive basis that one RREF of
+    the leading principal submatrix gave, vector for vector."""
+    for k in ks:
+        matrix = build_matrix(mode, basis_id, k)
+        for eigenvalue in matrix._eigenblocks:
+            expected = leading_kernel_reference(matrix, eigenvalue)
+            assert eigenspace_exact(matrix, eigenvalue) == expected, (k, eigenvalue)
+    if mode == SO4:
+        # eigenvalues that are roots of several diagonal blocks take the same path
+        spans = [len(blocks) for blocks in matrix._eigenblocks.values()]
+        assert sum(span > 1 for span in spans) >= 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_back_substitution_equals_the_leading_submatrix_solve_in_general_mode(n):
+    """Fixed-N spanning-set matrices start at their last block.  Every Casimir
+    value of a partition of weight <= k is tried; together their eigenspaces
+    fill the space, and a value that is no eigenvalue is refused by both."""
+    for k in range(6):
+        matrix = build_matrix(general_at(n), "general", k)
+        found = 0
+        candidates = {flagmatrix._casimir(n, p.parts) for p in enumerate_upto(k)}
+        for eigenvalue in sorted(candidates) + [F(17)]:
+            try:
+                expected = leading_kernel_reference(matrix, eigenvalue)
+            except ArithmeticError:
+                with pytest.raises(ArithmeticError, match="not an eigenvalue"):
+                    eigenspace_exact(matrix, eigenvalue)
+                continue
+            assert eigenspace_exact(matrix, eigenvalue) == expected, (k, eigenvalue)
+            found += len(expected)
+        assert found == matrix.dim
 
 
 def test_eigenspace_returns_fresh_lists():

@@ -29,7 +29,9 @@ from sonlap import (
     verify_partition,
 )
 from sonlap import numeric
+from sonlap.cli import main
 from sonlap.numeric import (
+    DEFAULT_SEED,
     _monomial_traces,
     _power_tables,
     euclid_derivatives_matrix,
@@ -543,6 +545,47 @@ def test_verify_suites_refuse_an_empty_sample_set(samples):
     ):
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
             suite()
+
+
+@pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
+def test_sample_streams_are_the_spawned_ones_made_one_at_a_time(seed):
+    for samples in (1, 2, 5):
+        streams = list(numeric._sample_streams(seed, samples))
+        spawned = np.random.SeedSequence(seed).spawn(samples)
+        assert [s.spawn_key for s in streams] == [s.spawn_key for s in spawned]
+        for got, want in zip(streams, spawned):
+            assert got.entropy == want.entropy and got.pool_size == want.pool_size
+            assert np.array_equal(got.generate_state(8), want.generate_state(8))
+            assert [c.spawn_key for c in got.spawn(2)] == [c.spawn_key for c in want.spawn(2)]
+
+
+def test_sample_streams_refuse_before_any_stream_is_drawn():
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        numeric._sample_streams(1, 0)  # the call raises; nothing is iterated
+    streams = numeric._sample_streams(1, 10**12)  # made lazily, so this costs nothing
+    assert next(streams).spawn_key == (0,)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "laplacian", "--n", "4", "--k", "3"),
+        ("--suite", "gegenbauer", "--n", "5", "--k", "4"),
+        ("--suite", "identities", "--n", "3"),
+    ],
+)
+def test_verify_output_is_unchanged_by_lazy_streams(monkeypatch, capsys, argv):
+    """The verify reports are byte-identical to those of the streams spawned up front."""
+    argv = ("verify", *argv, "--samples", "3", "--seed", "77")
+    assert main(list(argv)) == 0
+    lazy = capsys.readouterr().out
+
+    def spawned(seed, samples):
+        return np.random.SeedSequence(seed).spawn(samples)
+
+    monkeypatch.setattr(numeric, "_sample_streams", spawned)
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == lazy
 
 
 def test_verify_report_json_shape():
