@@ -3,21 +3,23 @@
 The graded flag of trace-polynomial spaces gives the restricted operator an
 upper block triangular matrix whose diagonal blocks carry the whole
 spectrum.  Every basis is a tuple of trace monomials indexed by partitions,
-so one coordinate loop and one label renderer serve all of them.  For SO(3)
-and SO(4) the proven bases make every entry an exact rational, and each
-diagonal block has exactly the closed-form eigenvalues of its weight.  The
-blocks are diagonalizable (the operator is self-adjoint for the Haar inner
-product) and their candidates distinct, so the candidates exhaust a block
-exactly when their nullities sum to its size; a block they do not exhaust
-is an inconsistency, not a case for a root search.  Each eigenspace is found
-block by block, as the triangular form allows: kernel vectors are zero past
-the last diagonal block made singular by the shift, and from there down to
-block 0 each step is one nullspace of a block-sized system that also carries
-the solvability conditions on the vectors found so far.  One fraction-free
-Gauss-Jordan routine over the integers does all this elimination, and
-eigenspaces are cached on the matrix.  For general N only the
-spanning-set expression table is emitted (the monomials are not proven
-independent), and eigen-extraction is refused.
+so one coordinate loop and one label renderer serve all of them.  One rank
+rule, r = N // 2, serves SO(3) and SO(4): the weight-w block is spanned by
+the p_mu, mu |- w with parts <= r, and its closed-form eigenvalues are the
+Casimir values of the conjugate highest weights lam (at most r parts), one
+per row.  The blocks are diagonalizable (the operator is self-adjoint for the
+Haar inner product) and their candidates distinct, so the candidates exhaust
+a block exactly when their nullities sum to its size; a block they do not
+exhaust is an inconsistency, not a case for a root search.  Each eigenspace
+is found block by block, as the triangular form allows: kernel vectors are
+zero past the last diagonal block made singular by the shift, and from there
+down to block 0 each step is one nullspace of a block-sized system that also
+carries the solvability conditions on the vectors found so far.  One
+fraction-free Gauss-Jordan routine over the integers does all this
+elimination, and eigenspaces are cached on the matrix.  General mode uses the
+partition spanning set; at a fixed N its eigenspaces are solved the same
+way, but it has no closed-form spectrum, so eigenvalue extraction is
+refused.
 
 Irreducible characters are built independently of the matrices, one per
 spectrum label lam, as Koike-Terada orthogonal characters over the elementary
@@ -36,19 +38,22 @@ from math import gcd, lcm
 
 from .laplacian import lap, lap_monomial, so3_lap_pm_btrace
 from .npoly import NPoly
-from .partitions import EMPTY, Partition, enumerate_upto
+from .partitions import EMPTY, Partition, _descending, enumerate_upto
 from .tracepoly import (
+    REDUCED_MODES,
     SO3,
     SO4,
     GroupMode,
     TracePoly,
-    elementary,
+    _newton_step,
     general_at,
     monomial_label,
     so3_basis_change,
 )
 
-BASIS_IDS = ("general", "bprime", "btrace", "so4")
+# the group of each reduced-mode basis; a group's first basis is its default
+BASIS_GROUPS = {"bprime": SO3, "btrace": SO3, "so4": SO4}
+BASIS_IDS = ("general", *BASIS_GROUPS)
 
 
 # ---------------------------------------------------------------------------
@@ -94,10 +99,10 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
     stands for p_0.
 
     ``general``: all partitions of degree <= k (spanning set, p_0 first).
-    ``bprime``:  p_0, p_1, p_1^2, ..., p_1^k on SO(3), as (1^j).
+    ``bprime`` (SO(3)), ``so4`` (SO(4)): the p_mu with parts <= r = N // 2, by
+                 weight, ascending-lex inside it: p_1^j as (1^j) on SO(3);
+                 p_1^l p_2^m as (2^m, 1^l), by increasing m, on SO(4).
     ``btrace``:  p_0, p_1, p_2, ..., p_k on SO(3), as (j).
-    ``so4``:     p_0 then p_1^l p_2^m, as (2^m, 1^l), by weight l+2m, ties by
-                 increasing m.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -107,19 +112,12 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
         if mode.tag != "general":
             raise ValueError("the partition spanning set belongs to general mode")
         elements = enumerate_upto(k)
-    elif basis_id in ("bprime", "btrace"):
-        if mode != SO3:
-            raise ValueError(f"basis {basis_id!r} requires SO(3) mode")
-        if basis_id == "bprime":
-            elements = [Partition((1,) * j) for j in range(k + 1)]
-        else:
-            elements = [Partition.of(j) for j in range(k + 1)]
+    elif mode != BASIS_GROUPS[basis_id]:
+        raise ValueError(f"basis {basis_id!r} requires {BASIS_GROUPS[basis_id]} mode")
+    elif basis_id == "btrace":
+        elements = [Partition.of(j) for j in range(k + 1)]
     else:
-        if mode != SO4:
-            raise ValueError("basis 'so4' requires SO(4) mode")
-        elements = [
-            Partition((2,) * m + (1,) * (w - 2 * m)) for w in range(k + 1) for m in range(w // 2 + 1)
-        ]
+        elements = [Partition(mu) for w in range(k + 1) for mu in sorted(_descending(w, mode.rank))]
     weights = tuple(p.degree for p in elements)
     starts = [0]
     for i in range(1, len(elements)):
@@ -344,12 +342,16 @@ def _so4_weight(k1: int, k2: int) -> tuple[int, int]:
 
 
 def _closed_candidates(mode: GroupMode, weight: int) -> list[tuple[Fraction, object]]:
-    if mode.tag == "so3":
-        return [(_casimir(3, (weight,)), weight)]
-    return [
-        (_casimir(4, _so4_weight(weight, k2)), (weight, k2))
-        for k2 in range(weight % 2, weight + 1, 2)
-    ]
+    """(Casimir value, label) of each lam |- weight with at most r = N // 2 parts,
+    the conjugate of a reduced monomial p_mu of the block; the label is
+    k = lam_1 on SO(3) and (lam_1 + lam_2, lam_1 - lam_2) on SO(4)."""
+    r = mode.rank
+    out = []
+    for mu in _descending(weight, r):
+        lam = tuple(sum(part >= i for part in mu) for i in range(1, r + 1))
+        label = lam[0] if r == 1 else (lam[0] + lam[1], lam[0] - lam[1])
+        out.append((_casimir(mode.n, lam), label))
+    return out
 
 
 def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[SpectrumEntry]:
@@ -368,13 +370,12 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
             raise ValueError("sphere spectrum needs the ambient dimension n >= 2")
         for k in range(bound + 1):
             found.setdefault(_casimir(n, (k,)), []).append(k)
-    elif target == "so3":
-        for k in range(bound + 1):
-            found.setdefault(_casimir(3, (k,)), []).append(k)
-    elif target == "so4":
-        for k1 in range(bound + 1):
-            for k2 in range(k1 % 2, min(k1, bound - k1) + 1, 2):
-                found.setdefault(_casimir(4, _so4_weight(k1, k2)), []).append((k1, k2))
+    elif target in REDUCED_MODES:
+        mode = REDUCED_MODES[target]
+        for weight in range(bound + 1):
+            for eig, label in _closed_candidates(mode, weight):
+                if mode != SO4 or sum(label) <= bound:
+                    found.setdefault(eig, []).append(label)
     else:
         raise ValueError(f"unknown spectrum target {target!r}")
     return [
@@ -520,16 +521,12 @@ class Character:
 def _complete(mode: GroupMode, k: int) -> TracePoly:
     """Complete symmetric function h_k of a rotation's eigenvalues in ``mode``.
 
-    h_k = sum_{i=1}^{min(k, N)} (-1)^{i-1} e_i h_{k-i}, with h_0 = 1 and
-    h_k = 0 for k < 0.
+    h_k = sum_{i=1}^{min(k, N)} (-1)^{i-1} e_i h_{k-i}, the Newton step of
+    the p_m tables, with h_0 = 1 and h_k = 0 for k < 0.
     """
     if k <= 0:
         return TracePoly.constant(int(k == 0), mode)
-    e = elementary(mode)
-    terms = (
-        e[i] * _complete(mode, k - i) * (-1) ** (i - 1) for i in range(1, min(k, mode.n) + 1)
-    )
-    return TracePoly.sum(terms, mode)
+    return _newton_step(mode, k, lambda j: _complete(mode, j))
 
 
 def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TracePoly, Fraction]:
@@ -646,10 +643,6 @@ def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) ->
 # exports
 
 
-def _entry_str(value) -> str:
-    return str(value)
-
-
 def matrix_to_json_obj(matrix: FlagMatrix) -> dict:
     basis = matrix.basis
     return {
@@ -659,7 +652,7 @@ def matrix_to_json_obj(matrix: FlagMatrix) -> dict:
         "k": basis.k,
         "basis": [basis.label(i) for i in range(basis.dim)],
         "block_starts": list(basis.block_starts),
-        "entries": [[_entry_str(v) for v in row] for row in matrix.entries],
+        "entries": [[str(v) for v in row] for row in matrix.entries],
     }
 
 

@@ -78,7 +78,8 @@ class NPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # a constant equals its Fraction, so it hashes as one
+        return hash(self.constant_value) if self.is_constant else hash(frozenset(self._coeffs.items()))
 
     def __add__(self, other) -> "NPoly":
         if isinstance(other, (int, Fraction)):

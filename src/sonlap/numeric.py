@@ -186,9 +186,7 @@ def euclid_derivatives(partition: Partition, sample: RotationSample) -> Derivati
     follow from the product rule, including the rank-one cross terms
     vec(grad p_i) vec(grad p_j)^t.
     """
-    value = eval_tracepoly_matrix(partition, sample.matrix)
-    grad, hess = euclid_derivatives_matrix(partition, sample.matrix)
-    return DerivativeBundle(value, grad, hess)
+    return DerivativeBundle(*_dense_derivatives(partition, sample.matrix))
 
 
 def _rest_product(values: list[float], skip: tuple[int, ...]) -> float:
@@ -627,15 +625,18 @@ def _monomial_gradient(
 
 
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(gradient, dense Hessian) of a trace monomial at an arbitrary square matrix.
+    """(gradient, dense Hessian) of a trace monomial at any square matrix, unchecked."""
+    return _dense_derivatives(partition, u)[1:]
 
-    Same assembly as :func:`euclid_derivatives` but without the rotation
-    invariant checks.
-    """
+
+def _dense_derivatives(partition: Partition, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(value, gradient, dense Hessian) of a trace monomial from one set of
+    powers and factor traces.  K, a permutation, is applied as the row
+    reindexing (K A)[b n + a] = A[a n + b]."""
     pows, values = _powers_and_traces(partition, u)
     n = pows[0].shape[0]
     parts = partition.parts
-    k_comm = commutation_matrix(n)
+    perm = np.arange(n * n).reshape(n, n).T.ravel()
     grads = [_vec(m * pows[m - 1].T) for m in parts]
     hess = np.zeros((n * n, n * n))
     for i, m in enumerate(parts):
@@ -643,9 +644,9 @@ def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.n
             acc = np.zeros((n * n, n * n))
             for r in range(m - 1):
                 acc += np.kron(pows[r].T, pows[m - 2 - r])
-            hess += _rest_product(values, (i,)) * (m * (k_comm @ acc))
+            hess += _rest_product(values, (i,)) * (m * acc[perm])
     for i in range(len(parts)):
         for j in range(len(parts)):
             if i != j:
                 hess += _rest_product(values, (i, j)) * np.outer(grads[i], grads[j])
-    return _monomial_gradient(partition, pows, values), hess
+    return _rest_product(values, ()), _monomial_gradient(partition, pows, values), hess

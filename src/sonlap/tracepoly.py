@@ -7,11 +7,12 @@ once a concrete dimension has been substituted they are plain rationals.
 
 The empty partition stands for the constant 1, and the degree-zero trace
 p_0 is the constant N, represented internally as N times the empty
-partition.  On SO(3) and SO(4) the elementary symmetric functions of a
-rotation's eigenvalues are self-reciprocal, e_{N-i} = e_i, so they and, by
-one Newton / Cayley-Hamilton step, every p_m are polynomials in p_1, ...,
-p_{N//2}.  ``TracePoly.reduce`` performs that rewrite; no reduction exists
-for N >= 5, where the monomials are treated as free generators.
+partition.  The elementary symmetric functions of a rotation's eigenvalues
+are self-reciprocal, e_{N-i} = e_i, so they and, by one Newton /
+Cayley-Hamilton step, every p_m are polynomials in p_1, ..., p_r, r = N // 2,
+for every N.  ``TracePoly.reduce`` performs that rewrite onto the p_mu with
+parts <= r in the reduced modes SO(3) and SO(4); for N >= 5 it is not
+implemented, and general mode treats the monomials as free generators.
 """
 
 from __future__ import annotations
@@ -35,16 +36,19 @@ class GroupMode:
     def __post_init__(self) -> None:
         if self.tag not in ("general", "so3", "so4"):
             raise ValueError(f"unknown mode tag {self.tag!r}")
-        if self.tag == "so3" and self.n != 3:
-            raise ValueError("so3 mode requires n=3")
-        if self.tag == "so4" and self.n != 4:
-            raise ValueError("so4 mode requires n=4")
+        if self.tag != "general" and self.n != int(self.tag[2:]):
+            raise ValueError(f"{self.tag} mode requires n={self.tag[2:]}")
         if self.tag == "general" and self.n is not None and self.n < 2:
             raise ValueError("dimension must be at least 2")
 
     @property
     def symbolic(self) -> bool:
         return self.n is None
+
+    @property
+    def rank(self) -> int | None:
+        """r = N // 2, the generators p_1..p_r of a reduced mode; None in general mode."""
+        return None if self.tag == "general" else self.n // 2
 
     def __str__(self) -> str:
         if self.tag == "general":
@@ -55,6 +59,7 @@ class GroupMode:
 GENERAL = GroupMode("general", None)
 SO3 = GroupMode("so3", 3)
 SO4 = GroupMode("so4", 4)
+REDUCED_MODES = {mode.tag: mode for mode in (SO3, SO4)}
 
 
 def general_at(n: int) -> GroupMode:
@@ -92,7 +97,7 @@ class TracePoly:
     __slots__ = ("_terms", "mode")
 
     def __init__(self, terms=None, mode: GroupMode = GENERAL):
-        largest = None if mode.tag == "general" else mode.n // 2  # reduced: parts <= N // 2
+        largest = mode.rank  # reduced: parts <= N // 2
         data = {}
         for part, coeff in (terms or {}).items():
             if not isinstance(part, Partition):
@@ -171,7 +176,8 @@ class TracePoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, NPoly)):
-            other = TracePoly.constant(other, self.mode)
+            # compared, not coerced: a non-constant NPoly is unequal to every numeric poly
+            return self._terms == ({EMPTY: other} if other else {})
         if not isinstance(other, TracePoly):
             return NotImplemented
         return self.mode == other.mode and self._terms == other._terms
@@ -273,14 +279,11 @@ class TracePoly:
         """Human-readable form: highest degree first, padded partition labels."""
         if not self._terms:
             return "0"
-        if self.mode.tag == "so4":
-            # inside a weight: p_1 powers first, then increasing p_2 count
-            inner = lambda part: tuple(part.parts)
-        else:
-            inner = lambda part: tuple(-p for p in part.parts)
+        # inside a weight: basis order (ascending-lex) in a reduced mode, else descending-lex
+        sign = 1 if self.mode.rank else -1
         items = sorted(
             self._terms.items(),
-            key=lambda kv: (-kv[0].degree, inner(kv[0])),
+            key=lambda kv: (-kv[0].degree, tuple(sign * p for p in kv[0].parts)),
         )
         chunks = []
         for part, coeff in items:
@@ -371,43 +374,42 @@ def elementary(mode: GroupMode) -> tuple[TracePoly, ...]:
     e_{k-i} p_i give e_1, ..., e_r in p_1, ..., p_r; the eigenvalues come in
     inverse pairs and det U = 1, so e_{N-i} = e_i gives the rest.
     """
-    if mode.tag == "general":
+    r = mode.rank
+    if r is None:
         raise ValueError("elementary symmetric functions need SO3 or SO4")
     n = mode.n
     e = [TracePoly.constant(1, mode)]
-    for k in range(1, n // 2 + 1):
+    for k in range(1, r + 1):
         terms = (e[k - i] * TracePoly.power_sum(i, mode) * (-1) ** (i - 1) for i in range(1, k + 1))
         e.append(sum(terms, TracePoly.zero(mode)) * Fraction(1, k))
-    return tuple(e + [e[n - i] for i in range(n // 2 + 1, n + 1)])
+    return tuple(e + [e[n - i] for i in range(r + 1, n + 1)])
+
+
+def _newton_step(mode: GroupMode, m: int, lower) -> TracePoly:
+    """sum_{i=1}^{min(m, N)} (-1)^{i-1} e_i lower(m - i) over the e_i of ``mode``:
+    p_m for lower = p with lower(0) = m (Newton's identities up to N,
+    Cayley-Hamilton past it), the complete symmetric h_m for lower = h."""
+    e = elementary(mode)
+    terms = (e[i] * lower(m - i) * (-1) ** (i - 1) for i in range(1, min(m, mode.n) + 1))
+    return TracePoly.sum(terms, mode)
 
 
 def _pm_table(mode: GroupMode):
-    """The cached p_m table of a reduced mode."""
-    if mode.tag == "so3":
-        return so3_pm_in_p1
-    if mode.tag == "so4":
-        return so4_pm_in_p1p2
-    raise ValueError("reduction target must be SO3 or SO4")
+    """The cached p_m table of a reduced mode, by its dimension."""
+    if mode.rank is None:
+        raise ValueError("reduction target must be SO3 or SO4")
+    return {3: so3_pm_in_p1, 4: so4_pm_in_p1p2}[mode.n]
 
 
 def _reduced_pm(mode: GroupMode, m: int) -> TracePoly:
-    """p_m in the generators of ``mode`` by one Newton / Cayley-Hamilton step.
-
-    p_m = sum_{i=1}^{min(m, N)} (-1)^{i-1} e_i p_{m-i}, reading the lower
-    entries of the mode's table, where the i = m term is Newton's m e_m in
-    place of e_m p_0.  For m <= N // 2 the step returns the generator p_m.
-    """
+    """p_m in the generators of ``mode`` by one :func:`_newton_step` over the
+    lower entries of the mode's table; for m <= N // 2 it is the generator p_m."""
     if m < 0:
         raise ValueError("power index must be nonnegative")
     if m == 0:
         return TracePoly.constant(mode.n, mode)
     table = _pm_table(mode)
-    e = elementary(mode)
-    terms = (
-        e[i] * (table(m - i) if i < m else m) * (-1) ** (i - 1)
-        for i in range(1, min(m, mode.n) + 1)
-    )
-    return sum(terms, TracePoly.zero(mode))
+    return _newton_step(mode, m, lambda j: table(j) if j else m)
 
 
 @lru_cache(maxsize=None)

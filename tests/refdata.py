@@ -12,7 +12,10 @@ SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
 are frozen here too, as are the Faddeev-LeVerrier characteristic polynomial
 that the spectra were deflated from before the block nullity check and the
 eigenspace solve by one Fraction RREF of a leading principal submatrix that
-block back-substitution replaced.  All of them serve as exact references.
+block back-substitution replaced.  The per-group rules that the rank rule
+r = N // 2 replaced -- the SO(3)/SO(4) block candidates, the ``so4`` basis
+order and the ``spectrum_closed`` enumerations -- are frozen as well.  All of
+them serve as exact references.
 The numeric identity suite as it stood before its finite differences shared
 one sweep -- each monomial's powers formed afresh for every value and
 gradient, with hand-written error maxima -- is frozen at the end; its
@@ -209,6 +212,35 @@ def candidate_characters(basis, eigenvalue: F) -> list:
                 if -F(k1 * (k1 + 2) + k2 * (k2 + 2), 4) == eigenvalue:
                     out.append(character_so4(F(k1, 2), F(k2, 2)))
     return out
+
+
+def closed_candidates_per_group(tag: str, weight: int) -> list:
+    """The former per-group block candidates: (eigenvalue, label) for the SO(3)
+    weight k, or for the SO(4) pairs (weight, k2), k2 of the weight's parity."""
+    if tag == "so3":
+        return [(F(-weight * (weight + 1), 2), weight)]
+    return [
+        (-F(weight * (weight + 2) + k2 * (k2 + 2), 4), (weight, k2))
+        for k2 in range(weight % 2, weight + 1, 2)
+    ]
+
+
+def so4_basis_per_group(k: int) -> list:
+    """The former ``so4`` basis: p_0 then p_1^l p_2^m by weight, ties by increasing m."""
+    return [part_of((2,) * m + (1,) * (w - 2 * m)) for w in range(k + 1) for m in range(w // 2 + 1)]
+
+
+def spectrum_closed_per_group(tag: str, bound: int) -> list:
+    """The former SO(3)/SO(4) ``spectrum_closed`` enumeration, as (eigenvalue, labels)."""
+    found = {}
+    if tag == "so3":
+        for k in range(bound + 1):
+            found.setdefault(F(-k * (k + 1), 2), []).append(k)
+    else:
+        for k1 in range(bound + 1):
+            for k2 in range(k1 % 2, min(k1, bound - k1) + 1, 2):
+                found.setdefault(-F(k1 * (k1 + 2) + k2 * (k2 + 2), 4), []).append((k1, k2))
+    return [(eig, tuple(found[eig])) for eig in sorted(found, reverse=True)]
 
 
 def so3_character_double_binomial(k: int) -> TracePoly:

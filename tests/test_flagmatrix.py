@@ -38,10 +38,13 @@ from refdata import (
     SO4_K4_MATRIX,
     candidate_characters,
     char_poly,
+    closed_candidates_per_group,
     leading_kernel_reference,
     so3_character_double_binomial,
+    so4_basis_per_group,
     so4_character_chebyshev,
     so4_monomial_partition,
+    spectrum_closed_per_group,
 )
 
 F = Fraction
@@ -349,6 +352,29 @@ def test_spectrum_closed_so4_unordered_labels():
     assert entries[F(-3, 2)] == ((1, 1),)
     # the order-4 matrix spectrum is contained in the closed family
     assert {F(v) for v in SO4_K4_EIGENVALUES} <= set(entries)
+
+
+@pytest.mark.parametrize("mode", [SO3, SO4], ids=str)
+def test_rank_rule_equals_the_frozen_per_group_rules(mode):
+    """Candidates as conjugates of the reduced monomials, and the closed
+    spectra read from them, equal the former SO(3)/SO(4) rules."""
+    for weight in range(31):
+        assert flagmatrix._closed_candidates(mode, weight) == closed_candidates_per_group(mode.tag, weight)
+    for bound in range(31):
+        got = [(e.eigenvalue, e.labels) for e in spectrum_closed(mode.tag, bound)]
+        assert got == spectrum_closed_per_group(mode.tag, bound), bound
+
+
+def test_reduced_monomial_bases_equal_the_frozen_orders():
+    assert list(basis_for(SO3, "bprime", 30).elements) == [Partition((1,) * j) for j in range(31)]
+    assert list(basis_for(SO4, "so4", 30).elements) == so4_basis_per_group(30)
+
+
+@pytest.mark.parametrize("mode, basis_id", [(SO3, "bprime"), (SO3, "btrace"), (SO4, "so4")])
+def test_every_block_has_as_many_distinct_candidates_as_rows(mode, basis_id):
+    for start, end, weight in basis_for(mode, basis_id, 30).block_ranges():
+        eigenvalues = {eig for eig, _ in flagmatrix._closed_candidates(mode, weight)}
+        assert len(eigenvalues) == end - start, weight
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from sonlap.numeric import (
     fd_hessian,
 )
 
-from refdata import verify_identities_reference
+from refdata import _dense_derivatives_ref, _value_ref, verify_identities_reference
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +187,22 @@ def test_derivatives_match_finite_differences(n, parts):
     assert np.max(np.abs(bundle.grad - fd_g)) <= 1e-6
     fd_h = fd_hessian(lambda mat: euclid_derivatives_matrix(partition, mat)[0], u)
     assert np.max(np.abs(bundle.hess - fd_h)) <= 1e-6
+
+
+def test_euclid_derivatives_forms_the_powers_once(monkeypatch):
+    """The value, gradient and dense Hessian read one set of matrix powers,
+    and applying K as a row permutation gives the K-product bit for bit."""
+    calls = []
+    powers = numeric._powers
+    monkeypatch.setattr(numeric, "_powers", lambda u, top: calls.append(top) or powers(u, top))
+    partition = Partition.of(3, 2, 1)
+    sample = random_son(4, 5)
+    bundle = euclid_derivatives(partition, sample)
+    assert calls == [3]
+    grad, hess = _dense_derivatives_ref(partition, sample.matrix)
+    assert bundle.value == _value_ref(partition, sample.matrix)
+    assert np.array_equal(bundle.grad, grad)
+    assert np.array_equal(bundle.hess, hess)
 
 
 def test_bundle_symmetry_guard():

@@ -1,7 +1,9 @@
 """Property tests of the reduced modes SO(3) and SO(4) on random small
 trace polynomials: ``reduce`` is a ring homomorphism and idempotent, and the
 Laplacian is linear and commutes with ``reduce``.  In symbolic general mode
-too, the Laplacian is a second-order operator that kills constants."""
+too, the Laplacian is a second-order operator that kills constants.  In
+every mode the JSON form round-trips, and the grouped monomial Laplacian
+equals the plain product rule on partitions of degree up to 16."""
 
 from fractions import Fraction
 
@@ -9,7 +11,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sonlap import GENERAL, SO3, SO4, NPoly, Partition, TracePoly, general_at, lap
+from sonlap import (
+    GENERAL,
+    SO3,
+    SO4,
+    NPoly,
+    Partition,
+    TracePoly,
+    general_at,
+    lap,
+    lap_partition,
+    lap_partition_product_rule,
+)
 
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -64,7 +77,8 @@ def test_lap_commutes_with_reduce(case):
 @st.composite
 def mode_polys(draw, mode, count: int):
     """``count`` random polynomials in ``mode``: reduced ones on SO(3) and
-    SO(4), coefficients affine in N in symbolic general mode."""
+    SO(4), coefficients affine in N in symbolic general mode, rational ones
+    at a fixed N."""
     small = st.lists(st.integers(1, 3), max_size=2).map(lambda parts: Partition.of(*parts))
     polys = []
     for _ in range(count):
@@ -73,7 +87,8 @@ def mode_polys(draw, mode, count: int):
             terms = {part: NPoly({0: c, 1: draw(coefficients)}) for part, c in terms.items()}
             polys.append(TracePoly(terms, GENERAL))
         else:
-            polys.append(TracePoly(terms, general_at(mode.n)).reduce(mode))
+            poly = TracePoly(terms, general_at(mode.n))
+            polys.append(poly.reduce(mode) if mode.rank else poly)
     return polys
 
 
@@ -94,3 +109,29 @@ def test_lap_is_a_second_order_operator(mode, data):
     constant = data.draw(coefficients)
     assert lap(TracePoly.constant(constant, mode)).is_zero
     assert lap(TracePoly.power_sum(0, mode)).is_zero
+
+
+@pytest.mark.parametrize("mode", [GENERAL, general_at(5), SO3, SO4], ids=str)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_json_round_trip(mode, data):
+    (poly,) = data.draw(mode_polys(mode, 1))
+    assert TracePoly.from_json_obj(poly.to_json_obj(), mode) == poly
+
+
+@st.composite
+def partitions_upto(draw, top: int):
+    """A partition of a drawn degree <= ``top``, one part at a time."""
+    remaining = draw(st.integers(0, top))
+    parts = []
+    while remaining:
+        parts.append(draw(st.integers(1, remaining)))
+        remaining -= parts[-1]
+    return Partition.of(*parts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(partitions_upto(16))
+def test_grouped_assembly_equals_the_product_rule(partition):
+    """The enumerated check stops at degree 10; this draws up to degree 16."""
+    assert lap_partition(partition) == lap_partition_product_rule(partition)

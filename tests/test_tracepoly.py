@@ -60,6 +60,15 @@ def test_npoly_no_stored_zeros():
     assert (N - N).coeffs == {}
 
 
+def test_constant_npoly_hashes_as_its_value():
+    """Equal objects hash equally, so a constant NPoly is found in a set of numbers."""
+    assert NPoly(3) == 3 and hash(NPoly(3)) == hash(3)
+    assert NPoly(F(1, 2)) in {F(1, 2)}
+    assert NPoly(0) in {0}
+    assert {NPoly(3): "x"}[3] == "x"
+    assert hash(N + 1) == hash(NPoly({0: 1, 1: 1}))
+
+
 # ---------------------------------------------------------------------------
 # multiplication
 
@@ -73,6 +82,18 @@ def test_mul_concatenates_partitions():
 def test_mul_ring_identity():
     p1 = TracePoly.power_sum(1)
     assert (p1 + 1) * (p1 - 1) == TracePoly.monomial(Partition.of(1, 1), 1) - 1
+
+
+def test_comparison_with_a_scalar_never_raises():
+    """A numeric-mode polynomial compares unequal to a non-constant NPoly
+    instead of failing to coerce it."""
+    three = TracePoly.constant(3, SO3)
+    assert not three == N
+    assert three != N + 3
+    assert three == NPoly(3) == 3
+    assert TracePoly.zero(SO4) == NPoly(0)
+    assert TracePoly.power_sum(0) == N
+    assert TracePoly.power_sum(0) != 3
 
 
 def test_p0_is_constant_n():
