@@ -14,12 +14,12 @@ exhaust is an inconsistency, not a case for a root search.  Each eigenspace
 is found block by block, as the triangular form allows: kernel vectors are
 zero past the last diagonal block made singular by the shift, and from there
 down to block 0 each step is one nullspace of a block-sized system that also
-carries the solvability conditions on the vectors found so far.  One
-fraction-free Gauss-Jordan routine over the integers does all this
-elimination, and eigenspaces are cached on the matrix.  General mode uses the
-partition spanning set; at a fixed N its eigenspaces are solved the same
-way, but it has no closed-form spectrum, so eigenvalue extraction is
-refused.
+carries the solvability conditions on the vectors found so far.  A matrix's
+rows are made integer once; every block nullity and block solve is one
+fraction-free Gauss-Jordan elimination of integer rows built from them, and
+eigenspaces are cached on the matrix.  General mode uses the partition
+spanning set; at a fixed N its eigenspaces are solved the same way, but it
+has no closed-form spectrum, so eigenvalue extraction is refused.
 
 Irreducible characters are built independently of the matrices, one per
 spectrum label lam, as Koike-Terada orthogonal characters over the elementary
@@ -198,7 +198,8 @@ class FlagMatrix:
 
     @cached_property
     def _integer_rows(self) -> list[tuple[int, list[int]]]:
-        """Each row as (scale, ints), ints = scale * row with scale its least common denominator."""
+        """Each row as (scale, ints), ints = scale * row with scale its least common
+        denominator: the one integer form every elimination is built from."""
         return [_cleared(row) for row in self.entries]
 
 
@@ -206,24 +207,22 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     """Assemble the order-k flag matrix and assert block triangularity."""
     basis = basis_for(mode, basis_id, k)
     columns = []
-    for element in basis.elements:
+    below = []  # (column weight, row, column) of each image term above the column weight
+    for j, element in enumerate(basis.elements):
+        weight = element.degree
         if basis_id == "btrace":
-            coldict = so3_lap_pm_btrace(element.degree)
+            coldict = so3_lap_pm_btrace(weight)
             col = [coldict.get(i, Fraction(0)) for i in range(k + 1)]
+            below += [(weight, i, j) for i in coldict if i > weight]
         else:
-            col = coordinates(lap_monomial(element, mode), basis)
+            image = lap_monomial(element, mode)
+            col = coordinates(image, basis)
+            below += [(weight, basis.positions[p], j) for p in image._terms if p.degree > weight]
         columns.append(col)
-    for start, end, _ in basis.block_ranges():
-        # first nonzero under each column of the block; the least (i, j) is
-        # the one a row-major scan below the block would meet first
-        hits = []
-        for j in range(start, end):
-            tail = columns[j][end:]
-            if any(tail):
-                hits.append((end + next(i for i, v in enumerate(tail) if v), j))
-        if hits:
-            i, j = min(hits)
-            raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
+    if below:
+        # the least triple is the entry a row-major scan below each block meets first
+        _, i, j = min(below)
+        raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
     entries = tuple(zip(*columns))
     return FlagMatrix(basis, entries)
 
@@ -238,23 +237,22 @@ def _cleared(row: list) -> tuple[int, list[int]]:
     return denom, [v.numerator * (denom // v.denominator) for v in row]
 
 
-def _integral(row: list) -> list[int]:
-    """Primitive integer multiple of a rational row, sign kept; a zero row stays zero."""
-    ints = _cleared(row)[1]
+def _content_free(ints: list[int]) -> list[int]:
+    """An integer row divided by its content, sign kept; a zero row stays zero."""
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
 
-def _rref(rows: list[list]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination of rational rows.
+def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination of integer rows.
 
-    The rows are scaled to primitive integer rows first.  A row is cleared
-    against the pivot row by cross-multiplication and divided by its content
-    again, so every row stays a primitive integer row.  Each returned row is
-    a nonzero multiple of the matching RREF row: every pivot column is zero
-    outside its pivot row.
+    Each row is divided by its content first.  A row is cleared against the
+    pivot row by cross-multiplication and divided by its content again, so
+    every row stays a primitive integer row.  Each returned row is a nonzero
+    multiple of the matching RREF row: every pivot column is zero outside its
+    pivot row.
     """
-    mat = [_integral(row) for row in rows]
+    mat = [_content_free(row) for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if mat else 0
     pivots: list[int] = []
@@ -269,7 +267,7 @@ def _rref(rows: list[list]) -> tuple[list[list[int]], list[int]]:
             if i != r and mat[i][c]:
                 g = gcd(top[c], mat[i][c])
                 s, t = top[c] // g, mat[i][c] // g
-                mat[i] = _integral([s * a - t * b for a, b in zip(mat[i], top)])
+                mat[i] = _content_free([s * a - t * b for a, b in zip(mat[i], top)])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -277,8 +275,8 @@ def _rref(rows: list[list]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def _nullspace(rows: list[list]) -> list[list[int]]:
-    """Kernel basis of rational rows as primitive integer vectors.
+def _nullspace(rows: list[list[int]]) -> list[list[int]]:
+    """Kernel basis of integer rows as primitive integer vectors.
 
     The vector of free column f is a multiple of the RREF nullspace vector:
     nonzero at f, zero at the other free columns.
@@ -295,26 +293,41 @@ def _nullspace(rows: list[list]) -> list[list[int]]:
         vec[fc] = scale
         for r, pc in used:
             vec[pc] = -mat[r][fc] * (scale // mat[r][pc])
-        basis.append(_integral(vec))
+        basis.append(_content_free(vec))
     return basis
 
 
 def _primitive(vec: list) -> list[Fraction]:
     """Scale to coprime integers with a positive leading nonzero entry."""
-    ints = _integral(vec)
+    ints = _content_free(_cleared(vec)[1])
     if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return [Fraction(v) for v in ints]
 
 
-def _shifted(block: list[list[Fraction]], eigenvalue: Fraction) -> list[list[Fraction]]:
-    """block - eigenvalue I."""
-    return [[v - eigenvalue if i == j else v for j, v in enumerate(row)] for i, row in enumerate(block)]
+def _block_rows(
+    matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction, kernel=()
+) -> list[list[int]]:
+    """Integer rows of [B - eigenvalue I | M[start:stop, stop:end] X], B the diagonal
+    block on start..stop-1 and X the integer ``kernel`` vectors on stop..end-1.
+
+    Row i is matrix row i times its denominator and the eigenvalue's.
+    """
+    num, den = eigenvalue.numerator, eigenvalue.denominator
+    end = stop + len(kernel[0]) if kernel else stop
+    rows = []
+    for i, (scale, ints) in enumerate(matrix._integer_rows[start:stop], start):
+        row = [den * v for v in ints[start:stop]]
+        row[i - start] -= num * scale
+        support = [j for j in range(stop, end) if ints[j]]
+        row += [den * sum(ints[j] * vec[j - stop] for j in support) for vec in kernel]
+        rows.append(row)
+    return rows
 
 
-def _nullity(block: list[list[Fraction]], eigenvalue: Fraction) -> int:
-    """dim ker(block - eigenvalue I): the block size minus the RREF rank."""
-    return len(block) - len(_rref(_shifted(block, eigenvalue))[1])
+def _nullity(matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction) -> int:
+    """dim ker(B - eigenvalue I) of the diagonal block B on start..stop-1."""
+    return stop - start - len(_rref(_block_rows(matrix, start, stop, eigenvalue))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +411,9 @@ def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, in
         raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
     found: dict[Fraction, list[tuple[object, int, int]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
-        block = matrix.diagonal_block(start, end)
         covered = 0
         for eig, label in _closed_candidates(mode, weight):
-            nullity = _nullity(block, eig)
+            nullity = _nullity(matrix, start, end, eig)
             if nullity:
                 covered += nullity
                 found.setdefault(eig, []).append((label, end, nullity))
@@ -475,26 +487,17 @@ def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fract
     else:
         blocks = matrix._eigenblocks.get(eigenvalue)
         end = blocks[-1][1] if blocks else 0
-    num, den = eigenvalue.numerator, eigenvalue.denominator
     kernel: list[list[int]] = []  # restricted to the columns from the last solved block to end
     for start, stop, _ in reversed(matrix.basis.block_ranges()):
         if stop > end:
             continue
-        rows = []
-        # row i of M is ints / scale; the system row is scaled by scale * den
-        for i, (scale, ints) in enumerate(matrix._integer_rows[start:stop], start):
-            row = [den * v for v in ints[start:stop]]
-            row[i - start] -= num * scale
-            support = [j for j in range(stop, end) if ints[j]]
-            row += [den * sum(ints[j] * vec[j - stop] for j in support) for vec in kernel]
-            rows.append(row)
         width = stop - start
         solved = []
-        for sol in _nullspace(rows):
+        for sol in _nullspace(_block_rows(matrix, start, stop, eigenvalue, kernel)):
             # the block part, then the combination of the old vectors it asks for
             used = [(c, vec) for c, vec in zip(sol[width:], kernel) if c]
             tail = [sum(c * vec[j] for c, vec in used) for j in range(end - stop)]
-            solved.append(_integral(sol[:width] + tail))
+            solved.append(_content_free(sol[:width] + tail))
         kernel = solved
     if not kernel:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
@@ -630,7 +633,7 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
 
 def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) -> bool:
     """Whether (M - eigenvalue I) vec = 0 exactly, in integer arithmetic."""
-    ints = _integral(vec)
+    ints = _cleared(vec)[1]
     support = [j for j, v in enumerate(ints) if v]
     num, den = eigenvalue.numerator, eigenvalue.denominator
     return all(

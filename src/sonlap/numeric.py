@@ -120,25 +120,17 @@ def random_son(n: int, seed) -> RotationSample:
 def rotation_from_angles(n: int, angles) -> RotationSample:
     """Canonical block-diagonal rotation with prescribed rotation angles.
 
-    n=3 takes one angle (eigenvalues 1, exp(+-i a)); n=4 takes two
-    (eigenvalues exp(+-i a), exp(+-i b)).
+    Takes n // 2 angles; angle i is the 2x2 rotation block on coordinates
+    2i, 2i+1, so the eigenvalues are exp(+-i a) per angle a, and a trailing 1
+    when n is odd.
     """
     angles = [float(a) for a in (angles if hasattr(angles, "__len__") else [angles])]
-    if n == 3:
-        if len(angles) != 1:
-            raise ValueError("n=3 takes exactly one angle")
-        (a,) = angles
-        u = np.eye(3)
-        u[0:2, 0:2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-    elif n == 4:
-        if len(angles) != 2:
-            raise ValueError("n=4 takes exactly two angles")
-        a, b = angles
-        u = np.zeros((4, 4))
-        u[0:2, 0:2] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-        u[2:4, 2:4] = [[math.cos(b), -math.sin(b)], [math.sin(b), math.cos(b)]]
-    else:
-        raise ValueError("canonical angle form implemented for n in {3, 4}")
+    if len(angles) != n // 2:
+        raise ValueError(f"n={n} takes exactly {n // 2} angle(s), got {len(angles)}")
+    u = np.eye(n)
+    for i, a in enumerate(angles):
+        block = slice(2 * i, 2 * i + 2)
+        u[block, block] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
     return RotationSample(n, u, provenance=f"angles={angles}")
 
 

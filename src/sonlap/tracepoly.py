@@ -164,10 +164,6 @@ class TracePoly:
         zero = NPoly(0) if self.mode.symbolic else Fraction(0)
         return self._terms.get(part, zero)
 
-    @property
-    def constant_term(self):
-        return self.coeff(EMPTY)
-
     def sorted_terms(self) -> list[tuple[Partition, object]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 

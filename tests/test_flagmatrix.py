@@ -661,9 +661,9 @@ def test_eigenspaces_solved_once_per_matrix(monkeypatch):
         rows.append(len(block_rows))
         return rref(block_rows)
 
-    def counting_nullity(block, eigenvalue):
+    def counting_nullity(matrix, start, stop, eigenvalue):
         nullities.append(eigenvalue)
-        return nullity(block, eigenvalue)
+        return nullity(matrix, start, stop, eigenvalue)
 
     monkeypatch.setattr(flagmatrix, "_leading_kernel", counting_solve)
     monkeypatch.setattr(flagmatrix, "_rref", counting_rref)
@@ -741,6 +741,27 @@ def test_eigenspace_rejects_non_eigenvalue_on_every_call():
             eigenspace_exact(matrix, 17)
 
 
+@pytest.mark.parametrize("mode, basis_id, k", [(SO4, "so4", 8), (SO3, "btrace", 16)])
+def test_every_elimination_sees_integer_rows(monkeypatch, mode, basis_id, k):
+    """Matrix rows become integers once; every block nullity and block solve
+    behind the spectrum, the eigenspaces and the character match hands
+    ``_rref`` integer rows, never a Fraction."""
+    rref = flagmatrix._rref
+    eliminations = []
+
+    def checking_rref(rows):
+        assert all(type(v) is int for row in rows for v in row)
+        eliminations.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(flagmatrix, "_rref", checking_rref)
+    matrix = build_matrix(mode, basis_id, k)
+    for entry in eigenvalues_exact(matrix):
+        eigenspace_exact(matrix, entry.eigenvalue)
+    match_characters(matrix)
+    assert eliminations
+
+
 @pytest.mark.parametrize(
     "mode, basis_id, k", [(SO3, "bprime", 16), (SO3, "btrace", 16), (SO4, "so4", 10)]
 )
@@ -756,7 +777,7 @@ def test_block_nullities_agree_with_the_characteristic_polynomial(mode, basis_id
         assert len(set(candidates)) == len(candidates), weight
         product = [F(1)]
         for eig in candidates:
-            for _ in range(flagmatrix._nullity(block, eig)):
+            for _ in range(flagmatrix._nullity(matrix, start, end, eig)):
                 product = [a - eig * b for a, b in zip(product + [F(0)], [F(0)] + product)]
         assert product == char_poly(block), weight
 

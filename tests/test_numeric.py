@@ -95,6 +95,18 @@ def test_rotation_from_angles_p3():
     assert abs(p3 - (1 + 2 * math.cos(3 * math.pi))) <= 1e-12
 
 
+@pytest.mark.parametrize("n, angles", [(5, (0.3, 1.9)), (6, (0.4, 2.2, -1.1))])
+def test_rotation_from_angles_any_n(n, angles):
+    """n // 2 rotation blocks, with a trailing 1 for odd n:
+    p_m(U) = sum_i 2 cos(m a_i) + (n mod 2)."""
+    u = rotation_from_angles(n, angles).matrix
+    for m in range(1, 5):
+        want = sum(2 * math.cos(m * a) for a in angles) + n % 2
+        assert np.trace(np.linalg.matrix_power(u, m)) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(ValueError, match=f"takes exactly {n // 2} angle"):
+        rotation_from_angles(n, angles[:-1])
+
+
 # ---------------------------------------------------------------------------
 # structure matrices
 
