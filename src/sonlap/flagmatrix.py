@@ -16,10 +16,19 @@ zero past the last diagonal block made singular by the shift, and from there
 down to block 0 each step is one nullspace of a block-sized system that also
 carries the solvability conditions on the vectors found so far.  A matrix's
 rows are made integer once; every block nullity and block solve is one
-fraction-free Gauss-Jordan elimination of integer rows built from them, and
-eigenspaces are cached on the matrix.  General mode uses the partition
-spanning set; at a fixed N its eigenspaces are solved the same way, but it
-has no closed-form spectrum, so eigenvalue extraction is refused.
+fraction-free Gauss-Jordan elimination of integer rows built from them.
+General mode uses the partition spanning set; at a fixed N its eigenspaces
+are solved the same way, but it has no closed-form spectrum, so eigenvalue
+extraction is refused.
+
+The flag is nested: the order-k matrix is the leading principal submatrix of
+every higher-order matrix of the same (mode, basis).  A block's nullities
+depend only on that block, a kernel that ends at block end only on the
+leading submatrix up to it, and a character's coordinates only on the basis
+elements up to its weight.  So these results are kept once per flag, in a
+store that every matrix :func:`build_matrix` makes for it shares, and each
+block is solved once however many orders are asked for.  A hand-built
+:class:`FlagMatrix` gets a store of its own.
 
 Irreducible characters are built independently of the matrices, one per
 spectrum label lam, as Koike-Terada orthogonal characters over the elementary
@@ -31,7 +40,7 @@ Casimir value -sum_i lam_i(lam_i + N - 2i)/2 of its label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -166,15 +175,43 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 # the matrix
 
 
+@dataclass
+class _FlagStore:
+    """Block results of one flag, valid for every order built from it.
+
+    ``nullities[weight]``: (eigenvalue, label, nullity) of each candidate root
+    of the weight block, kept once the candidates exhausted the block.
+    ``kernels[eigenvalue, end]``: the primitive kernel vectors of the leading
+    submatrix M[:end, :end] shifted by the eigenvalue, of length ``end``.
+    ``coords[label]``: (character, its coordinates up to the last nonzero one).
+    """
+
+    nullities: dict = field(default_factory=dict)
+    kernels: dict = field(default_factory=dict)
+    coords: dict = field(default_factory=dict)
+
+
+@lru_cache(maxsize=None)
+def _flag(mode: GroupMode, basis_id: str) -> _FlagStore:
+    """The one store shared by every matrix :func:`build_matrix` makes for a flag."""
+    return _FlagStore()
+
+
 @dataclass(frozen=True)
 class FlagMatrix:
     """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j]).
 
-    Block nullities and eigenspaces are cached on the instance, so they are freed with it.
+    Block nullities, eigenspaces and character coordinates are kept in
+    ``flag``, shared by every order of one flag that :func:`build_matrix`
+    makes: each order-k matrix is the leading principal submatrix of the
+    higher ones, so a block solved for one order is solved for all.  A
+    hand-built matrix gets a fresh store, so a perturbed copy never sees
+    another matrix's results.
     """
 
     basis: FlagBasis
     entries: tuple[tuple, ...]  # rows of Fraction (numeric) or NPoly (symbolic)
+    flag: _FlagStore = field(default_factory=_FlagStore, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -185,11 +222,6 @@ class FlagMatrix:
 
     def diagonal_block(self, start: int, end: int) -> list[list]:
         return [[self.entries[i][j] for j in range(start, end)] for i in range(start, end)]
-
-    @cached_property
-    def _eigenspaces(self) -> dict[Fraction, list[list[Fraction]]]:
-        """Primitive eigenspace bases solved so far, by eigenvalue."""
-        return {}
 
     @cached_property
     def _eigenblocks(self) -> dict[Fraction, list[tuple[object, int, int]]]:
@@ -224,7 +256,7 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
         _, i, j = min(below)
         raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
     entries = tuple(zip(*columns))
-    return FlagMatrix(basis, entries)
+    return FlagMatrix(basis, entries, _flag(mode, basis_id))
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +436,31 @@ def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, in
     its weight, which the paper proves complete.  The blocks are
     diagonalizable and their candidates distinct, so the candidates exhaust
     a block exactly when their nullities sum to its size; a shortfall is an
-    inconsistency and raises, naming the block's weight.
+    inconsistency and raises, naming the block's weight.  A block's roots
+    are kept in the flag store, so each block is checked once per flag.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
         raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
+    stored = matrix.flag.nullities
     found: dict[Fraction, list[tuple[object, int, int]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
-        covered = 0
-        for eig, label in _closed_candidates(mode, weight):
-            nullity = _nullity(matrix, start, end, eig)
-            if nullity:
-                covered += nullity
-                found.setdefault(eig, []).append((label, end, nullity))
-        if covered != end - start:
-            raise ArithmeticError(
-                f"weight-{weight} block has eigenvalues outside the closed-form family: "
-                f"the candidates' nullities sum to {covered} of {end - start}"
-            )
+        roots = stored.get(weight)
+        if roots is None:
+            roots = [
+                (eig, label, nullity)
+                for eig, label in _closed_candidates(mode, weight)
+                if (nullity := _nullity(matrix, start, end, eig))
+            ]
+            covered = sum(nullity for _, _, nullity in roots)
+            if covered != end - start:
+                raise ArithmeticError(
+                    f"weight-{weight} block has eigenvalues outside the closed-form family: "
+                    f"the candidates' nullities sum to {covered} of {end - start}"
+                )
+            stored[weight] = roots
+        for eig, label, nullity in roots:
+            found.setdefault(eig, []).append((label, end, nullity))
     return found
 
 
@@ -448,31 +487,46 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
 def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
     """Exact basis of ker(M - eigenvalue I), primitively normalized.
 
-    Solved once per matrix and eigenvalue; every call returns fresh lists.
+    Solved once per flag, eigenvalue and kernel end (see :func:`_kernel_end`);
+    every call returns fresh lists, zero-padded to the matrix.
     """
     if matrix.basis.mode.symbolic:
         raise ValueError("exact eigenspaces need rational entries; fix N first")
     eigenvalue = Fraction(eigenvalue)
-    space = matrix._eigenspaces.get(eigenvalue)
+    end = _kernel_end(matrix, eigenvalue)
+    space = matrix.flag.kernels.get((eigenvalue, end))
     if space is None:
-        space = matrix._eigenspaces[eigenvalue] = _leading_kernel(matrix, eigenvalue)
-    return [list(v) for v in space]
+        space = matrix.flag.kernels[eigenvalue, end] = _leading_kernel(matrix, eigenvalue)
+    pad = [Fraction(0)] * (matrix.dim - end)
+    return [vec + pad for vec in space]
+
+
+def _kernel_end(matrix: FlagMatrix, eigenvalue: Fraction) -> int:
+    """End of the last diagonal block B for which B - eigenvalue I is singular.
+
+    Read from the spectrum's block nullities; 0 when there is none.
+    Fixed-N ``general`` matrices have no closed-form spectrum and take
+    their last block.
+    """
+    if matrix.basis.mode.tag == "general":
+        return matrix.dim
+    blocks = matrix._eigenblocks.get(eigenvalue)
+    return blocks[-1][1] if blocks else 0
 
 
 def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """Kernel of M - eigenvalue I by block back-substitution.
+    """Kernel of M - eigenvalue I by block back-substitution, as primitive
+    vectors cut at the kernel end.
 
-    A kernel vector is zero on every block after the last diagonal block B
-    for which B - eigenvalue I is singular, read from the spectrum's block
-    nullities (fixed-N ``general`` matrices have no closed-form spectrum and
-    start at their last block).  From there the blocks are walked down to
-    block 0.  With X the q kernel vectors found so far on the later blocks,
-    one nullspace of the b x (b + q) system [B_s - eigenvalue | M[s, >s] X]
-    gives the block's new kernel vectors together with the solvability
-    conditions on the old ones, so singular and invertible blocks, and
-    eigenvalues of several blocks, take the same step.  The system rows are
-    integer multiples of the matrix rows and X is kept as primitive integer
-    vectors, so no step builds a Fraction.
+    A kernel vector is zero on every block after :func:`_kernel_end`, so the
+    kernel depends only on the leading submatrix up to it.  From there the
+    blocks are walked down to block 0.  With X the q kernel vectors found
+    so far on the later blocks, one nullspace of the b x (b + q) system
+    [B_s - eigenvalue | M[s, >s] X] gives the block's new kernel vectors
+    together with the solvability conditions on the old ones, so singular
+    and invertible blocks, and eigenvalues of several blocks, take the same
+    step.  The system rows are integer multiples of the matrix rows and X is
+    kept as primitive integer vectors, so no step builds a Fraction.
 
     Every step keeps X in the normal form of the RREF nullspace, which the
     kernel alone fixes: the vectors are ordered by their last nonzero entry,
@@ -482,11 +536,7 @@ def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fract
     solvability conditions remove.  So the primitive basis is the one a
     full-matrix elimination gives.
     """
-    if matrix.basis.mode.tag == "general":
-        end = matrix.dim
-    else:
-        blocks = matrix._eigenblocks.get(eigenvalue)
-        end = blocks[-1][1] if blocks else 0
+    end = _kernel_end(matrix, eigenvalue)
     kernel: list[list[int]] = []  # restricted to the columns from the last solved block to end
     for start, stop, _ in reversed(matrix.basis.block_ranges()):
         if stop > end:
@@ -501,8 +551,7 @@ def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fract
         kernel = solved
     if not kernel:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
-    pad = [0] * (matrix.dim - end)
-    return [_primitive(vec + pad) for vec in kernel]
+    return [_primitive(vec) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +666,24 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
     carry the exact geometric multiplicity, so eigenvalues richer than their
     character count are visible to the caller.  A character missing from its
     eigenspace is an inconsistency and raises.
+
+    A character's coordinates are located once per flag: the flag is nested,
+    so in every order they are the same list, zero-padded.  They are reused
+    only for the very character object they were located for, and checked
+    against every matrix.
     """
+    stored = matrix.flag.coords
     out = []
     for entry in eigenvalues_exact(matrix):
         for label in entry.labels:
             character = _label_character(matrix.basis.mode, label)
-            coords = coordinates(character.poly, matrix.basis)
+            hit = stored.get(label)
+            if hit is None or hit[0] is not character:
+                coords = coordinates(character.poly, matrix.basis)
+                while coords and not coords[-1]:
+                    coords.pop()
+                hit = stored[label] = (character, coords)
+            coords = hit[1] + [Fraction(0)] * (matrix.dim - len(hit[1]))
             if not _in_kernel(matrix, entry.eigenvalue, coords):
                 raise ArithmeticError(
                     f"character {character.label} escaped the eigenspace of {entry.eigenvalue}"

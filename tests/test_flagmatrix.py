@@ -644,7 +644,9 @@ def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
 
 def test_eigenspaces_solved_once_per_matrix(monkeypatch):
     """One kernel solve per distinct eigenvalue, however many queries follow;
-    every elimination is the size of a diagonal block at most."""
+    every elimination is the size of a diagonal block at most.  The count
+    starts from an empty flag store."""
+    flagmatrix._flag.cache_clear()
     solves = []
     rows = []
     nullities = []
@@ -741,11 +743,129 @@ def test_eigenspace_rejects_non_eigenvalue_on_every_call():
             eigenspace_exact(matrix, 17)
 
 
+# ---------------------------------------------------------------------------
+# one store per flag
+
+
+def flag_digest(matrix):
+    """Spectrum, eigenspace bases and matched characters, term order included."""
+    spectrum = eigenvalues_exact(matrix)
+    spaces = [eigenspace_exact(matrix, entry.eigenvalue) for entry in spectrum]
+    matches = [
+        (entry, character.label, list(character.poly._terms.items()))
+        for entry, character in match_characters(matrix)
+    ]
+    return spectrum, spaces, matches
+
+
+def general_digest(matrix):
+    """Eigenspace bases of every Casimir value of weight <= k that is an eigenvalue."""
+    n = matrix.basis.mode.n
+    spaces = []
+    for eigenvalue in sorted({flagmatrix._casimir(n, p.parts) for p in enumerate_upto(matrix.basis.k)}):
+        try:
+            spaces.append((eigenvalue, eigenspace_exact(matrix, eigenvalue)))
+        except ArithmeticError:
+            continue  # not an eigenvalue of this order
+    return spaces
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, top",
+    [(SO3, "bprime", 24), (SO3, "btrace", 24), (SO4, "so4", 12), (general_at(5), "general", 5)],
+    ids=["so3-bprime", "so3-btrace", "so4", "general-5"],
+)
+def test_flag_results_do_not_depend_on_the_order_of_the_walk(mode, basis_id, top):
+    """A store shared by every order of a flag gives what a fresh store per
+    matrix gives, whichever order the flag is walked in."""
+    digest = general_digest if basis_id == "general" else flag_digest
+    cold = {}
+    for k in range(top + 1):
+        matrix = build_matrix(mode, basis_id, k)
+        cold[k] = digest(flagmatrix.FlagMatrix(matrix.basis, matrix.entries))
+    shuffled = list(range(top + 1))
+    random.Random(12).shuffle(shuffled)
+    for order in (range(top + 1), range(top, -1, -1), shuffled):
+        flagmatrix._flag.cache_clear()
+        warm = {k: digest(build_matrix(mode, basis_id, k)) for k in order}
+        assert warm == cold, list(order)
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, top",
+    [(SO3, "bprime", 12), (SO3, "btrace", 12), (SO4, "so4", 8)],
+    ids=["so3-bprime", "so3-btrace", "so4"],
+)
+def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
+    """Walking k = 0..top of one flag from an empty store checks each block's
+    candidates once, solves one kernel per (eigenvalue, kernel end) and
+    locates each character once."""
+    flagmatrix._flag.cache_clear()
+    matrices = [build_matrix(mode, basis_id, k) for k in range(top + 1)]
+    nullities, solves, located = [], [], []
+    nullity = flagmatrix._nullity
+    leading_kernel = flagmatrix._leading_kernel
+    coordinates_of = flagmatrix.coordinates
+
+    def counting_nullity(matrix, start, stop, eigenvalue):
+        nullities.append(eigenvalue)
+        return nullity(matrix, start, stop, eigenvalue)
+
+    def counting_solve(matrix, eigenvalue):
+        solves.append((eigenvalue, flagmatrix._kernel_end(matrix, eigenvalue)))
+        return leading_kernel(matrix, eigenvalue)
+
+    def counting_coordinates(poly, basis):
+        located.append(poly)
+        return coordinates_of(poly, basis)
+
+    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
+    monkeypatch.setattr(flagmatrix, "_leading_kernel", counting_solve)
+    monkeypatch.setattr(flagmatrix, "coordinates", counting_coordinates)
+    labels = set()
+    queries = 0
+    for matrix in matrices:
+        for entry in eigenvalues_exact(matrix):
+            eigenspace_exact(matrix, entry.eigenvalue)
+            labels.update(entry.labels)
+            queries += 1
+        match_characters(matrix)
+    assert len(nullities) == sum(len(flagmatrix._closed_candidates(mode, w)) for w in range(top + 1))
+    assert len(set(solves)) == len(solves) < queries
+    assert set(solves) == set(matrices[0].flag.kernels)
+    assert len(located) == len(labels) == len({id(poly) for poly in located})
+
+
+def test_flag_store_hands_out_copies_and_keeps_hand_built_matrices_apart():
+    """-12 is a root of the weight-4 and weight-6 blocks of SO(4), so the
+    orders 6 and 8 share its kernel; neither a caller's edits nor a
+    hand-built matrix reach the shared store."""
+    flagmatrix._flag.cache_clear()
+    small, large = build_matrix(SO4, "so4", 6), build_matrix(SO4, "so4", 8)
+    assert small.flag is large.flag
+    first = eigenspace_exact(small, F(-12))
+    expected = [list(v) for v in first]
+    first[0][0] = F(999)
+    first[1].append(F(1))
+    first.append([F(1)] * small.dim)
+    assert eigenspace_exact(small, F(-12)) == expected
+    pad = [F(0)] * (large.dim - small.dim)
+    assert eigenspace_exact(large, F(-12)) == [v + pad for v in expected]
+    assert len(small.flag.kernels) == 1
+    copy = flagmatrix.FlagMatrix(small.basis, small.entries)
+    assert copy == small and copy.flag is not small.flag
+    assert not copy.flag.kernels and not copy.flag.nullities
+    assert eigenspace_exact(copy, F(-12)) == expected
+    assert len(copy.flag.kernels) == len(small.flag.kernels) == 1
+
+
 @pytest.mark.parametrize("mode, basis_id, k", [(SO4, "so4", 8), (SO3, "btrace", 16)])
 def test_every_elimination_sees_integer_rows(monkeypatch, mode, basis_id, k):
     """Matrix rows become integers once; every block nullity and block solve
     behind the spectrum, the eigenspaces and the character match hands
-    ``_rref`` integer rows, never a Fraction."""
+    ``_rref`` integer rows, never a Fraction.  The flag store starts empty,
+    so every elimination runs."""
+    flagmatrix._flag.cache_clear()
     rref = flagmatrix._rref
     eliminations = []
 
