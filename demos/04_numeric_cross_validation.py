@@ -19,6 +19,7 @@ from sonlap import (
     enumerate_upto,
     verify_gegenbauer,
     verify_identities,
+    verify_laplacian,
     verify_partition,
 )
 
@@ -26,11 +27,9 @@ SEED = 20230
 
 print("Symbolic vs numeric Laplacian (worst relative error over 20 samples)")
 for n in (3, 4, 5, 6):
-    worst = max(
-        verify_partition(n, partition, samples=20, seed=SEED).max_rel_err
-        for partition in enumerate_upto(4)
-    )
-    print(f"  n={n}: {worst:.3e}")
+    # one suite call checks every partition of degree <= 4 at the same 20 rotations
+    reports = verify_laplacian(n, enumerate_upto(4), samples=20, seed=SEED)
+    print(f"  n={n}: {max(r.max_rel_err for r in reports):.3e}")
 
 print()
 print("Gegenbauer entry eigenfunctions, eigenvalue -k(k+n-2)/2")

@@ -56,7 +56,9 @@ from .numeric import (
     structure_matrices,
     tangential_gradient,
     verify_gegenbauer,
+    verify_gegenbauer_families,
     verify_identities,
+    verify_laplacian,
     verify_partition,
 )
 from .partitions import EMPTY, Partition, count, enumerate_upto, partitions_of

@@ -37,13 +37,15 @@ MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
 # 2-core machine (the time grows linearly with the samples).  The laplacian
-# suite walks every partition of degree <= --k: 0.56 s at k=12, 1.3 s at 16.
-# The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and 114 MB at
-# n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.  The other
-# two suites draw n x n rotations: laplacian k=12 takes 0.7-1.1 s at n=60,
-# 1.6 s at n=100 and 5.2 s at n=200.  Each sample's random stream is made
-# as it is drawn, so the sample bound is one of time: the cheapest suite,
-# laplacian n=3 k=0, takes 0.53 s over 1000 samples and 2.2 s over 10000.
+# suite walks every partition of degree <= --k: 0.45-0.51 s at k=12, 0.9 s
+# at 16.  The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and
+# 114 MB at n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.
+# The other two suites draw one n x n rotation per sample for all their
+# families: laplacian k=12 takes 0.55-0.6 s at n=60 (each further sample
+# adds about 0.15 s), 1.0 s at n=100 and 2.2-2.6 s at n=200.  Each sample's
+# random stream is made as it is drawn, so the sample bound is one of time:
+# the cheapest suite, laplacian n=3 k=0, takes 0.54-0.63 s over 1000
+# samples and 2.2 s over 10000.
 MAX_LAPLACIAN_K = 12
 MAX_IDENTITIES_N = 30
 MAX_VERIFY_N = 60
@@ -204,27 +206,20 @@ def _cmd_verify(args) -> int:
         if value > bound:
             raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
     seed = args.seed if args.seed is not None else _seed_default()
-    reports = []
     if args.suite == "laplacian":
         tol = args.tol if args.tol is not None else 1e-8
-        for part in enumerate_upto(args.k):
-            reports.append(
-                numeric.verify_partition(args.n, part, samples=args.samples, seed=seed, tol=tol)
-            )
+        reports = numeric.verify_laplacian(
+            args.n, enumerate_upto(args.k), samples=args.samples, seed=seed, tol=tol
+        )
     elif args.suite == "gegenbauer":
         tol = args.tol if args.tol is not None else 1e-8
         positions = ((1, 1), (max(1, args.n // 2), args.n))
-        for k in range(args.k + 1):
-            for i, j in positions:
-                reports.append(
-                    numeric.verify_gegenbauer(
-                        args.n, k, i, j, samples=args.samples, seed=seed, tol=tol
-                    )
-                )
-    else:
-        reports.extend(
-            numeric.verify_identities(args.n, samples=args.samples, seed=seed, tol=args.tol)
+        families = [(k, i, j) for k in range(args.k + 1) for i, j in positions]
+        reports = numeric.verify_gegenbauer_families(
+            args.n, families, samples=args.samples, seed=seed, tol=tol
         )
+    else:
+        reports = numeric.verify_identities(args.n, samples=args.samples, seed=seed, tol=args.tol)
     print(json.dumps([r.to_json_obj() for r in reports], sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1
 

@@ -35,13 +35,21 @@ oracle inside verification reports, never on the evaluation path; one
 central-difference sweep takes a monomial's value and gradient from one set
 of powers at each displaced point.  Every report keeps max |got - ref| and
 its ratio to max(1, |ref|), and passes when that ratio is within tol.
+
+A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`)
+draws each Haar rotation once and checks every family at it.  The reports
+equal those of one run per family: every family of a run reads the same
+seeded stream per sample, hence the same rotations, and its arithmetic at
+each rotation is unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -440,6 +448,81 @@ def _report(
     return VerifyReport(target, n, params, samples, seed, tol, errs[0], errs[1], errs[1] <= tol)
 
 
+def _sweep(n: int, streams, checks) -> list[tuple[float, float]]:
+    """Draw one rotation per stream and run every check at it.
+
+    Each check maps a sample to ``(got, ref)``; the result is its running
+    (max abs, max relative) error, in check order.  Every family of a suite
+    reads the same rotations, so one draw per sample serves them all.
+    """
+    errs = [(0.0, 0.0)] * len(checks)
+    for stream in streams:
+        sample = random_son(n, stream)
+        errs = [_err_update(err, *check(sample)) for err, check in zip(errs, checks)]
+    return errs
+
+
+def _laplacian_check(partition: Partition, image: TracePoly, sample: RotationSample):
+    return lap_numeric(partition, sample), eval_tracepoly(image, sample)
+
+
+def _gegenbauer_check(n: int, k: int, row: int, col: int, sample: RotationSample):
+    entry = float(sample.matrix[row, col])
+    value, d1, d2 = gegenbauer(k, (n - 2) / 2, entry)
+    # grad f = C' e_rc and Hess f = C'' at the one (rc, rc) slot, where
+    # Lambda(U) holds u_rc^2
+    got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
+    return got, -k * (k + n - 2) / 2 * value
+
+
+def verify_laplacian(
+    n: int,
+    partitions: Iterable[Partition],
+    samples: int = 20,
+    seed: int = DEFAULT_SEED,
+    tol: float = 1e-8,
+) -> list[VerifyReport]:
+    """Compare the ambient-formula Laplacian of each trace monomial against
+    its evaluated closed-form symbolic image on the same Haar samples; one
+    report per partition, in order."""
+    streams = _sample_streams(seed, samples)
+    partitions = list(partitions)
+    checks = [
+        partial(_laplacian_check, p, lap_partition(p).substitute_n(n)) for p in partitions
+    ]
+    return [
+        _report("laplacian", n, {"partition": p.serialize()}, samples, seed, tol, errs)
+        for p, errs in zip(partitions, _sweep(n, streams, checks))
+    ]
+
+
+def verify_gegenbauer_families(
+    n: int,
+    families: Iterable[tuple[int, int, int]],
+    samples: int = 20,
+    seed: int = DEFAULT_SEED,
+    tol: float = 1e-8,
+) -> list[VerifyReport]:
+    """Check that C_k^((n-2)/2) in the (i, j) entry is an eigenfunction with
+    eigenvalue -k(k+n-2)/2 for each family (k, i, j), i, j 1-based entry
+    indices, on the same Haar samples; one report per family, in order.
+    Every family is validated before the first draw."""
+    streams = _sample_streams(seed, samples)
+    families = list(families)
+    for k, i, j in families:
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ValueError("entry indices out of range")
+        if n < 3:
+            raise ValueError("needs n >= 3")
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+    checks = [partial(_gegenbauer_check, n, k, i - 1, j - 1) for k, i, j in families]
+    return [
+        _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs)
+        for (k, i, j), errs in zip(families, _sweep(n, streams, checks))
+    ]
+
+
 def verify_partition(
     n: int,
     partition: Partition,
@@ -449,15 +532,7 @@ def verify_partition(
 ) -> VerifyReport:
     """Compare the ambient-formula Laplacian of a trace monomial against the
     evaluated closed-form symbolic result on Haar samples."""
-    streams = _sample_streams(seed, samples)
-    symbolic = lap_partition(partition).substitute_n(n)
-    errs = (0.0, 0.0)
-    for stream in streams:
-        sample = random_son(n, stream)
-        got = lap_numeric(partition, sample)
-        ref = eval_tracepoly(symbolic, sample)
-        errs = _err_update(errs, got, ref)
-    return _report("laplacian", n, {"partition": partition.serialize()}, samples, seed, tol, errs)
+    return verify_laplacian(n, [partition], samples, seed, tol)[0]
 
 
 def verify_gegenbauer(
@@ -471,24 +546,7 @@ def verify_gegenbauer(
 ) -> VerifyReport:
     """Check that C_k^((n-2)/2) in the (i, j) entry is an eigenfunction with
     eigenvalue -k(k+n-2)/2; i, j are 1-based entry indices."""
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("entry indices out of range")
-    if n < 3:
-        raise ValueError("needs n >= 3")
-    alpha = (n - 2) / 2
-    eigenvalue = -k * (k + n - 2) / 2
-    row, col = i - 1, j - 1
-    errs = (0.0, 0.0)
-    for stream in _sample_streams(seed, samples):
-        sample = random_son(n, stream)
-        entry = float(sample.matrix[row, col])
-        value, d1, d2 = gegenbauer(k, alpha, entry)
-        # grad f = C' e_rc and Hess f = C'' at the one (rc, rc) slot, where
-        # Lambda(U) holds u_rc^2
-        got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
-        ref = eigenvalue * value
-        errs = _err_update(errs, got, ref)
-    return _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs)
+    return verify_gegenbauer_families(n, [(k, i, j)], samples, seed, tol)[0]
 
 
 def _sphere_test_h(y: np.ndarray):

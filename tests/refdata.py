@@ -38,6 +38,7 @@ from sonlap import (
     character_so3,
     character_so4,
     lap_p1_pow,
+    lap_partition,
     lap_partition_product_rule,
 )
 
@@ -615,3 +616,60 @@ def verify_identities_reference(n, samples=20, seed=None, tol=None):
             )
         )
     return reports
+
+
+# ---------------------------------------------------------------------------
+# the laplacian and gegenbauer suites before the shared sample loop: one
+# loop over the samples per family, each drawing its own rotations
+
+
+def verify_partition_reference(n, partition, samples=20, seed=None, tol=1e-8):
+    from sonlap.numeric import (
+        DEFAULT_SEED,
+        VerifyReport,
+        _sample_streams,
+        eval_tracepoly,
+        lap_numeric,
+        random_son,
+    )
+
+    seed = DEFAULT_SEED if seed is None else seed
+    streams = _sample_streams(seed, samples)
+    symbolic = lap_partition(partition).substitute_n(n)
+    errs = (0.0, 0.0)
+    for stream in streams:
+        sample = random_son(n, stream)
+        got = lap_numeric(partition, sample)
+        ref = eval_tracepoly(symbolic, sample)
+        errs = _err_update_ref(errs, got, ref)
+    max_abs, max_rel = errs
+    return VerifyReport(
+        "laplacian", n, {"partition": partition.serialize()}, samples, seed, tol,
+        max_abs, max_rel, max_rel <= tol,
+    )
+
+
+def verify_gegenbauer_reference(n, k, i, j, samples=20, seed=None, tol=1e-8):
+    from sonlap.numeric import DEFAULT_SEED, VerifyReport, _sample_streams, gegenbauer, random_son
+
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("entry indices out of range")
+    if n < 3:
+        raise ValueError("needs n >= 3")
+    seed = DEFAULT_SEED if seed is None else seed
+    alpha = (n - 2) / 2
+    eigenvalue = -k * (k + n - 2) / 2
+    row, col = i - 1, j - 1
+    errs = (0.0, 0.0)
+    for stream in _sample_streams(seed, samples):
+        sample = random_son(n, stream)
+        entry = float(sample.matrix[row, col])
+        value, d1, d2 = gegenbauer(k, alpha, entry)
+        got = 0.5 * d2 - 0.5 * (n - 1) * (entry * d1) - 0.5 * (entry * entry * d2)
+        ref = eigenvalue * value
+        errs = _err_update_ref(errs, got, ref)
+    max_abs, max_rel = errs
+    return VerifyReport(
+        "gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol,
+        max_abs, max_rel, max_rel <= tol,
+    )

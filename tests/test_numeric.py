@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,7 +26,9 @@ from sonlap import (
     structure_matrices,
     tangential_gradient,
     verify_gegenbauer,
+    verify_gegenbauer_families,
     verify_identities,
+    verify_laplacian,
     verify_partition,
 )
 from sonlap import numeric
@@ -40,7 +43,13 @@ from sonlap.numeric import (
     fd_hessian,
 )
 
-from refdata import _dense_derivatives_ref, _value_ref, verify_identities_reference
+from refdata import (
+    _dense_derivatives_ref,
+    _value_ref,
+    verify_gegenbauer_reference,
+    verify_identities_reference,
+    verify_partition_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +579,97 @@ def test_verify_suites_refuse_an_empty_sample_set(samples):
         lambda: verify_partition(3, Partition.of(1), samples=samples),
         lambda: verify_gegenbauer(3, 1, 1, 1, samples=samples),
         lambda: verify_identities(3, samples=samples),
+        lambda: verify_laplacian(3, [Partition.of(1)], samples=samples),
+        lambda: verify_gegenbauer_families(3, [(1, 1, 1)], samples=samples),
     ):
         with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
             suite()
+
+
+def test_laplacian_suite_refuses_an_empty_sample_set_before_any_image(monkeypatch):
+    built = []
+    monkeypatch.setattr(numeric, "lap_partition", lambda p: built.append(p))
+    with pytest.raises(ValueError, match="samples must be at least 1, got 0"):
+        verify_laplacian(3, [Partition.of(1), Partition.of(2)], samples=0)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "n, bad, message",
+    [
+        (3, (1, 4, 1), "entry indices out of range"),
+        (3, (1, 1, 0), "entry indices out of range"),
+        (2, (1, 1, 2), "needs n >= 3"),
+        (3, (-1, 1, 1), "k must be nonnegative"),
+    ],
+)
+def test_gegenbauer_suite_validates_every_family_before_any_draw(monkeypatch, n, bad, message):
+    draws = []
+    monkeypatch.setattr(numeric, "random_son", lambda *args: draws.append(args))
+    good = [(0, 1, 1), (2, 1, 2)] if n >= 3 else []
+    with pytest.raises(ValueError, match=message):
+        verify_gegenbauer_families(n, good + [bad], samples=2)
+    with pytest.raises(ValueError, match=message):
+        verify_gegenbauer(n, *bad, samples=2)
+    assert draws == []
+
+
+@pytest.mark.parametrize(
+    "argv", [("laplacian", "4", "4"), ("gegenbauer", "5", "6")], ids=lambda a: a[0]
+)
+def test_verify_suite_draws_one_rotation_per_sample(monkeypatch, capsys, argv):
+    """Every family of a suite is checked at the same rotations, so a run over
+    3 samples draws 3 rotations, however many families it checks."""
+    suite, n, k = argv
+    draw, draws = numeric.random_son, []
+
+    def counting(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(numeric, "random_son", counting)
+    assert main(["verify", "--suite", suite, "--n", n, "--k", k, "--samples", "3"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) > 3
+    assert len(draws) == 3
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_laplacian_suite_matches_the_per_family_loop(n):
+    """One shared sample loop gives the per-family reports field for field,
+    floats included."""
+    partitions = list(enumerate_upto(4))
+    for seed in (1, 77):
+        assert verify_laplacian(n, partitions, samples=3, seed=seed) == [
+            verify_partition_reference(n, p, samples=3, seed=seed) for p in partitions
+        ]
+
+
+@pytest.mark.parametrize("n", [3, 6, 20])
+def test_gegenbauer_suite_matches_the_per_family_loop(n):
+    families = [(k, i, j) for k in range(7) for i, j in ((1, 1), (n // 2, n), (n, 2))]
+    for seed in (1, 77):
+        assert verify_gegenbauer_families(n, families, samples=3, seed=seed) == [
+            verify_gegenbauer_reference(n, *family, samples=3, seed=seed) for family in families
+        ]
+
+
+@pytest.mark.parametrize("suite, n, k", [("laplacian", 5, 4), ("gegenbauer", 6, 6)])
+def test_verify_cli_prints_the_per_family_reports(capsys, suite, n, k):
+    for seed in (1, 77):
+        argv = ["verify", "--suite", suite, "--n", str(n), "--k", str(k)]
+        assert main(argv + ["--samples", "3", "--seed", str(seed)]) == 0
+        if suite == "laplacian":
+            reports = [
+                verify_partition_reference(n, p, samples=3, seed=seed) for p in enumerate_upto(k)
+            ]
+        else:
+            reports = [
+                verify_gegenbauer_reference(n, kk, i, j, samples=3, seed=seed)
+                for kk in range(k + 1)
+                for i, j in ((1, 1), (n // 2, n))
+            ]
+        expected = json.dumps([r.to_json_obj() for r in reports], sort_keys=True)
+        assert capsys.readouterr().out == expected + "\n"
 
 
 @pytest.mark.parametrize("seed", [0, 7, DEFAULT_SEED])
