@@ -38,8 +38,10 @@ MAX_DEGREE = 30
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
 # 2-core machine (the time grows linearly with the samples).  The laplacian
 # suite walks every partition of degree <= --k: 0.45-0.51 s at k=12, 0.9 s
-# at 16.  The identities suite's n^2 x n^2 matrices grow as n^4: 1.4 s and
-# 114 MB at n=30, 3.5 s and 276 MB at n=40.  The gegenbauer --k is a degree.
+# at 16.  The identities suite's n^2 x n^2 matrices and its stacks of n^2
+# displaced n x n points grow as n^4: 0.90-0.96 s and 126 MB at n=30,
+# 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses it).  The
+# gegenbauer --k is a degree.
 # The other two suites draw one n x n rotation per sample for all their
 # families: laplacian k=12 takes 0.55-0.6 s at n=60 (each further sample
 # adds about 0.15 s), 1.0 s at n=100 and 2.2-2.6 s at n=200.  Each sample's

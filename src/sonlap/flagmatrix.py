@@ -473,7 +473,7 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
     blocks = matrix._eigenblocks
     out = []
     for eig in sorted(blocks, reverse=True):
-        multiplicity = len(eigenspace_exact(matrix, eig))
+        multiplicity = len(_stored_kernel(matrix, eig))
         nullities = sum(nullity for _, _, nullity in blocks[eig])
         if multiplicity != nullities:
             raise ArithmeticError(
@@ -492,13 +492,19 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
     """
     if matrix.basis.mode.symbolic:
         raise ValueError("exact eigenspaces need rational entries; fix N first")
-    eigenvalue = Fraction(eigenvalue)
+    space = _stored_kernel(matrix, Fraction(eigenvalue))
+    pad = [Fraction(0)] * (matrix.dim - len(space[0]))
+    return [vec + pad for vec in space]
+
+
+def _stored_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
+    """The flag store's kernel of M - eigenvalue I, cut at its kernel end and
+    solved on first use; shared, so callers must not modify it."""
     end = _kernel_end(matrix, eigenvalue)
     space = matrix.flag.kernels.get((eigenvalue, end))
     if space is None:
         space = matrix.flag.kernels[eigenvalue, end] = _leading_kernel(matrix, eigenvalue)
-    pad = [Fraction(0)] * (matrix.dim - end)
-    return [vec + pad for vec in space]
+    return space
 
 
 def _kernel_end(matrix: FlagMatrix, eigenvalue: Fraction) -> int:

@@ -31,10 +31,14 @@ monomial is then a few float products.  The dense n^2 x n^2 Hessian
 (:func:`structure_matrices`) remain for caller-supplied derivative bundles
 and for :func:`verify_identities`, which checks them against finite
 differences and each other.  Finite differences appear only as a secondary
-oracle inside verification reports, never on the evaluation path; one
-central-difference sweep takes a monomial's value and gradient from one set
-of powers at each displaced point.  Every report keeps max |got - ref| and
-its ratio to max(1, |ref|), and passes when that ratio is within tol.
+oracle inside verification reports, never on the evaluation path.  One
+central-difference sweep per monomial stacks the n^2 points U + step E_ij
+into one (n^2, n, n) array and the n^2 points U - step E_ij into another,
+and takes the value and gradient at every point of a stack from one set of
+batched powers.  Batched products and traces equal the per-matrix ones bit
+for bit, so the reports equal those of a loop over the points.  Every
+report keeps max |got - ref| and its ratio to max(1, |ref|), and passes
+when that ratio is within tol.
 
 A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`)
 draws each Haar rotation once and checks every family at it.  The reports
@@ -163,19 +167,20 @@ def _vec(matrix: np.ndarray) -> np.ndarray:
 
 
 def _powers(u: np.ndarray, top: int) -> list[np.ndarray]:
-    out = [np.eye(u.shape[0])]
+    """I, U, ..., U^top of a square matrix, or of each matrix of a stack
+    (..., n, n); a stack's powers are its matrices' powers, bit for bit."""
+    out = [np.broadcast_to(np.eye(u.shape[-1]), u.shape)]
     for _ in range(top):
         out.append(out[-1] @ u)
     return out
 
 
-def _powers_and_traces(
-    partition: Partition, u: np.ndarray
-) -> tuple[list[np.ndarray], list[float]]:
-    """Powers I, U, ..., U^top of a square matrix, top the largest part, and
-    the trace p_m(U) of each factor of the monomial, in part order."""
+def _powers_and_traces(partition: Partition, u: np.ndarray) -> tuple[list[np.ndarray], list]:
+    """Powers I, U, ..., U^top of a square matrix or of each matrix of a
+    stack, top the largest part, and the trace p_m of each factor of the
+    monomial, in part order: a float for a matrix, an array over a stack."""
     pows = _powers(np.asarray(u, dtype=float), max(partition.parts, default=0))
-    return pows, [float(np.trace(pows[m])) for m in partition.parts]
+    return pows, [np.trace(pows[m], axis1=-2, axis2=-1) for m in partition.parts]
 
 
 def euclid_derivatives(partition: Partition, sample: RotationSample) -> DerivativeBundle:
@@ -360,28 +365,29 @@ def gegenbauer(k: int, alpha: float, x: float) -> tuple[float, float, float]:
 
 def _central_differences(fn, u: np.ndarray, step: float) -> np.ndarray:
     """(fn(U + step E_ij) - fn(U - step E_ij)) / (2 step) for every entry (i, j),
-    one row per entry in column-major order; ``fn`` returns a float or a
-    1-d array."""
+    one row per entry in column-major order.
+
+    ``fn`` maps a stack of matrices (n^2, n, n) to one row per matrix, so the
+    2 n^2 displaced points take two calls: the plus and the minus stack."""
     n = u.shape[0]
-    out = None
-    for j in range(n):
-        for i in range(n):
-            bump = np.zeros((n, n))
-            bump[i, j] = step
-            row = (np.asarray(fn(u + bump)) - fn(u - bump)) / (2 * step)
-            if out is None:
-                out = np.empty((n * n,) + row.shape)
-            out[j * n + i] = row
-    return out
+    entry = np.arange(n * n)
+    bumps = np.zeros((n * n, n, n))
+    bumps[entry, entry % n, entry // n] = step  # stack index j n + i bumps (i, j)
+    return (fn(u + bumps) - fn(u - bumps)) / (2 * step)
+
+
+def _each(fn):
+    """A function of one matrix as a function of a stack, one row per matrix."""
+    return lambda stack: np.array([fn(mat) for mat in stack])
 
 
 def fd_gradient(value_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    return _central_differences(value_fn, u, step).reshape(u.shape, order="F")
+    return _central_differences(_each(value_fn), u, step).reshape(u.shape, order="F")
 
 
 def fd_hessian(grad_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
     """Central differences of the gradient, columns in column-major order."""
-    return _central_differences(lambda mat: _vec(grad_fn(mat)), u, step).T
+    return _central_differences(_each(lambda mat: _vec(grad_fn(mat))), u, step).T
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +600,6 @@ def verify_identities(
     def check(name, got, ref):
         errs[name] = _err_update(errs[name], got, ref)
 
-    def tangent(partition, u):
-        grad = _monomial_gradient(partition, *_powers_and_traces(partition, u))
-        return tangential_gradient(grad, u)
-
     for stream in _sample_streams(seed, samples):
         rotation_stream, aux_stream = stream.spawn(2)
         sample = random_son(n, rotation_stream)
@@ -614,25 +616,24 @@ def verify_identities(
         for parts in _FD_PARTITIONS:
             partition = Partition.of(*parts)
             bundle = euclid_derivatives(partition, sample)
-
-            def value_and_gradient(mat, _p=partition):
-                pows, values = _powers_and_traces(_p, mat)
-                grad = _monomial_gradient(_p, pows, values)
-                return np.concatenate(([_rest_product(values, ())], _vec(grad)))
-
             # one sweep: column 0 differentiates the value, the rest the gradient
-            sweep = _central_differences(value_and_gradient, u, 1e-5)
+            sweep = _central_differences(partial(_value_and_gradient_rows, partition), u, 1e-5)
             check("gradient-fd", sweep[:, 0].reshape(n, n, order="F"), bundle.grad)
             check("hessian-fd", sweep[:, 1:].T, bundle.hess)
 
         pows = _powers(u, 10)  # gradient pairings reach p_{m+m'} with m, m' <= 5
         traces = [float(np.trace(p)) for p in pows]
         p1 = traces[1]
+
+        def tangent(partition):
+            values = [traces[m] for m in partition.parts]
+            return tangential_gradient(_monomial_gradient(partition, pows, values), u)
+
         for q in range(5 + 1):
             ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
-            check("tangential-gradient", tangent(Partition((1,) * q), u), ref_m)
+            check("tangential-gradient", tangent(Partition((1,) * q)), ref_m)
         # the tangential gradients of p_1, ..., p_5 serve the next two families
-        tangents = [tangent(Partition((m,)), u) for m in range(1, 6)]
+        tangents = [tangent(Partition((m,))) for m in range(1, 6)]
         for m, got_m in enumerate(tangents, 1):
             check("tangential-gradient", got_m, 0.5 * m * (pows[m - 1].T - pows[m + 1]))
         for m, gm in enumerate(tangents, 1):
@@ -659,19 +660,28 @@ def verify_identities(
 
 def eval_tracepoly_matrix(partition: Partition, u: np.ndarray) -> float:
     """Value of a single trace monomial at an arbitrary square matrix."""
-    return _rest_product(_powers_and_traces(partition, u)[1], ())
+    return float(_rest_product(_powers_and_traces(partition, u)[1], ()))
 
 
-def _monomial_gradient(
-    partition: Partition, pows: list[np.ndarray], values: list[float]
-) -> np.ndarray:
+def _monomial_gradient(partition: Partition, pows: list[np.ndarray], values: list) -> np.ndarray:
     """Matrix-form gradient sum_i R_i m_i (U^t)^{m_i-1} of a trace monomial,
     R_i the product of the other factors' traces, from the powers and factor
-    traces of :func:`_powers_and_traces`."""
+    traces of :func:`_powers_and_traces`: one matrix, or one per matrix of a
+    stack."""
     grad = np.zeros(pows[0].shape)
     for i, m in enumerate(partition.parts):
-        grad += _rest_product(values, (i,)) * (m * pows[m - 1].T)
+        rest = np.asarray(_rest_product(values, (i,)))[..., None, None]
+        grad += rest * (m * np.swapaxes(pows[m - 1], -2, -1))
     return grad
+
+
+def _value_and_gradient_rows(partition: Partition, stack: np.ndarray) -> np.ndarray:
+    """Row e holds the monomial's value at matrix e of the stack, then its
+    gradient there in column-major order."""
+    pows, values = _powers_and_traces(partition, stack)
+    grad = _monomial_gradient(partition, pows, values)
+    value = _rest_product(values, ())
+    return np.column_stack((value, np.swapaxes(grad, -2, -1).reshape(len(stack), -1)))
 
 
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -699,4 +709,4 @@ def _dense_derivatives(partition: Partition, u: np.ndarray) -> tuple[float, np.n
         for j in range(len(parts)):
             if i != j:
                 hess += _rest_product(values, (i, j)) * np.outer(grads[i], grads[j])
-    return _rest_product(values, ()), _monomial_gradient(partition, pows, values), hess
+    return float(_rest_product(values, ())), _monomial_gradient(partition, pows, values), hess

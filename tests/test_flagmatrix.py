@@ -688,6 +688,27 @@ def test_eigenspaces_solved_once_per_matrix(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "mode, basis_id, k", [(SO3, "bprime", 12), (SO4, "so4", 8)], ids=["so3-bprime", "so4"]
+)
+def test_eigenvalues_exact_reads_multiplicities_without_eigenspace_calls(monkeypatch, mode, basis_id, k):
+    """The spectrum reads each multiplicity from the flag store's kernel, not
+    from a padded eigenspace copy, and keeps the multiplicities those give."""
+    flagmatrix._flag.cache_clear()
+    calls = []
+    eigenspace = flagmatrix.eigenspace_exact
+    monkeypatch.setattr(
+        flagmatrix, "eigenspace_exact", lambda *args: calls.append(args) or eigenspace(*args)
+    )
+    matrix = build_matrix(mode, basis_id, k)
+    entries = eigenvalues_exact(matrix)
+    assert calls == []
+    fresh = flagmatrix.FlagMatrix(matrix.basis, matrix.entries)  # a store of its own
+    assert [e.geometric_multiplicity for e in entries] == [
+        len(eigenspace(fresh, e.eigenvalue)) for e in entries
+    ]
+
+
+@pytest.mark.parametrize(
     "mode, basis_id, ks",
     [(SO3, "bprime", range(25)), (SO3, "btrace", range(25)), (SO4, "so4", range(13))],
     ids=["so3-bprime", "so3-btrace", "so4"],

@@ -45,6 +45,8 @@ from sonlap.numeric import (
 
 from refdata import (
     _dense_derivatives_ref,
+    _fd_gradient_ref,
+    _fd_hessian_ref,
     _value_ref,
     verify_gegenbauer_reference,
     verify_identities_reference,
@@ -538,7 +540,7 @@ def test_verify_identities_default_tolerances():
             assert report.passed, (n, report.params, report.max_rel_err)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 8])
 def test_verify_identities_matches_the_frozen_suite(n):
     """One shared finite-difference sweep and one error rule give the former
     suite's reports field for field, floats included."""
@@ -549,8 +551,11 @@ def test_verify_identities_matches_the_frozen_suite(n):
 
 
 def test_identity_suite_forms_powers_once_per_displaced_point(monkeypatch):
-    n = 4
-    drawn, displaced = [], []
+    """Each finite-differenced monomial evaluates the plus and the minus stack
+    once each: together exactly the 2 n^2 distinct points U +- step E_ij, in
+    column-major entry order, and no displaced point is evaluated alone."""
+    n, step = 4, 1e-5
+    drawn, stacks, single = [], [], []
     powers, draw = numeric._powers, numeric.random_son
 
     def recording_draw(*args):
@@ -559,17 +564,48 @@ def test_identity_suite_forms_powers_once_per_displaced_point(monkeypatch):
         return sample
 
     def counting(u, top):
-        if not np.array_equal(u, drawn[-1]):
-            displaced.append(u.tobytes())
+        if u.ndim == 3:
+            stacks.append(u.copy())
+        elif not np.array_equal(u, drawn[-1]):
+            single.append(u.tobytes())
         return powers(u, top)
 
     monkeypatch.setattr(numeric, "random_son", recording_draw)
     monkeypatch.setattr(numeric, "_powers", counting)
     verify_identities(n, samples=1)
-    # the value and the gradient at U +- step E_ij come from one set of powers,
-    # once for each finite-differenced monomial
-    assert len(set(displaced)) == 2 * n * n
-    assert len(displaced) == len(numeric._FD_PARTITIONS) * 2 * n * n
+    u = drawn[0]
+    plus, minus = [], []
+    for j in range(n):
+        for i in range(n):
+            bump = np.zeros((n, n))
+            bump[i, j] = step
+            plus.append(u + bump)
+            minus.append(u - bump)
+    assert single == []
+    assert len(stacks) == 2 * len(numeric._FD_PARTITIONS)
+    for got_plus, got_minus in zip(stacks[::2], stacks[1::2]):
+        assert np.array_equal(got_plus, np.array(plus))
+        assert np.array_equal(got_minus, np.array(minus))
+        assert len({mat.tobytes() for mat in (*got_plus, *got_minus)}) == 2 * n * n
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("parts", [(2,), (3, 1), (2, 1, 1)])
+def test_fd_sweeps_equal_the_per_point_loops(n, parts):
+    """The public per-matrix differences run over the stacked sweep and give
+    the per-point loops' arrays bit for bit."""
+    partition = Partition.of(*parts)
+    u = random_son(n, 7 * n + len(parts)).matrix
+
+    def value_fn(mat):
+        return eval_tracepoly_matrix(partition, mat)
+
+    def grad_fn(mat):
+        return euclid_derivatives_matrix(partition, mat)[0]
+
+    assert np.array_equal(fd_gradient(value_fn, u), _fd_gradient_ref(value_fn, u))
+    assert np.array_equal(fd_hessian(grad_fn, u), _fd_hessian_ref(grad_fn, u))
+    assert np.array_equal(fd_gradient(value_fn, u, 1e-4), _fd_gradient_ref(value_fn, u, 1e-4))
 
 
 @pytest.mark.parametrize("samples", [0, -1])
