@@ -3,7 +3,7 @@
 The package computes the closed-form action of the Laplace-Beltrami operator
 of (SO(N), Frobenius metric) on the flag of trace-polynomial spaces, builds
 the upper block triangular matrices of the restricted operator, extracts the
-exact spectra and irreducible characters of SO(3) and SO(4), and
+exact spectra and irreducible characters of SO(N), N >= 3, and
 cross-validates every symbolic result against a floating-point oracle built
 from the ambient-space derivative formulas.
 """
@@ -70,6 +70,7 @@ from .tracepoly import (
     TracePoly,
     elementary,
     general_at,
+    so,
     so3_basis_change,
     so3_from_coordinates,
     so3_pm_in_p1,

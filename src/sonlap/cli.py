@@ -20,12 +20,16 @@ from functools import lru_cache
 from . import flagmatrix, numeric
 from .laplacian import lap, lap_partition
 from .partitions import Partition, enumerate_upto
-from .tracepoly import GENERAL, REDUCED_MODES, TracePoly
+from .tracepoly import GENERAL, SO3, SO4, TracePoly
 
 DEFAULT_SEED = numeric.DEFAULT_SEED
 SEED_ENV_VAR = "SONLAP_SEED"
 
-_MODES = {"generaln": GENERAL, **REDUCED_MODES}
+# the reduced modes the commands offer, and the flag bases of ``matrix`` by
+# group, a group's first basis its default
+_REDUCED = {"so3": SO3, "so4": SO4}
+_MODES = {"generaln": GENERAL, **_REDUCED}
+_BASES = {"bprime": SO3, "btrace": SO3, "so4": SO4}
 
 # Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
 # and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
@@ -84,8 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     lap_p.add_argument("--partition", required=True, help='comma parts, e.g. "2,1"; "0" is empty')
 
     mat_p = sub.add_parser("matrix", help="flag matrix of the restricted operator")
-    mat_p.add_argument("--mode", choices=sorted(REDUCED_MODES), required=True)
-    mat_p.add_argument("--basis", choices=list(flagmatrix.BASIS_GROUPS))
+    mat_p.add_argument("--mode", choices=sorted(_REDUCED), required=True)
+    mat_p.add_argument("--basis", choices=list(_BASES))
     mat_p.add_argument("--k", type=int, required=True)
     mat_p.add_argument("--format", choices=["json", "csv", "latex", "pretty"], default="pretty")
 
@@ -128,9 +132,8 @@ def _cmd_lap(args) -> int:
 
 def _cmd_matrix(args) -> int:
     mode = _MODES[args.mode]
-    groups = flagmatrix.BASIS_GROUPS
-    basis = args.basis or next(b for b, group in groups.items() if group == mode)
-    if groups[basis] != mode:
+    basis = args.basis or next(b for b, group in _BASES.items() if group == mode)
+    if _BASES[basis] != mode:
         raise ValueError(f"--basis {basis} is not valid for --mode {args.mode}")
     _check_degree("--k", args.k)
     matrix = flagmatrix.build_matrix(mode, basis, args.k)

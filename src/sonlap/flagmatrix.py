@@ -4,17 +4,20 @@ The graded flag of trace-polynomial spaces gives the restricted operator an
 upper block triangular matrix whose diagonal blocks carry the whole
 spectrum.  Every basis is a tuple of trace monomials indexed by partitions,
 so one coordinate loop and one label renderer serve all of them.  One rank
-rule, r = N // 2, serves SO(3) and SO(4): the weight-w block is spanned by
-the p_mu, mu |- w with parts <= r, and its closed-form eigenvalues are the
-Casimir values of the conjugate highest weights lam (at most r parts), one
-per row.  The blocks are diagonalizable (the operator is self-adjoint for the
-Haar inner product) and their candidates distinct, so the candidates exhaust
-a block exactly when their nullities sum to its size; a block they do not
-exhaust is an inconsistency, not a case for a root search.  Each eigenspace
-is found block by block, as the triangular form allows: kernel vectors are
-zero past the last diagonal block made singular by the shift, and from there
-down to block 0 each step is one nullspace of a block-sized system that also
-carries the solvability conditions on the vectors found so far.  A matrix's
+rule, r = N // 2, serves every reduced mode SO(N), N >= 3: the weight-w
+block is spanned by the p_mu, mu |- w with parts <= r, and its closed-form
+eigenvalues are the Casimir values of the conjugate highest weights lam (at
+most r parts), one per row.  Two highest weights of one block can share a
+Casimir value from SO(6) on ((4,1,1) and (3,3,0) at weight 6), so the
+candidates are merged by value, each value carrying all its labels.  The
+blocks are diagonalizable (the operator is self-adjoint for the Haar inner
+product), so the distinct candidate values exhaust a block exactly when their
+nullities sum to its size; a block they do not exhaust is an inconsistency,
+not a case for a root search.  Each eigenspace is found block by block, as
+the triangular form allows: kernel vectors are zero past the last diagonal
+block made singular by the shift, and from there down to block 0 each step
+is one nullspace of a block-sized system that also carries the solvability
+conditions on the vectors found so far.  A matrix's
 rows are made integer once; every block nullity and block solve is one
 fraction-free Gauss-Jordan elimination of integer rows built from them.
 General mode uses the partition spanning set; at a fixed N its eigenspaces
@@ -31,9 +34,10 @@ block is solved once however many orders are asked for.  A hand-built
 :class:`FlagMatrix` gets a store of its own.
 
 Irreducible characters are built independently of the matrices, one per
-spectrum label lam, as Koike-Terada orthogonal characters over the elementary
-symmetric functions of :func:`tracepoly.elementary`, and then located inside
-the computed eigenspaces.  Every eigenvalue, sphere ones included, is the
+spectrum label lam, as Koike-Terada orthogonal characters (an r x r
+determinant) over the elementary symmetric functions of
+:func:`tracepoly.elementary`, and then located inside the computed
+eigenspaces.  Every eigenvalue, sphere ones included, is the
 Casimir value -sum_i lam_i(lam_i + N - 2i)/2 of its label.
 """
 
@@ -49,7 +53,6 @@ from .laplacian import lap, lap_monomial, so3_lap_pm_btrace
 from .npoly import NPoly
 from .partitions import EMPTY, Partition, _descending, enumerate_upto
 from .tracepoly import (
-    REDUCED_MODES,
     SO3,
     SO4,
     GroupMode,
@@ -57,12 +60,9 @@ from .tracepoly import (
     _newton_step,
     general_at,
     monomial_label,
+    so,
     so3_basis_change,
 )
-
-# the group of each reduced-mode basis; a group's first basis is its default
-BASIS_GROUPS = {"bprime": SO3, "btrace": SO3, "so4": SO4}
-BASIS_IDS = ("general", *BASIS_GROUPS)
 
 
 # ---------------------------------------------------------------------------
@@ -108,21 +108,20 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
     stands for p_0.
 
     ``general``: all partitions of degree <= k (spanning set, p_0 first).
-    ``bprime`` (SO(3)), ``so4`` (SO(4)): the p_mu with parts <= r = N // 2, by
-                 weight, ascending-lex inside it: p_1^j as (1^j) on SO(3);
-                 p_1^l p_2^m as (2^m, 1^l), by increasing m, on SO(4).
+    ``bprime`` (SO(3)), ``so<N>`` (SO(N), N >= 4, the mode's tag): the p_mu
+                 with parts <= r = N // 2, by weight, ascending-lex inside it:
+                 p_1^j as (1^j) on SO(3); p_1^l p_2^m as (2^m, 1^l), by
+                 increasing m, on SO(4).
     ``btrace``:  p_0, p_1, p_2, ..., p_k on SO(3), as (j).
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if basis_id not in BASIS_IDS:
-        raise ValueError(f"unknown basis {basis_id!r}")
     if basis_id == "general":
         if mode.tag != "general":
             raise ValueError("the partition spanning set belongs to general mode")
         elements = enumerate_upto(k)
-    elif mode != BASIS_GROUPS[basis_id]:
-        raise ValueError(f"basis {basis_id!r} requires {BASIS_GROUPS[basis_id]} mode")
+    elif mode != (group := _basis_group(basis_id)):
+        raise ValueError(f"basis {basis_id!r} requires {group} mode")
     elif basis_id == "btrace":
         elements = [Partition.of(j) for j in range(k + 1)]
     else:
@@ -133,6 +132,20 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
         if weights[i] != weights[i - 1]:
             starts.append(i)
     return FlagBasis(mode, basis_id, k, tuple(elements), weights, tuple(starts))
+
+
+def _basis_group(basis_id: str) -> GroupMode:
+    """The reduced mode of a basis: SO(3) for ``bprime`` and ``btrace``, SO(N)
+    for the tag ``so<N>`` of a mode with N >= 4."""
+    if basis_id in ("bprime", "btrace"):
+        return SO3
+    try:
+        group = GroupMode(basis_id, int(basis_id[2:]))
+    except ValueError:
+        group = None
+    if group is None or group.n < 4:
+        raise ValueError(f"unknown basis {basis_id!r}")
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +192,9 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 class _FlagStore:
     """Block results of one flag, valid for every order built from it.
 
-    ``nullities[weight]``: (eigenvalue, label, nullity) of each candidate root
-    of the weight block, kept once the candidates exhausted the block.
+    ``nullities[weight]``: (eigenvalue, labels, nullity) of each distinct
+    candidate root of the weight block, kept once the candidates exhausted
+    the block.
     ``kernels[eigenvalue, end]``: the primitive kernel vectors of the leading
     submatrix M[:end, :end] shifted by the eigenvalue, of length ``end``.
     ``coords[label]``: (character, its coordinates up to the last nonzero one).
@@ -224,8 +238,8 @@ class FlagMatrix:
         return [[self.entries[i][j] for j in range(start, end)] for i in range(start, end)]
 
     @cached_property
-    def _eigenblocks(self) -> dict[Fraction, list[tuple[object, int, int]]]:
-        """(label, block end, nullity) of every diagonal block each eigenvalue is a root of."""
+    def _eigenblocks(self) -> dict[Fraction, list[tuple[tuple, int, int]]]:
+        """(labels, block end, nullity) of every diagonal block each eigenvalue is a root of."""
         return _block_nullities(self)
 
     @cached_property
@@ -389,12 +403,18 @@ def _so4_weight(k1: int, k2: int) -> tuple[int, int]:
 def _closed_candidates(mode: GroupMode, weight: int) -> list[tuple[Fraction, object]]:
     """(Casimir value, label) of each lam |- weight with at most r = N // 2 parts,
     the conjugate of a reduced monomial p_mu of the block; the label is
-    k = lam_1 on SO(3) and (lam_1 + lam_2, lam_1 - lam_2) on SO(4)."""
+    k = lam_1 on SO(3), (lam_1 + lam_2, lam_1 - lam_2) on SO(4), and the
+    highest weight lam itself, r parts with zeros, from SO(5) on."""
     r = mode.rank
     out = []
     for mu in _descending(weight, r):
         lam = tuple(sum(part >= i for part in mu) for i in range(1, r + 1))
-        label = lam[0] if r == 1 else (lam[0] + lam[1], lam[0] - lam[1])
+        if mode == SO3:
+            label = lam[0]
+        elif mode == SO4:
+            label = (lam[0] + lam[1], lam[0] - lam[1])
+        else:
+            label = lam
         out.append((_casimir(mode.n, lam), label))
     return out
 
@@ -415,8 +435,8 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
             raise ValueError("sphere spectrum needs the ambient dimension n >= 2")
         for k in range(bound + 1):
             found.setdefault(_casimir(n, (k,)), []).append(k)
-    elif target in REDUCED_MODES:
-        mode = REDUCED_MODES[target]
+    elif target in ("so3", "so4"):
+        mode = so(int(target[2:]))
         for weight in range(bound + 1):
             for eig, label in _closed_candidates(mode, weight):
                 if mode != SO4 or sum(label) <= bound:
@@ -429,27 +449,32 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
     ]
 
 
-def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, int, int]]]:
+def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[tuple, int, int]]]:
     """The one candidate-nullity pass over the diagonal blocks.
 
     Each block is checked against the closed-form candidate eigenvalues of
-    its weight, which the paper proves complete.  The blocks are
-    diagonalizable and their candidates distinct, so the candidates exhaust
-    a block exactly when their nullities sum to its size; a shortfall is an
-    inconsistency and raises, naming the block's weight.  A block's roots
-    are kept in the flag store, so each block is checked once per flag.
+    its weight, which the paper proves complete.  Candidates that share a
+    Casimir value are merged, one nullity per distinct value carrying every
+    label of that value.  The blocks are diagonalizable, so the distinct
+    values exhaust a block exactly when their nullities sum to its size; a
+    shortfall is an inconsistency and raises, naming the block's weight.  A
+    block's roots are kept in the flag store, so each block is checked once
+    per flag.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
-        raise ValueError("eigenvalue extraction requires a proven basis (SO(3)/SO(4) only)")
+        raise ValueError("eigenvalue extraction requires a proven basis (reduced SO(N) modes only)")
     stored = matrix.flag.nullities
-    found: dict[Fraction, list[tuple[object, int, int]]] = {}
+    found: dict[Fraction, list[tuple[tuple, int, int]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
         roots = stored.get(weight)
         if roots is None:
+            merged: dict[Fraction, list] = {}
+            for eig, label in _closed_candidates(mode, weight):
+                merged.setdefault(eig, []).append(label)
             roots = [
-                (eig, label, nullity)
-                for eig, label in _closed_candidates(mode, weight)
+                (eig, tuple(labels), nullity)
+                for eig, labels in merged.items()
                 if (nullity := _nullity(matrix, start, end, eig))
             ]
             covered = sum(nullity for _, _, nullity in roots)
@@ -459,8 +484,8 @@ def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, in
                     f"the candidates' nullities sum to {covered} of {end - start}"
                 )
             stored[weight] = roots
-        for eig, label, nullity in roots:
-            found.setdefault(eig, []).append((label, end, nullity))
+        for eig, labels, nullity in roots:
+            found.setdefault(eig, []).append((labels, end, nullity))
     return found
 
 
@@ -480,7 +505,8 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
                 f"eigenvalue {eig} has geometric multiplicity {multiplicity}, "
                 f"but its block nullities sum to {nullities}"
             )
-        out.append(SpectrumEntry(eig, tuple(label for label, _, _ in blocks[eig]), multiplicity))
+        labels = tuple(label for block_labels, _, _ in blocks[eig] for label in block_labels)
+        out.append(SpectrumEntry(eig, labels, multiplicity))
     return out
 
 
@@ -592,19 +618,33 @@ def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TraceP
 
     o_lam = det(h_{lam_i-i+j} - h_{lam_i-i-j})_{i,j <= N // 2} (Koike and
     Terada, J. Algebra 107, 1987); ``lam`` has N // 2 parts, zeros allowed.
-    The eigen-equation D o_lam = c o_lam, c the Casimir value of lam, is
-    verified exactly.
+    For even N and lam_r > 0 it is the sum of the two mirror SO(N)
+    characters.  The eigen-equation D o_lam = c o_lam, c the Casimir value
+    of lam, is verified exactly.
     """
     size = range(len(lam))  # 0-based i, j: the 1-based indices shift the lower h by 2
     rows = [
         [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
         for i in size
     ]
-    poly = rows[0][0] if len(lam) == 1 else rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    poly = _determinant(rows)
     eigenvalue = _casimir(mode.n, lam)
     if lap(poly) != poly * eigenvalue:
         raise ArithmeticError(f"character eigen-equation fails at {lam} in {mode}")
     return poly, eigenvalue
+
+
+def _determinant(rows: list[list[TracePoly]]) -> TracePoly:
+    """Determinant by Laplace expansion along the first row: r! products of
+    r entries for an r x r matrix, r = N // 2 here."""
+    if len(rows) == 1:
+        return rows[0][0]
+    minors = ([row[:j] + row[j + 1:] for row in rows[1:]] for j in range(len(rows)))
+    terms = [entry * _determinant(minor) for entry, minor in zip(rows[0], minors)]
+    det = terms[0]
+    for j, term in enumerate(terms[1:], 1):
+        det = det - term if j % 2 else det + term
+    return det
 
 
 def character_so3(k: int) -> Character:
@@ -657,12 +697,16 @@ def _label_character(mode: GroupMode, label) -> Character:
     """The irreducible character named by a spectrum label of ``mode``.
 
     Built and verified once per label; :func:`match_characters` still checks
-    it against every matrix.
+    it against every matrix.  From SO(5) on the label is the highest weight
+    lam and the character is o_lam.
     """
-    if mode.tag == "so3":
+    if mode == SO3:
         return character_so3(label)
-    k1, k2 = label
-    return character_so4(Fraction(k1, 2), Fraction(k2, 2))
+    if mode == SO4:
+        k1, k2 = label
+        return character_so4(Fraction(k1, 2), Fraction(k2, 2))
+    poly, eigenvalue = _orthogonal_character(mode, label)
+    return Character(mode.tag, label, eigenvalue, poly)
 
 
 def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]]:

@@ -259,9 +259,10 @@ def so4_lap_monomial(l: int, m: int) -> TracePoly:
 def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     """Laplacian of the trace monomial ``p_part`` in ``mode``.
 
-    ``part`` must be a monomial of that mode: a power of p_1 on SO(3), a
-    product of p_1 and p_2 on SO(4).  Each mode reads its cached closed form,
-    and fixed-N general mode substitutes the dimension.
+    ``part`` must be a monomial of that mode: in ``so(N)`` its parts are at
+    most N // 2.  SO(3) and SO(4) read their cached closed forms; every
+    other mode takes the general image, with the dimension substituted at a
+    fixed N and reduced onto p_1, ..., p_{N // 2} in ``so(N)``.
     """
     if mode.tag == "so3":
         return so3_lap_power(len(part))
@@ -269,14 +270,17 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
         twos = part.parts.count(2)
         return so4_lap_monomial(len(part) - twos, twos)
     image = lap_partition(part)
-    return image if mode.symbolic else image.substitute_n(mode.n)
+    if mode.symbolic:
+        return image
+    image = image.substitute_n(mode.n)
+    return image if mode.rank is None else image.reduce(mode)
 
 
 def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:
     """Laplacian of an arbitrary trace polynomial; linear in the input.
 
-    Extends :func:`lap_monomial` by linearity, so in SO(3)/SO(4) mode the
-    result stays in the reduced basis.
+    Extends :func:`lap_monomial` by linearity, so in a reduced mode the
+    result stays in the reduced generators.
     """
     if mode is not None and mode != a.mode:
         raise ValueError(f"mode mismatch: polynomial is {a.mode}, requested {mode}")

@@ -11,12 +11,14 @@ partition.  The elementary symmetric functions of a rotation's eigenvalues
 are self-reciprocal, e_{N-i} = e_i, so they and, by one Newton /
 Cayley-Hamilton step, every p_m are polynomials in p_1, ..., p_r, r = N // 2,
 for every N.  ``TracePoly.reduce`` performs that rewrite onto the p_mu with
-parts <= r in the reduced modes SO(3) and SO(4); for N >= 5 it is not
-implemented, and general mode treats the monomials as free generators.
+parts <= r in the reduced mode ``so(N)`` of every N >= 3, of which ``SO3``
+and ``SO4`` are instances; general mode treats the monomials as free
+generators.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,18 +30,21 @@ from .partitions import EMPTY, Partition
 
 @dataclass(frozen=True)
 class GroupMode:
-    """Which relations are in force: symbolic N, fixed N, or a reduced group."""
+    """Which relations are in force: symbolic N, fixed N, or the reduced SO(N)."""
 
-    tag: str  # "general" | "so3" | "so4"
+    tag: str  # "general", or "so<N>" for the reduced mode of SO(N), N >= 3
     n: int | None = None  # None only for symbolic general mode
 
     def __post_init__(self) -> None:
-        if self.tag not in ("general", "so3", "so4"):
+        if self.tag == "general":
+            if self.n is not None and self.n < 2:
+                raise ValueError("dimension must be at least 2")
+            return
+        match = re.fullmatch(r"so([1-9][0-9]*)", self.tag)
+        if match is None or int(match[1]) < 3:
             raise ValueError(f"unknown mode tag {self.tag!r}")
-        if self.tag != "general" and self.n != int(self.tag[2:]):
-            raise ValueError(f"{self.tag} mode requires n={self.tag[2:]}")
-        if self.tag == "general" and self.n is not None and self.n < 2:
-            raise ValueError("dimension must be at least 2")
+        if self.n != int(match[1]):
+            raise ValueError(f"{self.tag} mode requires n={match[1]}")
 
     @property
     def symbolic(self) -> bool:
@@ -53,13 +58,17 @@ class GroupMode:
     def __str__(self) -> str:
         if self.tag == "general":
             return "general N" if self.symbolic else f"general at N={self.n}"
-        return self.tag.upper().replace("SO", "SO(") + ")"
+        return f"SO({self.n})"
+
+
+def so(n: int) -> GroupMode:
+    """The reduced mode of SO(n), n >= 3: trace polynomials in p_1, ..., p_{n // 2}."""
+    return GroupMode(f"so{n}", n)
 
 
 GENERAL = GroupMode("general", None)
-SO3 = GroupMode("so3", 3)
-SO4 = GroupMode("so4", 4)
-REDUCED_MODES = {mode.tag: mode for mode in (SO3, SO4)}
+SO3 = so(3)
+SO4 = so(4)
 
 
 def general_at(n: int) -> GroupMode:
@@ -237,7 +246,7 @@ class TracePoly:
         return TracePoly({p: c.subs(n) for p, c in self._terms.items()}, mode)
 
     def reduce(self, mode: GroupMode) -> "TracePoly":
-        """Rewrite onto the reduced generator set of SO(3) or SO(4).
+        """Rewrite onto the reduced generators p_1, ..., p_{N // 2} of ``mode``.
 
         Idempotent; requires numeric coefficients at the matching dimension.
         """
@@ -322,7 +331,7 @@ def monomial_label(part: Partition, tag: str) -> str:
     """Printed name of the trace monomial ``p_part`` in a mode with ``tag``.
 
     The constant is ``p_0``.  General mode prints the zero-padded partition
-    (``p_(2,1,0)``, with ``p_1`` for degree one); SO(3) and SO(4) print the
+    (``p_(2,1,0)``, with ``p_1`` for degree one); the reduced modes print the
     product of powers by increasing trace (``p_1^2 p_2``, and ``p_j`` for a
     single trace).
     """
@@ -372,7 +381,7 @@ def elementary(mode: GroupMode) -> tuple[TracePoly, ...]:
     """
     r = mode.rank
     if r is None:
-        raise ValueError("elementary symmetric functions need SO3 or SO4")
+        raise ValueError("elementary symmetric functions need a reduced mode so<N>")
     n = mode.n
     e = [TracePoly.constant(1, mode)]
     for k in range(1, r + 1):
@@ -390,36 +399,33 @@ def _newton_step(mode: GroupMode, m: int, lower) -> TracePoly:
     return TracePoly.sum(terms, mode)
 
 
+@lru_cache(maxsize=None)
 def _pm_table(mode: GroupMode):
-    """The cached p_m table of a reduced mode, by its dimension."""
+    """The cached p_m table of a reduced mode, built once per mode.
+
+    Entry m is one :func:`_newton_step` over the lower entries of the same
+    table, with p_0 = N; for m <= N // 2 it is the generator p_m.
+    """
     if mode.rank is None:
-        raise ValueError("reduction target must be SO3 or SO4")
-    return {3: so3_pm_in_p1, 4: so4_pm_in_p1p2}[mode.n]
+        raise ValueError("reduction target must be a reduced mode so<N>")
+
+    @lru_cache(maxsize=None)
+    def table(m: int) -> TracePoly:
+        if m < 0:
+            raise ValueError("power index must be nonnegative")
+        if m == 0:
+            return TracePoly.constant(mode.n, mode)
+        return _newton_step(mode, m, lambda j: table(j) if j else m)
+
+    return table
 
 
-def _reduced_pm(mode: GroupMode, m: int) -> TracePoly:
-    """p_m in the generators of ``mode`` by one :func:`_newton_step` over the
-    lower entries of the mode's table; for m <= N // 2 it is the generator p_m."""
-    if m < 0:
-        raise ValueError("power index must be nonnegative")
-    if m == 0:
-        return TracePoly.constant(mode.n, mode)
-    table = _pm_table(mode)
-    return _newton_step(mode, m, lambda j: table(j) if j else m)
-
-
-@lru_cache(maxsize=None)
-def so3_pm_in_p1(m: int) -> TracePoly:
-    """p_m on SO(3) in p_1, that is 1 + 2 T_m((p_1 - 1)/2); with e_1 = e_2 = p_1
-    and e_3 = 1, each entry reads the three cached entries below it."""
-    return _reduced_pm(SO3, m)
-
-
-@lru_cache(maxsize=None)
-def so4_pm_in_p1p2(m: int) -> TracePoly:
-    """p_m on SO(4) in p_1, p_2; with e_1 = e_3 = p_1, e_2 = (p_1^2 - p_2)/2
-    and e_4 = 1, each entry reads the four cached entries below it."""
-    return _reduced_pm(SO4, m)
+# p_m on SO(3) in p_1, that is 1 + 2 T_m((p_1 - 1)/2): with e_1 = e_2 = p_1 and
+# e_3 = 1, each entry reads the three cached entries below it
+so3_pm_in_p1 = _pm_table(SO3)
+# p_m on SO(4) in p_1, p_2: with e_1 = e_3 = p_1, e_2 = (p_1^2 - p_2)/2 and
+# e_4 = 1, each entry reads the four cached entries below it
+so4_pm_in_p1p2 = _pm_table(SO4)
 
 
 def so3_basis_change(a: TracePoly, target: str, k: int | None = None) -> list[Fraction]:

@@ -26,6 +26,7 @@ from sonlap import (
     matrix_to_json,
     matrix_to_latex,
     rotation_from_angles,
+    so,
     spectrum_closed,
 )
 from sonlap import flagmatrix, laplacian
@@ -109,7 +110,10 @@ def test_basis_weights_are_graded():
 
 @pytest.mark.parametrize(
     "mode,basis_id",
-    [(GENERAL, "general"), (general_at(5), "general"), (SO3, "bprime"), (SO3, "btrace"), (SO4, "so4")],
+    [
+        (GENERAL, "general"), (general_at(5), "general"), (SO3, "bprime"), (SO3, "btrace"),
+        (SO4, "so4"), (so(6), "so6"),
+    ],
 )
 def test_basis_positions_match_elements(mode, basis_id):
     basis = basis_for(mode, basis_id, 7)
@@ -124,6 +128,15 @@ def test_basis_rejects_bad_combos():
         basis_for(SO3, "so4", 2)
     with pytest.raises(ValueError):
         basis_for(SO3, "nope", 2)
+    with pytest.raises(ValueError, match="requires SO\\(4\\) mode"):
+        basis_for(so(5), "so4", 2)
+    with pytest.raises(ValueError, match="requires SO\\(5\\) mode"):
+        basis_for(so(6), "so5", 2)
+    for basis_id in ("so3", "so05", "so", "so2", "xx5"):
+        with pytest.raises(ValueError, match="unknown basis"):
+            basis_for(SO3, basis_id, 2)
+    with pytest.raises(ValueError):
+        basis_for(general_at(5), "so5", 2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +388,70 @@ def test_every_block_has_as_many_distinct_candidates_as_rows(mode, basis_id):
     for start, end, weight in basis_for(mode, basis_id, 30).block_ranges():
         eigenvalues = {eig for eig, _ in flagmatrix._closed_candidates(mode, weight)}
         assert len(eigenvalues) == end - start, weight
+
+
+# ---------------------------------------------------------------------------
+# reduced SO(N), N >= 5
+
+
+def test_so6_weight6_candidates_share_one_nullity(monkeypatch):
+    """(4,1,1) and (3,3,0) both give -18 at SO(6) weight 6: one nullity for the
+    shared value exhausts the block, and the -18 entry carries both labels."""
+    flagmatrix._flag.cache_clear()
+    checked = []
+    nullity = flagmatrix._nullity
+
+    def counting_nullity(matrix, start, stop, eigenvalue):
+        checked.append((start, eigenvalue))
+        return nullity(matrix, start, stop, eigenvalue)
+
+    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
+    matrix = build_matrix(so(6), "so6", 6)
+    start, end, weight = matrix.basis.block_ranges()[-1]
+    assert weight == 6 and end - start == 7
+    candidates = flagmatrix._closed_candidates(so(6), 6)
+    assert [label for eig, label in candidates if eig == -18] == [(4, 1, 1), (3, 3, 0)]
+    entries = {entry.eigenvalue: entry for entry in eigenvalues_exact(matrix)}
+    assert entries[F(-18)].labels == ((4, 1, 1), (3, 3, 0))
+    assert entries[F(-18)].geometric_multiplicity == 2
+    block = [eig for s, eig in checked if s == start]
+    assert block.count(F(-18)) == 1
+    assert len(block) == len({eig for eig, _ in candidates}) == len(candidates) - 1
+    assert sum(e.geometric_multiplicity for e in entries.values()) == matrix.dim
+
+
+@pytest.mark.parametrize("n, k, count", [(5, 10, 36), (6, 8, 41), (7, 8, 41), (8, 8, 53)])
+def test_son_flag_spectrum_and_characters(n, k, count):
+    """The flag matrix is block triangular, the merged candidates exhaust
+    every block, and each label's Koike-Terada character lies in its
+    eigenspace: as many characters as the flag has dimensions."""
+    mode = so(n)
+    matrix = build_matrix(mode, mode.tag, k)
+    entries = eigenvalues_exact(matrix)
+    assert sum(e.geometric_multiplicity for e in entries) == matrix.dim
+    assert all(len(e.labels) == e.geometric_multiplicity for e in entries)
+    matches = match_characters(matrix)
+    assert len(matches) == matrix.dim == count
+    for entry, character in matches:
+        assert character.group == mode.tag and len(character.label) == n // 2
+        assert character.eigenvalue == entry.eigenvalue
+
+
+def test_orthogonal_character_determinant_keeps_the_small_ranks():
+    """The r x r determinant gives the SO(3) and SO(4) characters the 1 x 1 and
+    2 x 2 cases gave, and at SO(7) o_(1,0,0) is p_1, o_(1,1,0) is e_2."""
+    for k in range(8):
+        rows = [[flagmatrix._complete(SO3, k) - flagmatrix._complete(SO3, k - 2)]]
+        assert flagmatrix._orthogonal_character(SO3, (k,))[0] == rows[0][0]
+    for lam in ((0, 0), (2, 1), (3, 3), (4, 0)):
+        h = [[flagmatrix._complete(SO4, lam[i] - i + j) - flagmatrix._complete(SO4, lam[i] - i - j - 2)
+              for j in range(2)] for i in range(2)]
+        expected = h[0][0] * h[1][1] - h[0][1] * h[1][0]
+        assert flagmatrix._orthogonal_character(SO4, lam)[0] == expected
+    p1 = TracePoly.power_sum(1, so(7))
+    p2 = TracePoly.power_sum(2, so(7))
+    assert flagmatrix._orthogonal_character(so(7), (1, 0, 0))[0] == p1
+    assert flagmatrix._orthogonal_character(so(7), (1, 1, 0))[0] == (p1 * p1 - p2) * F(1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from sonlap import (
     lap_partition,
     lap_partition_product_rule,
     lap_pm,
+    so,
     so3_basis_change,
     so3_lap_pm_btrace,
     so3_lap_power,
@@ -226,6 +227,16 @@ def test_lap_fast_paths_agree_with_substitution_route(mode):
         for part, coeff in reduced.terms.items():
             slow = slow + lap_partition(part).substitute_n(mode.n).reduce(mode) * coeff
         assert fast == slow
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_lap_commutes_with_reduction(n):
+    """p_lam and its so(n) reduction are one function on SO(n), and p_1, ...,
+    p_{n // 2} are independent there, so their Laplacians agree exactly."""
+    mode = so(n)
+    for partition in enumerate_upto(6):
+        reduced = TracePoly.monomial(partition, 1).substitute_n(n).reduce(mode)
+        assert lap(reduced) == lap_partition(partition).substitute_n(n).reduce(mode), partition
 
 
 def test_memo_cache_is_transparent():

@@ -22,6 +22,7 @@ from sonlap import (
     lap_partition,
     random_son,
     rotation_from_angles,
+    so,
     sphere_lap_numeric,
     structure_matrices,
     tangential_gradient,
@@ -327,13 +328,22 @@ def test_closed_form_traces_match_dense_hessian(n, orthogonal):
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
 def test_lap_numeric_matrix_free_matches_dense_bundle(n):
-    sample = random_son(n, 500 + n)
-    for partition in enumerate_upto(5):
-        got = lap_numeric(partition, sample)
-        ref = lap_numeric(euclid_derivatives(partition, sample), sample)
-        assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
+    """The matrix-free Laplacian equals the dense one, and both p_lam and its
+    Laplacian keep their values when reduced onto p_1, ..., p_{n // 2} in so(n)."""
+    for seed in range(3):
+        sample = random_son(n, 500 + 10 * seed + n)
+        for partition in enumerate_upto(5):
+            got = lap_numeric(partition, sample)
+            ref = lap_numeric(euclid_derivatives(partition, sample), sample)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
+            monomial = TracePoly.monomial(partition, 1, general_at(n))
+            value = eval_tracepoly(monomial, sample)
+            reduced = eval_tracepoly(monomial.reduce(so(n)), sample)
+            assert abs(reduced - value) <= 1e-9 * max(1.0, abs(value)), (partition, reduced, value)
+            image = lap_partition(partition).substitute_n(n).reduce(so(n))
+            assert abs(eval_tracepoly(image, sample) - got) <= 1e-9 * max(1.0, abs(got)), partition
 
 
 def test_lap_numeric_tracepoly_errors():

@@ -9,6 +9,7 @@ from sonlap import (
     GENERAL,
     SO3,
     SO4,
+    GroupMode,
     NPoly,
     Partition,
     TracePoly,
@@ -17,6 +18,7 @@ from sonlap import (
     general_at,
     random_son,
     rotation_from_angles,
+    so,
     so3_basis_change,
     so3_from_coordinates,
     so3_pm_in_p1,
@@ -105,6 +107,25 @@ def test_p0_is_constant_n():
 def test_mode_mismatch_raises():
     with pytest.raises(ValueError):
         TracePoly.power_sum(1, SO3) * TracePoly.power_sum(1, SO4)
+    with pytest.raises(ValueError):
+        TracePoly.power_sum(1, so(5)) + TracePoly.power_sum(1, so(6))
+
+
+@pytest.mark.parametrize(
+    "tag, n",
+    [("so2", 2), ("so", None), ("so", 3), ("so4", 5), ("SO5", 5), ("so6", None), ("so05", 5), ("sl3", 3)],
+)
+def test_mode_tags_are_validated(tag, n):
+    with pytest.raises(ValueError):
+        GroupMode(tag, n)
+
+
+def test_so_instances():
+    assert so(3) == SO3 and so(4) == SO4
+    assert (so(3).rank, so(4).rank, so(7).rank, so(8).rank) == (1, 2, 3, 4)
+    assert str(so(12)) == "SO(12)" and so(12).tag == "so12"
+    with pytest.raises(ValueError):
+        so(2)
 
 
 def random_tracepoly(rng, mode=GENERAL, max_degree=3):
@@ -259,7 +280,7 @@ def test_elementary_symmetric_functions_are_self_reciprocal():
     assert elementary(SO4) == (one, p1, (p1 * p1 - p2) * F(1, 2), p1, one)
 
 
-@pytest.mark.parametrize("mode", [SO3, SO4])
+@pytest.mark.parametrize("mode", [SO3, SO4, so(5), so(6), so(7), so(8)])
 def test_elementary_matches_characteristic_polynomial(mode):
     # det(t - U) = sum_i (-1)^i e_i t^(N-i) at Haar samples
     import numpy as np
@@ -302,7 +323,7 @@ def test_reduce_so4_single_trace():
     assert poly.reduce(SO4) == so4_pm_in_p1p2(3)
 
 
-@pytest.mark.parametrize("mode", [SO3, SO4])
+@pytest.mark.parametrize("mode", [SO3, SO4, so(6)])
 def test_reduce_constant(mode):
     poly = TracePoly.constant(5, general_at(mode.n))
     assert poly.reduce(mode) == TracePoly.constant(5, mode)
@@ -315,7 +336,7 @@ def test_reduce_idempotent():
 
 def test_reduce_commutes_with_mul():
     rng = random.Random(446)
-    for mode in (SO3, SO4):
+    for mode in (SO3, SO4, so(5), so(6)):
         for _ in range(15):
             a = random_tracepoly(rng, mode=general_at(mode.n))
             b = random_tracepoly(rng, mode=general_at(mode.n))
