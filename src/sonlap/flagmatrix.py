@@ -162,19 +162,25 @@ def coordinates(poly: TracePoly, basis: FlagBasis) -> list:
     """
     if basis.basis_id == "btrace":
         return so3_basis_change(poly, "btrace", basis.k)
+    coords = [NPoly(0) if basis.mode.symbolic else Fraction(0)] * basis.dim
+    # a partition has one slot of its own, so each slot is written once
+    for pos, coeff in _sparse_coordinates(poly, basis):
+        coords[pos] = coeff
+    return coords
+
+
+def _sparse_coordinates(poly: TracePoly, basis: FlagBasis):
+    """(position, coordinate) of each monomial of ``poly`` in a partition basis."""
     mode = basis.mode
     red = poly if poly.mode == mode else poly.reduce(mode)
     positions = basis.positions
-    coords = [NPoly(0) if mode.symbolic else Fraction(0)] * basis.dim
-    # a partition has one slot of its own, so each slot is written once
     for part, coeff in red._terms.items():
         pos = positions.get(part)
         if pos is None:
             raise ValueError(f"coordinate extraction failure at monomial {part}")
         if not part.parts:
             coeff = coeff.div_by_var() if mode.symbolic else coeff / mode.n
-        coords[pos] = coeff
-    return coords
+        yield pos, coeff
 
 
 def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
@@ -250,27 +256,32 @@ class FlagMatrix:
 
 
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
-    """Assemble the order-k flag matrix and assert block triangularity."""
+    """Assemble the order-k flag matrix and assert block triangularity.
+
+    Each column's image is written straight into the rows, one entry per
+    monomial it has; every other entry is the one shared zero.
+    """
     basis = basis_for(mode, basis_id, k)
-    columns = []
+    dim = basis.dim
+    zero = NPoly(0) if mode.symbolic else Fraction(0)
+    rows = [[zero] * dim for _ in range(dim)]
     below = []  # (column weight, row, column) of each image term above the column weight
     for j, element in enumerate(basis.elements):
         weight = element.degree
         if basis_id == "btrace":
-            coldict = so3_lap_pm_btrace(weight)
-            col = [coldict.get(i, Fraction(0)) for i in range(k + 1)]
-            below += [(weight, i, j) for i in coldict if i > weight]
+            column = so3_lap_pm_btrace(weight).items()
         else:
-            image = lap_monomial(element, mode)
-            col = coordinates(image, basis)
-            below += [(weight, basis.positions[p], j) for p in image._terms if p.degree > weight]
-        columns.append(col)
+            column = _sparse_coordinates(lap_monomial(element, mode), basis)
+        for i, value in column:
+            if basis.weights[i] > weight:
+                below.append((weight, i, j))
+            else:
+                rows[i][j] = value
     if below:
         # the least triple is the entry a row-major scan below each block meets first
         _, i, j = min(below)
         raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
-    entries = tuple(zip(*columns))
-    return FlagMatrix(basis, entries, _flag(mode, basis_id))
+    return FlagMatrix(basis, tuple(map(tuple, rows)), _flag(mode, basis_id))
 
 
 # ---------------------------------------------------------------------------

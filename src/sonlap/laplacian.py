@@ -139,6 +139,21 @@ def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
+# The output terms of lap_partition, one object per value: a Partition per
+# parts tuple and an NPoly per doubled pair (2 c_0, 2 c_1).  Both types are
+# immutable, so every image shares them; the caches hold only what the images
+# kept by lap_partition's own cache refer to.
+@lru_cache(maxsize=None)
+def _interned_part(parts: tuple[int, ...]) -> Partition:
+    return Partition._trusted(parts)
+
+
+@lru_cache(maxsize=None)
+def _interned_coeff(c0: int, c1: int) -> NPoly:
+    halves = {0: Fraction(c0, 2), 1: Fraction(c1, 2)}
+    return NPoly._raw({e: c for e, c in halves.items() if c})
+
+
 @lru_cache(maxsize=None)
 def lap_partition(partition: Partition) -> TracePoly:
     """Laplacian of the trace monomial indexed by ``partition``.
@@ -146,7 +161,11 @@ def lap_partition(partition: Partition) -> TracePoly:
     The product rule grouped by multiplicity, as in the module docstring.
     Terms are summed in one dict keyed by the sorted parts, as doubled
     integer coefficients of 1 and N; each output partition and coefficient
-    is built once, at the end.
+    is built once, at the end, and once per value: every image holds the
+    interned :class:`Partition` of its parts tuple and the interned
+    :class:`NPoly` of its doubled pair, shared with every other image.  Both
+    types are immutable and no :class:`TracePoly` operation writes into an
+    operand's terms, so the sharing is safe.
     """
     parts = partition.parts
     mult = Counter(parts)  # distinct parts in descending order
@@ -171,11 +190,9 @@ def lap_partition(partition: Partition) -> TracePoly:
         for mp in values[i + 1:]:
             add(_without(parts, m, mp), _grad_inner_doubled(m, mp), 2 * a * mult[mp])
     terms = {
-        Partition(key): NPoly({0: Fraction(c0, 2), 1: Fraction(c1, 2)})
-        for key, (c0, c1) in acc.items()
-        if c0 or c1
+        _interned_part(key): _interned_coeff(c0, c1) for key, (c0, c1) in acc.items() if c0 or c1
     }
-    return TracePoly(terms, GENERAL)
+    return TracePoly._raw(terms, GENERAL)
 
 
 def lap_partition_product_rule(partition: Partition) -> TracePoly:
@@ -262,18 +279,25 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     ``part`` must be a monomial of that mode: in ``so(N)`` its parts are at
     most N // 2.  SO(3) and SO(4) read their cached closed forms; every
     other mode takes the general image, with the dimension substituted at a
-    fixed N and reduced onto p_1, ..., p_{N // 2} in ``so(N)``.
+    fixed N, and in ``so(N)`` reduced onto p_1, ..., p_{N // 2} once per
+    monomial.
     """
     if mode.tag == "so3":
         return so3_lap_power(len(part))
     if mode.tag == "so4":
         twos = part.parts.count(2)
         return so4_lap_monomial(len(part) - twos, twos)
+    if mode.rank is not None:
+        return _reduced_column(part, mode)
     image = lap_partition(part)
-    if mode.symbolic:
-        return image
-    image = image.substitute_n(mode.n)
-    return image if mode.rank is None else image.reduce(mode)
+    return image if mode.symbolic else image.substitute_n(mode.n)
+
+
+@lru_cache(maxsize=None)
+def _reduced_column(part: Partition, mode: GroupMode) -> TracePoly:
+    """Laplacian of ``p_part`` in ``so(N)``, N >= 5: the general image at N = n,
+    reduced onto p_1, ..., p_{N // 2}."""
+    return lap_partition(part).substitute_n(mode.n).reduce(mode)
 
 
 def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:

@@ -3,6 +3,13 @@
 These are the coefficients of trace monomials while the matrix dimension is
 kept symbolic.  Coefficients are arbitrary-precision rationals, so addition,
 multiplication and substitution at a concrete dimension are exact.
+
+An :class:`NPoly` is immutable: no method changes it after construction and
+:attr:`NPoly.coeffs` returns a copy, so one object may be the coefficient of
+many trace monomials at once.  The public constructor validates and coerces
+its input; ``NPoly._raw`` wraps a dict that is canonical already (integer
+exponents >= 0 mapped to nonzero :class:`Fraction` values) and is only for
+package code whose output is canonical by construction.
 """
 
 from __future__ import annotations
@@ -39,6 +46,13 @@ class NPoly:
         else:
             c = _as_fraction(value)
             self._coeffs = {0: c} if c else {}
+
+    @classmethod
+    def _raw(cls, coeffs: dict[int, Fraction]) -> "NPoly":
+        """Wrap a canonical ``coeffs`` dict without copying or checking it."""
+        obj = object.__new__(cls)
+        obj._coeffs = coeffs
+        return obj
 
     @classmethod
     def var(cls) -> "NPoly":
@@ -93,12 +107,12 @@ class NPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        return NPoly(out)
+        return NPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "NPoly":
-        return NPoly({e: -c for e, c in self._coeffs.items()})
+        return NPoly._raw({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "NPoly":
         return self + (-other if isinstance(other, NPoly) else NPoly(other).__neg__())
@@ -120,7 +134,7 @@ class NPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        return NPoly(out)
+        return NPoly._raw(out)
 
     __rmul__ = __mul__
 
@@ -136,7 +150,7 @@ class NPoly:
         """Exact division by N; fails if the constant term is nonzero."""
         if self._coeffs.get(0):
             raise ValueError(f"{self} is not divisible by N")
-        return NPoly({e - 1: c for e, c in self._coeffs.items()})
+        return NPoly._raw({e - 1: c for e, c in self._coeffs.items()})
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -3,6 +3,12 @@
 A partition is stored canonically as a non-increasing tuple of positive
 integers; the empty partition indexes the constant function 1.  The zero
 padding seen in display contexts (``p_(2,1,0)``) is a rendering concern only.
+
+A :class:`Partition` is immutable, so one object may key any number of trace
+polynomials at once; the Laplacian assembly relies on that and hands out one
+shared object per parts tuple.  The public constructors validate their input;
+``Partition._trusted`` skips the check and is only for package code whose
+parts are canonical by construction.
 """
 
 from __future__ import annotations
@@ -25,6 +31,13 @@ class Partition:
             if prev is not None and p > prev:
                 raise ValueError(f"parts not non-increasing: {self.parts!r}")
             prev = p
+
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """Wrap ``parts`` that are already canonical, without validating them."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "parts", parts)
+        return obj
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
@@ -50,7 +63,7 @@ class Partition:
 
     def concat(self, other: "Partition") -> "Partition":
         """Union of parts; indexes the product of the two trace monomials."""
-        return Partition(tuple(sorted(self.parts + other.parts, reverse=True)))
+        return Partition._trusted(tuple(sorted(self.parts + other.parts, reverse=True)))
 
     def padded(self) -> tuple[int, ...]:
         """Parts padded with zeros to ``degree`` entries (display convention)."""
@@ -90,7 +103,7 @@ def partitions_of(degree: int) -> list[Partition]:
     """All partitions of ``degree``, lexicographically descending."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    return [Partition(p) for p in _descending(degree, degree)]
+    return [Partition._trusted(p) for p in _descending(degree, degree)]
 
 
 def enumerate_upto(k: int) -> list[Partition]:

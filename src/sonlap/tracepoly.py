@@ -123,6 +123,16 @@ class TracePoly:
         self._terms = data
         self.mode = mode
 
+    @classmethod
+    def _raw(cls, terms: dict, mode: GroupMode) -> "TracePoly":
+        """Wrap ``terms`` that are canonical for ``mode`` already, without
+        copying or checking them: :class:`Partition` keys (parts <= N // 2 in
+        a reduced mode) mapped to nonzero coefficients of the mode's type."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        obj.mode = mode
+        return obj
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -142,8 +152,10 @@ class TracePoly:
         """Sum of ``polys``, all in ``mode``, accumulated in one dict."""
         out: dict[Partition, object] = {}
         for poly in polys:
+            if poly.mode != mode:
+                raise ValueError(f"mode mismatch: {poly.mode} vs {mode}")
             _accumulate(out, poly._terms)
-        return cls(out, mode)
+        return cls._raw(out, mode)
 
     @classmethod
     def power_sum(cls, m: int, mode: GroupMode = GENERAL) -> "TracePoly":
@@ -201,12 +213,12 @@ class TracePoly:
     def __add__(self, other) -> "TracePoly":
         out = dict(self._terms)
         _accumulate(out, self._rhs(other)._terms)
-        return TracePoly(out, self.mode)
+        return TracePoly._raw(out, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TracePoly":
-        return TracePoly({p: -c for p, c in self._terms.items()}, self.mode)
+        return TracePoly._raw({p: -c for p, c in self._terms.items()}, self.mode)
 
     def __sub__(self, other) -> "TracePoly":
         return self + (-self._rhs(other))
@@ -218,13 +230,18 @@ class TracePoly:
         if isinstance(other, (int, Fraction, NPoly)):
             if not other:
                 return TracePoly.zero(self.mode)
-            return TracePoly({p: c * other for p, c in self._terms.items()}, self.mode)
+            scaled = {p: c * other for p, c in self._terms.items()}
+            # a rational scale keeps every coefficient's type; an NPoly one is coerced
+            if isinstance(other, NPoly):
+                return TracePoly(scaled, self.mode)
+            return TracePoly._raw(scaled, self.mode)
         rhs = self._rhs(other)
         out: dict[Partition, object] = {}
         for p1, c1 in self._terms.items():
-            # p1.concat is injective, so each row's keys are distinct
+            # p1.concat is injective, so each row's keys are distinct; a
+            # product of nonzero coefficients is nonzero and of the same type
             _accumulate(out, {p1.concat(p2): c1 * c2 for p2, c2 in rhs._terms.items()})
-        return TracePoly(out, self.mode)
+        return TracePoly._raw(out, self.mode)
 
     __rmul__ = __mul__
 

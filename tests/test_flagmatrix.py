@@ -27,6 +27,7 @@ from sonlap import (
     matrix_to_latex,
     rotation_from_angles,
     so,
+    so3_pm_in_p1,
     spectrum_closed,
 )
 from sonlap import flagmatrix, laplacian
@@ -247,6 +248,29 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
     for j, i in injections.items():
         entries[i][j] = 1
     assert _row_major_violation(entries, basis) == expected
+
+
+@pytest.mark.parametrize(
+    "mode,basis_id,kmax",
+    [
+        (GENERAL, "general", 10),
+        (general_at(5), "general", 8),
+        (SO4, "so4", 8),
+        (SO3, "btrace", 10),
+    ],
+)
+def test_row_filled_assembly_matches_dense_columns(mode, basis_id, kmax):
+    """build_matrix writes each image's sparse coordinates into the rows; the
+    dense route, one coordinate list per element, transposed, gives the same
+    entries.  A ``btrace`` element p_m is the SO(3) polynomial p_m in p_1."""
+    for k in range(kmax + 1):
+        basis = basis_for(mode, basis_id, k)
+        if basis_id == "btrace":
+            images = [lap(so3_pm_in_p1(e.degree)) for e in basis.elements]
+        else:
+            images = [laplacian.lap_monomial(e, mode) for e in basis.elements]
+        columns = [coordinates(image, basis) for image in images]
+        assert build_matrix(mode, basis_id, k).entries == tuple(zip(*columns)), k
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from sonlap import (
     so3_lap_power,
     so4_lap_monomial,
 )
+from sonlap.laplacian import lap_monomial
 from refdata import WORKED_LAPLACIANS, lap_partition_three_case, so4_monomial_partition
 
 F = Fraction
@@ -237,6 +238,33 @@ def test_lap_commutes_with_reduction(n):
     for partition in enumerate_upto(6):
         reduced = TracePoly.monomial(partition, 1).substitute_n(n).reduce(mode)
         assert lap(reduced) == lap_partition(partition).substitute_n(n).reduce(mode), partition
+
+
+@pytest.mark.parametrize("partition", enumerate_upto(12))
+def test_lap_partition_terms_are_canonical_and_never_mutated(partition):
+    """The image is built from interned partitions and coefficients without the
+    public checks: every key is canonical, every coefficient nonzero, the
+    checked constructor gives the same polynomial, and arithmetic on the image
+    leaves the cached image as it was."""
+    image = lap_partition(partition)
+    snapshot = {part.parts: coeff.coeffs for part, coeff in image.terms.items()}
+    for part, coeff in image.terms.items():
+        assert Partition.of(*part.parts) == part
+        assert coeff
+    assert TracePoly(image.terms, GENERAL) == image
+    for result in (image + image, image * 3, image * image):
+        assert TracePoly(result.terms, GENERAL) == result
+    assert lap_partition(partition) is image
+    assert {part.parts: coeff.coeffs for part, coeff in image.terms.items()} == snapshot
+
+
+def test_reduced_column_is_cached_from_so5_on():
+    """In so(N), N >= 5, each monomial's column is reduced once; general mode at
+    a fixed N stays uncached."""
+    part = Partition.of(2, 2, 1)
+    assert lap_monomial(part, so(5)) is lap_monomial(part, so(5))
+    assert lap_monomial(part, so(5)) == lap_partition(part).substitute_n(5).reduce(so(5))
+    assert lap_monomial(part, general_at(5)) is not lap_monomial(part, general_at(5))
 
 
 def test_memo_cache_is_transparent():

@@ -155,6 +155,39 @@ def test_ring_axioms_on_random_triples():
         assert a * b == b * a
 
 
+def _canonical(poly: TracePoly) -> bool:
+    """Whether ``poly`` is what the validated constructor makes of its terms."""
+    rebuilt = TracePoly(poly.terms, poly.mode)
+    return rebuilt == poly and all(
+        Partition.of(*part.parts) == part and coeff for part, coeff in poly.terms.items()
+    )
+
+
+@pytest.mark.parametrize("mode", [GENERAL, general_at(5), SO4, so(6)])
+def test_trusted_arithmetic_stays_canonical(mode):
+    """Sums, differences, products and rational scalings skip the public
+    checks; their results are still exactly what the checked constructor gives,
+    and no operand changes."""
+    rng = random.Random(4417)
+    for _ in range(30):
+        a, b = (random_tracepoly(rng, mode, max_degree=mode.rank or 3) for _ in range(2))
+        before = (a.terms, b.terms)
+        results = (a + b, a - b, -a, a * b, a * 3, a * F(-2, 5), a + 1, TracePoly.sum([a, b, a], mode))
+        assert all(_canonical(result) for result in results)
+        assert (a.terms, b.terms) == before
+
+
+def test_public_constructors_keep_their_checks():
+    """The checks the trusted paths skip still guard the public entry points
+    (``Partition`` itself: ``test_invalid_parts_rejected``)."""
+    with pytest.raises(ValueError):
+        TracePoly({(3,): 1}, SO4)
+    with pytest.raises(ValueError):
+        TracePoly.sum([TracePoly.power_sum(1, SO3), TracePoly.power_sum(1, SO4)], SO3)
+    with pytest.raises(ValueError):
+        TracePoly.sum([TracePoly.power_sum(1, GENERAL)], general_at(3))
+
+
 def test_product_degree_adds():
     rng = random.Random(7)
     for _ in range(20):
