@@ -34,9 +34,9 @@ _BASES = {"bprime": SO3, "btrace": SO3, "so4": SO4}
 # Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
 # and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
 # bound.  At 30 the slowest accepted input, ``characters --mode so4 --j1 15
-# --j2 15``, takes about 0.55 s in a fresh process on a 2-core machine, and
-# every other command at most 0.45 s; the exact arithmetic grows steeply
-# with the degree.
+# --j2 15``, takes about 0.45 s in a fresh process (median of 10, Python
+# 3.11 on a 2-core Intel Xeon host), and every other command at most 0.44 s;
+# the exact arithmetic grows steeply with the degree.
 MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 from .npoly import NPoly
 from .partitions import EMPTY, Partition
-from .tracepoly import GENERAL, SO3, SO4, GroupMode, TracePoly
+from .tracepoly import GENERAL, SO3, SO4, GroupMode, TracePoly, _accumulate
 
 _N = NPoly.var()
 
@@ -304,10 +304,12 @@ def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:
     """Laplacian of an arbitrary trace polynomial; linear in the input.
 
     Extends :func:`lap_monomial` by linearity, so in a reduced mode the
-    result stays in the reduced generators.
+    result stays in the reduced generators.  Each monomial's image is added
+    in, scaled by its coefficient, straight into one dict.
     """
     if mode is not None and mode != a.mode:
         raise ValueError(f"mode mismatch: polynomial is {a.mode}, requested {mode}")
-    return TracePoly.sum(
-        (lap_monomial(part, a.mode) * coeff for part, coeff in a._terms.items()), a.mode
-    )
+    out: dict[Partition, object] = {}
+    for part, coeff in a._terms.items():
+        _accumulate(out, lap_monomial(part, a.mode)._terms, coeff)
+    return TracePoly._raw(out, a.mode)

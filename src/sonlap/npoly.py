@@ -17,6 +17,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _magnitude_str(value) -> str:
+    """``str(abs(value))`` of an int or :class:`Fraction`, from its numerator
+    and denominator."""
+    num = abs(value.numerator)
+    return str(num) if value.denominator == 1 else f"{num}/{value.denominator}"
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -153,20 +160,26 @@ class NPoly:
         return NPoly._raw({e - 1: c for e, c in self._coeffs.items()})
 
     def __str__(self) -> str:
+        return self._signed_str(False)
+
+    def _signed_str(self, negate: bool) -> str:
+        """The printed form of ``-self`` if ``negate``, else of ``self``; the
+        signs and magnitudes are read off each coefficient, not computed."""
         if not self._coeffs:
             return "0"
         chunks = []
         for e in sorted(self._coeffs, reverse=True):
             c = self._coeffs[e]
+            mag = _magnitude_str(c)
             if e == 0:
-                body = str(abs(c))
+                body = mag
             else:
                 var = "N" if e == 1 else f"N^{e}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
+                body = var if mag == "1" else f"{mag}*{var}"
+            if (c.numerator > 0) != negate:
+                chunks.append(f"+ {body}" if chunks else body)
             else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+                chunks.append(f"- {body}" if chunks else f"-{body}")
         return " ".join(chunks)
 
     def __repr__(self) -> str:

@@ -8,7 +8,9 @@ A :class:`Partition` is immutable, so one object may key any number of trace
 polynomials at once; the Laplacian assembly relies on that and hands out one
 shared object per parts tuple.  The public constructors validate their input;
 ``Partition._trusted`` skips the check and is only for package code whose
-parts are canonical by construction.
+parts are canonical by construction.  Every constructor stores the hash once,
+with the value the dataclass would compute, ``hash((parts,))``, so dict and
+set lookups keyed by partitions do not rebuild it.
 """
 
 from __future__ import annotations
@@ -31,13 +33,18 @@ class Partition:
             if prev is not None and p > prev:
                 raise ValueError(f"parts not non-increasing: {self.parts!r}")
             prev = p
+        object.__setattr__(self, "_hash", hash((self.parts,)))
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
         """Wrap ``parts`` that are already canonical, without validating them."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", parts)
+        object.__setattr__(obj, "_hash", hash((parts,)))
         return obj
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
 
-from .npoly import NPoly
+from .npoly import NPoly, _magnitude_str
 from .partitions import EMPTY, Partition
 
 
@@ -88,9 +88,17 @@ def _coerce_coeff(value, mode: GroupMode):
     raise TypeError(f"bad coefficient type {type(value).__name__}")
 
 
-def _accumulate(out: dict, terms: dict) -> None:
-    """Add ``terms`` into ``out`` in place; a sum that cancels leaves no entry."""
-    for part, coeff in terms.items():
+def _accumulate(out: dict, terms: dict, scale=1) -> None:
+    """Add ``scale`` times ``terms`` into ``out`` in place; a sum that cancels
+    leaves no entry.
+
+    ``scale`` is a nonzero coefficient of the same type as those of
+    ``terms``, so every scaled coefficient is nonzero and of that type.  Only
+    ``out`` is written: ``terms`` may be a cached image, and at scale 1 its
+    immutable coefficient objects are shared, not copied.
+    """
+    items = terms.items() if scale == 1 else [(p, c * scale) for p, c in terms.items()]
+    for part, coeff in items:
         s = out.get(part)
         if s is None:
             out[part] = coeff
@@ -266,21 +274,22 @@ class TracePoly:
         """Rewrite onto the reduced generators p_1, ..., p_{N // 2} of ``mode``.
 
         Idempotent; requires numeric coefficients at the matching dimension.
+        The image is one accumulation of each term's coefficient times the
+        reduced form of its monomial: a single trace p_m reads the cached
+        p_m table, a longer monomial the cached product
+        :func:`_reduced_monomial`, so each is multiplied out once per mode.
         """
-        table = _pm_table(mode)
+        _pm_table(mode)  # refuses a target that is not a reduced mode
         if self.mode == mode:
             return self
         if self.mode.symbolic:
             raise ValueError("substitute a concrete N before reducing")
         if self.mode.n != mode.n:
             raise ValueError(f"operand lives at N={self.mode.n}, target needs N={mode.n}")
-        factors = []
+        out: dict[Partition, Fraction] = {}
         for part, coeff in self._terms.items():
-            factor = TracePoly.constant(coeff, mode)
-            for m in part:
-                factor = factor * table(m)
-            factors.append(factor)
-        return TracePoly.sum(factors, mode)
+            _accumulate(out, _reduced_image(mode, part)._terms, coeff)
+        return TracePoly._raw(out, mode)
 
     # -- rendering ---------------------------------------------------------
 
@@ -364,28 +373,31 @@ def monomial_label(part: Partition, tag: str) -> str:
 
 
 def _coeff_chunk(coeff, label: str | None) -> tuple[str, str]:
-    """Split a coefficient into a sign and a printable magnitude."""
+    """Split an int, :class:`Fraction` or :class:`NPoly` coefficient into a
+    sign and a printable magnitude.
+
+    The sign is read from a numerator, the magnitude printed from the
+    coefficient's own digits; no negated or absolute value is built.
+    """
     if isinstance(coeff, NPoly):
-        items = coeff.coeffs
+        items = coeff._coeffs
         if not items:
             return "+", "0"
-        lead = items[max(items)]
-        sign = "+" if lead > 0 else "-"
-        mag = coeff if lead > 0 else -coeff
-        body = str(mag) if len(items) == 1 else f"({mag})"
-        if label is None:
-            return sign, body
-        if mag == 1 and len(items) == 1:
-            return sign, label
-        return sign, f"{body}*{label}"
-    coeff = Fraction(coeff)
-    sign = "+" if coeff >= 0 else "-"
-    mag = abs(coeff)
+        negative = items[max(items)].numerator < 0
+        mag = coeff._signed_str(negative)
+        body = mag if len(items) == 1 else f"({mag})"
+    elif isinstance(coeff, (int, Fraction)):
+        negative = coeff.numerator < 0
+        mag = body = _magnitude_str(coeff)
+    else:
+        raise TypeError(f"bad coefficient type {type(coeff).__name__}")
+    sign = "-" if negative else "+"
     if label is None:
-        return sign, str(mag)
-    if mag == 1:
+        return sign, body
+    # a magnitude printed "1" is the constant 1: every other NPoly prints an N
+    if mag == "1":
         return sign, label
-    return sign, f"{mag}*{label}"
+    return sign, f"{body}*{label}"
 
 
 @lru_cache(maxsize=None)
@@ -435,6 +447,28 @@ def _pm_table(mode: GroupMode):
         return _newton_step(mode, m, lambda j: table(j) if j else m)
 
     return table
+
+
+def _reduced_image(mode: GroupMode, part: Partition) -> TracePoly:
+    """p_part in the generators of the reduced ``mode``: a single trace is its
+    p_m table entry, any other monomial its cached :func:`_reduced_monomial`."""
+    parts = part.parts
+    return _pm_table(mode)(parts[0]) if len(parts) == 1 else _reduced_monomial(mode, part)
+
+
+@lru_cache(maxsize=None)
+def _reduced_monomial(mode: GroupMode, part: Partition) -> TracePoly:
+    """The cached p_part, for any number of parts but one, in the generators
+    of the reduced ``mode``: the constant 1 for the empty partition, else the
+    image of ``part`` less its last part times that part's p_m table entry.
+
+    Entries are shared by every :meth:`TracePoly.reduce` call and must never
+    be written to.
+    """
+    if not part.parts:
+        return TracePoly.constant(1, mode)
+    head = Partition._trusted(part.parts[:-1])
+    return _reduced_image(mode, head) * _pm_table(mode)(part.parts[-1])
 
 
 # p_m on SO(3) in p_1, that is 1 + 2 T_m((p_1 - 1)/2): with e_1 = e_2 = p_1 and

@@ -16,6 +16,11 @@ block back-substitution replaced.  The per-group rules that the rank rule
 r = N // 2 replaced -- the SO(3)/SO(4) block candidates, the ``so4`` basis
 order and the ``spectrum_closed`` enumerations -- are frozen as well.  All of
 them serve as exact references.
+``TracePoly.reduce`` as it stood before it read cached reduced monomials --
+one product ``constant(coeff) * p_{m_1} * p_{m_2} * ...`` of p_m table
+entries per term, summed -- and the term printer as it stood before it read
+signs and magnitudes off the coefficients' digits are frozen too; the
+current ones must equal them term for term and byte for byte.
 The numeric identity suite as it stood before its finite differences shared
 one sweep -- each monomial's powers formed afresh for every value and
 gradient, with hand-written error maxima -- is frozen at the end; its
@@ -673,3 +678,69 @@ def verify_gegenbauer_reference(n, k, i, j, samples=20, seed=None, tol=1e-8):
         "gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol,
         max_abs, max_rel, max_rel <= tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# TracePoly.reduce and the term printer before the cached reduced monomials
+
+
+def reduce_per_factor_reference(poly: TracePoly, mode) -> TracePoly:
+    """``poly`` rewritten onto the generators of the reduced ``mode`` by one
+    product of p_m table entries per term, as ``reduce`` did before."""
+    from sonlap.tracepoly import _pm_table
+
+    table = _pm_table(mode)
+    factors = []
+    for part, coeff in poly.terms.items():
+        factor = TracePoly.constant(coeff, mode)
+        for m in part:
+            factor = factor * table(m)
+        factors.append(factor)
+    return TracePoly.sum(factors, mode)
+
+
+def npoly_str_reference(poly: NPoly) -> str:
+    """``str(NPoly)`` as printed before, from absolute values and comparisons."""
+    coeffs = poly.coeffs
+    if not coeffs:
+        return "0"
+    chunks = []
+    for e in sorted(coeffs, reverse=True):
+        c = coeffs[e]
+        if e == 0:
+            body = str(abs(c))
+        else:
+            var = "N" if e == 1 else f"N^{e}"
+            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+        if not chunks:
+            chunks.append(body if c > 0 else f"-{body}")
+        else:
+            chunks.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(chunks)
+
+
+def coeff_chunk_reference(coeff, label):
+    """The (sign, body) split of one printed term, as ``_coeff_chunk`` made it
+    before, with ``npoly_str_reference`` for the NPoly magnitudes."""
+    if isinstance(coeff, NPoly):
+        items = coeff.coeffs
+        if not items:
+            return "+", "0"
+        lead = items[max(items)]
+        sign = "+" if lead > 0 else "-"
+        mag = coeff if lead > 0 else -coeff
+        text = npoly_str_reference(mag)
+        body = text if len(items) == 1 else f"({text})"
+        if label is None:
+            return sign, body
+        if mag == 1 and len(items) == 1:
+            return sign, label
+        return sign, f"{body}*{label}"
+    coeff = Fraction(coeff)
+    sign = "+" if coeff >= 0 else "-"
+    mag = abs(coeff)
+    if label is None:
+        return sign, str(mag)
+    if mag == 1:
+        return sign, label
+    return sign, f"{mag}*{label}"

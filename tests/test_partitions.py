@@ -103,3 +103,13 @@ def test_padded_display_form():
 
 def test_concat_merges_sorted():
     assert Partition.of(2).concat(Partition.of(3, 1)).parts == (3, 2, 1)
+
+
+def test_cached_hash_equals_the_dataclass_hash():
+    """Every constructor stores hash((parts,)), so no dict or set of
+    partitions changes order."""
+    for part in enumerate_upto(12):
+        parts = part.parts
+        built = (Partition(parts), Partition.of(*reversed(parts)), Partition._trusted(parts), part)
+        for p in built:
+            assert hash(p) == hash((parts,)), p

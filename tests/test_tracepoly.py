@@ -1,10 +1,18 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from refdata import so4_pm_hand_recurrence
+from refdata import (
+    coeff_chunk_reference,
+    npoly_str_reference,
+    reduce_per_factor_reference,
+    so4_pm_hand_recurrence,
+)
+from sonlap import tracepoly
+from sonlap.laplacian import lap_monomial
 from sonlap import (
     GENERAL,
     SO3,
@@ -14,8 +22,11 @@ from sonlap import (
     Partition,
     TracePoly,
     elementary,
+    enumerate_upto,
     eval_tracepoly,
     general_at,
+    lap,
+    lap_partition,
     random_son,
     rotation_from_angles,
     so,
@@ -386,6 +397,63 @@ def test_reduce_dimension_mismatch_rejected():
         TracePoly.power_sum(2).substitute_n(5).reduce(SO3)
 
 
+REDUCE_MODES = [SO3, SO4, so(5), so(6), so(8)]
+# scales other than 1, so every accumulation takes its scaling branch
+SCALES = [F(-1), F(2), F(-1, 2), F(3, 7), F(-5, 3)]
+
+
+@pytest.mark.parametrize("mode", REDUCE_MODES, ids=str)
+def test_reduce_matches_per_factor_reference(mode):
+    """Cached reduced monomials give the per-term products of p_m table
+    entries, monomial by monomial and summed with cancellations."""
+    rng = random.Random(1700 + mode.n)
+    fixed = general_at(mode.n)
+    total = {}
+    for part in enumerate_upto(10):
+        coeff = F(rng.randint(-40, 40) or 1, rng.randint(1, 12))
+        total[part] = coeff
+        poly = TracePoly.monomial(part, coeff, fixed)
+        got = poly.reduce(mode)
+        assert got == reduce_per_factor_reference(poly, mode), part
+        assert all(type(c) is F and c for c in got.terms.values()), part
+    poly = TracePoly(total, fixed)
+    assert poly.reduce(mode) == reduce_per_factor_reference(poly, mode)
+    # (p_1^2 - p_2) / 2 is e_2, so its image is the reduced e_2
+    e2 = TracePoly({(1, 1): F(1, 2), (2,): F(-1, 2)}, fixed)
+    assert e2.reduce(mode) == elementary(mode)[2]
+
+
+def test_reduce_rejects_a_general_target():
+    with pytest.raises(ValueError, match="reduction target must be a reduced mode"):
+        TracePoly.power_sum(2).substitute_n(5).reduce(general_at(5))
+
+
+def test_reduce_and_lap_leave_the_cached_images_alone():
+    """Scaling into the accumulator never writes into a cached reduced
+    monomial, p_m table entry or per-monomial Laplacian."""
+    parts = enumerate_upto(10)
+    fetch = {}  # key -> call that reads one cached image
+    for mode in REDUCE_MODES:
+        table = tracepoly._pm_table(mode)
+        fetch.update({(mode, "p_m", m): partial(table, m) for m in range(11)})
+        for part in parts:
+            if len(part) != 1:
+                fetch[(mode, "p_part", part)] = partial(tracepoly._reduced_monomial, mode, part)
+            if not part.parts or part.parts[0] <= mode.rank:
+                fetch[(mode, "lap", part)] = partial(lap_monomial, part, mode)
+    cached = {key: read() for key, read in fetch.items()}
+    snapshot = {key: image.terms for key, image in cached.items()}
+    rng = random.Random(1717)
+    for mode in REDUCE_MODES:
+        fixed = general_at(mode.n)
+        for part in parts:
+            reduced = TracePoly.monomial(part, rng.choice(SCALES), fixed).reduce(mode)
+            lap(reduced * rng.choice(SCALES))
+    for key, read in fetch.items():
+        assert read() is cached[key], key
+        assert cached[key].terms == snapshot[key], key
+
+
 # ---------------------------------------------------------------------------
 # SO(3) basis change
 
@@ -444,6 +512,63 @@ def test_json_round_trip_numeric():
     poly = (p1pow(2) - 2 * p1pow(1) + TracePoly.constant(F(1, 3), SO3))
     rebuilt = TracePoly.from_json_obj(poly.to_json_obj(), SO3)
     assert rebuilt == poly
+
+
+def _printed_polys() -> list:
+    """Every symbolic monomial Laplacian to degree 12 and every reduced SO(3)
+    and SO(4) one to degree 10, the latter from the reduced image of each
+    general monomial."""
+    polys = [lap_partition(part) for part in enumerate_upto(12)]
+    for mode in (SO3, SO4):
+        fixed = general_at(mode.n)
+        polys += [lap(TracePoly.monomial(part, 1, fixed).reduce(mode)) for part in enumerate_upto(10)]
+    return polys
+
+
+def test_pretty_matches_the_frozen_printer(monkeypatch):
+    polys = _printed_polys()
+    got = [poly.pretty() for poly in polys]
+    for poly in polys:
+        for coeff in poly.terms.values():
+            if isinstance(coeff, NPoly):
+                assert str(coeff) == npoly_str_reference(coeff)
+    monkeypatch.setattr(tracepoly, "_coeff_chunk", coeff_chunk_reference)
+    assert got == [poly.pretty() for poly in polys]
+
+
+HAND_PICKED = [
+    0, 1, -1, 12, -7, F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(-22, 7),
+    NPoly(0), NPoly(1), NPoly(-1), NPoly(F(1, 2)), NPoly(F(-1, 2)), NPoly(5),
+    -N, N, N - 1, 1 - N, (N * N - 3) * F(-1, 2), (N * N - 3) * F(1, 2), 3 * N * N, -N * N * N + 2 * N,
+]
+
+
+@pytest.mark.parametrize("label", [None, "p_1", "p_(2,1,0)"])
+@pytest.mark.parametrize("coeff", HAND_PICKED, ids=repr)
+def test_coeff_chunk_matches_the_frozen_printer(coeff, label):
+    assert tracepoly._coeff_chunk(coeff, label) == coeff_chunk_reference(coeff, label)
+    if isinstance(coeff, NPoly):
+        assert str(coeff) == npoly_str_reference(coeff)
+
+
+def test_pretty_of_hand_picked_coefficients_matches_the_frozen_printer(monkeypatch):
+    polys = []
+    for coeff in HAND_PICKED:
+        if not coeff:
+            continue
+        if isinstance(coeff, NPoly):
+            # the constant term prints as a multiple of p_0 where N divides it
+            polys.append(TracePoly({(): coeff, (2, 1): coeff, (1,): 1 - coeff}, GENERAL))
+        else:
+            polys.append(TracePoly({(): coeff, (1, 1): coeff, (1,): 1 - coeff}, SO3))
+    got = [poly.pretty() for poly in polys]
+    monkeypatch.setattr(tracepoly, "_coeff_chunk", coeff_chunk_reference)
+    assert got == [poly.pretty() for poly in polys]
+
+
+def test_coeff_chunk_rejects_a_float():
+    with pytest.raises(TypeError):
+        tracepoly._coeff_chunk(0.5, "p_1")
 
 
 def test_pretty_pads_partitions():
