@@ -52,7 +52,14 @@ MAX_DEGREE = 30
 # random stream is made as it is drawn, so the sample bound is one of time:
 # the cheapest suite, laplacian n=3 k=0, takes 0.54-0.63 s over 1000
 # samples and 2.2 s over 10000.
+# A laplacian sample checks every partition of degree <= --k, so that
+# suite's time grows as samples x partitions: 0.19 ms per partition and
+# sample at n=3, 0.55 ms at n = MAX_VERIFY_N (in process, k=12).  The
+# product is bounded at the cost of n=60: 4 samples at k=12 (1088) take
+# 1.11-1.15 s in a fresh process and 1000 samples at k=0 0.94-1.08 s; 5
+# samples at k=12 took 1.3 s and 20 took 3.2 s.
 MAX_LAPLACIAN_K = 12
+MAX_LAPLACIAN_WORK = 1100
 MAX_IDENTITIES_N = 30
 MAX_VERIFY_N = 60
 MAX_SAMPLES = 1000
@@ -212,9 +219,16 @@ def _cmd_verify(args) -> int:
             raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
     seed = args.seed if args.seed is not None else _seed_default()
     if args.suite == "laplacian":
+        partitions = enumerate_upto(args.k)
+        work = args.samples * len(partitions)
+        if work > MAX_LAPLACIAN_WORK:
+            raise ValueError(
+                f"--samples {args.samples} times {len(partitions)} partitions ({work}) "
+                f"exceeds the input bound {MAX_LAPLACIAN_WORK} of the laplacian suite"
+            )
         tol = args.tol if args.tol is not None else 1e-8
         reports = numeric.verify_laplacian(
-            args.n, enumerate_upto(args.k), samples=args.samples, seed=seed, tol=tol
+            args.n, partitions, samples=args.samples, seed=seed, tol=tol
         )
     elif args.suite == "gegenbauer":
         tol = args.tol if args.tol is not None else 1e-8

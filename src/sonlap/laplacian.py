@@ -22,15 +22,14 @@ are multiplied.  No output term ever exceeds the input degree, which is
 what makes the flag of spaces invariant and the restricted operator block
 triangular.
 
-The SO(3) and SO(4) fast paths below are separate closed forms, kept
-independent of the general assembly so the two derivations can cross-check
-each other:
-
-* SO(3), trace basis:  ``D p_m = m(m-1)/2 p_0 - m sum_{j<m} p_j - m(m+1)/2 p_m``
-* SO(3), power basis:  ``D p_1^j = -(j(j+1)/2) p_1^j + j(j-1) p_1^{j-1}
-  + (3/2) j(j-1) p_1^{j-2}``
-* SO(4): the reduced form of ``D (p_1^l p_2^m)`` in p_1, p_2, with vanishing
-  combinatorial prefactors guarding the small l, m cases.
+The reduced mode so(N) of every N >= 3 reads the same rule.  Its pieces,
+D p_m and <grad p_m, grad p_m'> for m, m' <= r = N // 2, are substituted at
+N and reduced onto p_1, ..., p_r once per mode; a column is the sum of the
+pieces' terms, each merged with the parts of p_rest and scaled by the rule's
+integer, so no column multiplies polynomials or reduces.  The SO(3) and
+SO(4) Laplacians of p_1^j and p_1^l p_2^m are this rule at r = 1 and 2.
+Only the SO(3) trace-basis column keeps a formula of its own:
+``D p_m = m(m-1)/2 p_0 - m sum_{j<m} p_j - m(m+1)/2 p_m``.
 """
 
 from __future__ import annotations
@@ -121,14 +120,14 @@ def _doubled(poly: TracePoly) -> tuple[tuple[tuple[int, ...], int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _lap_pm_doubled(m: int):
-    return _doubled(lap_pm(m))
+def _piece(factors: tuple[int, ...]) -> TracePoly:
+    """D p_m for ``(m,)``, <grad p_m, grad p_m'> for ``(m, m')``."""
+    return lap_pm(*factors) if len(factors) == 1 else grad_inner_pm(*factors)
 
 
 @lru_cache(maxsize=None)
-def _grad_inner_doubled(m: int, mp: int):
-    return _doubled(grad_inner_pm(m, mp))
+def _doubled_piece(factors: tuple[int, ...]):
+    return _doubled(_piece(factors))
 
 
 def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
@@ -139,10 +138,25 @@ def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
     return tuple(rest)
 
 
+def _product_rule(parts: tuple[int, ...]):
+    """The product rule grouped by multiplicity, as in the module docstring:
+    D p_parts is the sum of ``scale`` p_rest times the :func:`_piece` of
+    ``factors`` over the yielded ``(rest, factors, scale)``."""
+    mult = Counter(parts)  # distinct parts in descending order
+    values = tuple(mult)
+    for i, m in enumerate(values):
+        a = mult[m]
+        yield _without(parts, m), (m,), a
+        if a >= 2:
+            yield _without(parts, m, m), (m, m), a * (a - 1)
+        for mp in values[i + 1:]:
+            yield _without(parts, m, mp), (m, mp), 2 * a * mult[mp]
+
+
 # The output terms of lap_partition, one object per value: a Partition per
-# parts tuple and an NPoly per doubled pair (2 c_0, 2 c_1).  Both types are
-# immutable, so every image shares them; the caches hold only what the images
-# kept by lap_partition's own cache refer to.
+# parts tuple (shared with the reduced columns) and an NPoly per doubled pair
+# (2 c_0, 2 c_1).  Both types are immutable, so every image shares them; the
+# caches hold only what the cached images and columns refer to.
 @lru_cache(maxsize=None)
 def _interned_part(parts: tuple[int, ...]) -> Partition:
     return Partition._trusted(parts)
@@ -167,13 +181,9 @@ def lap_partition(partition: Partition) -> TracePoly:
     types are immutable and no :class:`TracePoly` operation writes into an
     operand's terms, so the sharing is safe.
     """
-    parts = partition.parts
-    mult = Counter(parts)  # distinct parts in descending order
-    values = tuple(mult)
     acc: dict[tuple[int, ...], list[int]] = {}
-
-    def add(rest: tuple[int, ...], image, scale: int) -> None:
-        for img, c0, c1 in image:
+    for rest, factors, scale in _product_rule(partition.parts):
+        for img, c0, c1 in _doubled_piece(factors):
             key = tuple(sorted(rest + img, reverse=True)) if img else rest
             slot = acc.get(key)
             if slot is None:
@@ -181,14 +191,6 @@ def lap_partition(partition: Partition) -> TracePoly:
             else:
                 slot[0] += scale * c0
                 slot[1] += scale * c1
-
-    for i, m in enumerate(values):
-        a = mult[m]
-        add(_without(parts, m), _lap_pm_doubled(m), a)
-        if a >= 2:
-            add(_without(parts, m, m), _grad_inner_doubled(m, m), a * (a - 1))
-        for mp in values[i + 1:]:
-            add(_without(parts, m, mp), _grad_inner_doubled(m, mp), 2 * a * mult[mp])
     terms = {
         _interned_part(key): _interned_coeff(c0, c1) for key, (c0, c1) in acc.items() if c0 or c1
     }
@@ -216,21 +218,10 @@ def lap_partition_product_rule(partition: Partition) -> TracePoly:
 
 @lru_cache(maxsize=None)
 def so3_lap_power(j: int) -> TracePoly:
-    """Laplacian of p_1^j on SO(3), already reduced to powers of p_1."""
+    """Laplacian of p_1^j on SO(3), in powers of p_1: the reduced rule's column."""
     if j < 0:
         raise ValueError("exponent must be nonnegative")
-    if j == 0:
-        return TracePoly.zero(SO3)
-    if j == 1:
-        return TracePoly.monomial(Partition((1,)), -1, SO3)
-    return TracePoly(
-        {
-            _ones(j): Fraction(-j * (j + 1), 2),
-            _ones(j - 1): Fraction(j * (j - 1)),
-            _ones(j - 2): Fraction(3 * j * (j - 1), 2),
-        },
-        SO3,
-    )
+    return _reduced_column(_ones(j), SO3)
 
 
 def so3_lap_pm_btrace(m: int) -> dict[int, Fraction]:
@@ -253,34 +244,19 @@ def so3_lap_pm_btrace(m: int) -> dict[int, Fraction]:
 
 @lru_cache(maxsize=None)
 def so4_lap_monomial(l: int, m: int) -> TracePoly:
-    """Laplacian of p_1^l p_2^m on SO(4), reduced to the p_1, p_2 generators."""
+    """Laplacian of p_1^l p_2^m on SO(4), in p_1 and p_2: the reduced rule's column."""
     if l < 0 or m < 0:
         raise ValueError("exponents must be nonnegative")
-    p1 = TracePoly.power_sum(1, SO4)
-    p2 = TracePoly.power_sum(2, SO4)
-
-    def mono(a: int, b: int) -> TracePoly:
-        return TracePoly.monomial(Partition.of(*([2] * b + [1] * a)), 1, SO4)
-
-    out = TracePoly.zero(SO4)
-    if m >= 2:
-        square = p1 * p1 - 4
-        out = out + mono(l, m - 2) * square * square * (m * (m - 1))
-    if m >= 1:
-        out = out + mono(l, m - 1) * (p1 * p1 * (l - 2 * m + 1) + (4 - 4 * l)) * m
-    if l >= 2:
-        out = out + mono(l - 2, m) * (p2 - 4) * Fraction(-l * (l - 1), 2)
-    return out + mono(l, m) * Fraction(-(6 * m * l + 2 * m * m + 3 * l + 4 * m), 2)
+    return _reduced_column(Partition._trusted((2,) * m + (1,) * l), SO4)
 
 
 def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     """Laplacian of the trace monomial ``p_part`` in ``mode``.
 
     ``part`` must be a monomial of that mode: in ``so(N)`` its parts are at
-    most N // 2.  SO(3) and SO(4) read their cached closed forms; every
-    other mode takes the general image, with the dimension substituted at a
-    fixed N, and in ``so(N)`` reduced onto p_1, ..., p_{N // 2} once per
-    monomial.
+    most N // 2, and its column is the cached :func:`_reduced_column`, read
+    for SO(3) and SO(4) through their named caches.  General mode takes the
+    general image, with the dimension substituted at a fixed N.
     """
     if mode.tag == "so3":
         return so3_lap_power(len(part))
@@ -294,10 +270,24 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
 
 
 @lru_cache(maxsize=None)
+def _reduced_piece(mode: GroupMode, factors: tuple[int, ...]):
+    """The :func:`_piece` of ``factors`` at N = n, reduced onto the generators
+    of ``mode``, as (parts, coefficient) pairs."""
+    reduced = _piece(factors).substitute_n(mode.n).reduce(mode)
+    return tuple((part.parts, coeff) for part, coeff in reduced._terms.items())
+
+
+@lru_cache(maxsize=None)
 def _reduced_column(part: Partition, mode: GroupMode) -> TracePoly:
-    """Laplacian of ``p_part`` in ``so(N)``, N >= 5: the general image at N = n,
-    reduced onto p_1, ..., p_{N // 2}."""
-    return lap_partition(part).substitute_n(mode.n).reduce(mode)
+    """Laplacian of ``p_part`` in ``so(N)``: the product rule over the reduced
+    pieces, each term's parts merged with those of p_rest and its coefficient
+    scaled, summed in one dict."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for rest, factors, scale in _product_rule(part.parts):
+        for img, coeff in _reduced_piece(mode, factors):
+            key = tuple(sorted(rest + img, reverse=True)) if img else rest
+            acc[key] = acc.get(key, 0) + scale * coeff
+    return TracePoly._raw({_interned_part(key): c for key, c in acc.items() if c}, mode)
 
 
 def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:

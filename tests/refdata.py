@@ -4,7 +4,10 @@ The symbolic Laplacian table covers every monomial of degree <= 4; the SO(4)
 order-4 matrix, its eigenvector list and the character table are the known
 closed-form results this package must reproduce exactly.  The three-case
 monomial Laplacian is the assembly ``lap_partition`` used before the grouped
-product rule, and the character enumeration is the candidate search
+product rule.  The hand-derived SO(3) p_1^j and SO(4) p_1^l p_2^m
+Laplacians and the so(N) column as the reduced general image, which the one
+reduced product rule replaced, are frozen next to it.  The character
+enumeration is the candidate search
 ``match_characters`` used before it read the spectrum's labels.  The
 hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
 replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
@@ -202,6 +205,49 @@ def lap_partition_three_case(partition: Partition) -> TracePoly:
         bracket = TracePoly.power_sum(mi - 1, GENERAL) - TracePoly.power_sum(mi + 1, GENERAL)
         out = out + rest * mono(*(1,) * (q - 1)) * bracket * F(mi * q)
     return out
+
+
+def so3_lap_power_hand(j: int) -> TracePoly:
+    """Laplacian of p_1^j on SO(3) by the former hand-derived closed form
+    -(j(j+1)/2) p_1^j + j(j-1) p_1^{j-1} + (3/2) j(j-1) p_1^{j-2}."""
+    if j == 0:
+        return TracePoly.zero(SO3)
+    if j == 1:
+        return TracePoly.monomial(Partition((1,)), -1, SO3)
+    return TracePoly(
+        {
+            Partition((1,) * j): F(-j * (j + 1), 2),
+            Partition((1,) * (j - 1)): F(j * (j - 1)),
+            Partition((1,) * (j - 2)): F(3 * j * (j - 1), 2),
+        },
+        SO3,
+    )
+
+
+def so4_lap_monomial_hand(l: int, m: int) -> TracePoly:
+    """Laplacian of p_1^l p_2^m on SO(4) by the former hand-derived closed form
+    in p_1, p_2, whose vanishing prefactors guard the small l, m cases."""
+    p1 = TracePoly.power_sum(1, SO4)
+    p2 = TracePoly.power_sum(2, SO4)
+
+    def mono(a: int, b: int) -> TracePoly:
+        return TracePoly.monomial(so4_monomial_partition(a, b), 1, SO4)
+
+    out = TracePoly.zero(SO4)
+    if m >= 2:
+        square = p1 * p1 - 4
+        out = out + mono(l, m - 2) * square * square * (m * (m - 1))
+    if m >= 1:
+        out = out + mono(l, m - 1) * (p1 * p1 * (l - 2 * m + 1) + (4 - 4 * l)) * m
+    if l >= 2:
+        out = out + mono(l - 2, m) * (p2 - 4) * F(-l * (l - 1), 2)
+    return out + mono(l, m) * F(-(6 * m * l + 2 * m * m + 3 * l + 4 * m), 2)
+
+
+def reduced_column_via_general(partition: Partition, mode) -> TracePoly:
+    """Laplacian of p_partition in ``so(N)`` by the former route: the whole
+    general image, substituted at N and reduced onto p_1, ..., p_{N // 2}."""
+    return lap_partition(partition).substitute_n(mode.n).reduce(mode)
 
 
 def candidate_characters(basis, eigenvalue: F) -> list:

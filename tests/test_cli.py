@@ -274,6 +274,10 @@ VERIFY_REFUSED = [
      f"exceeds the input bound {cli.MAX_VERIFY_N} of the gegenbauer suite"),
     (("--suite", "laplacian", "--samples", str(cli.MAX_SAMPLES + 1)),
      f"exceeds the input bound {cli.MAX_SAMPLES} of the laplacian suite"),
+    (("--suite", "laplacian", "--n", str(cli.MAX_VERIFY_N), "--k", str(cli.MAX_LAPLACIAN_K),
+      "--samples", "5"),
+     f"--samples 5 times 272 partitions (1360) exceeds the input bound "
+     f"{cli.MAX_LAPLACIAN_WORK} of the laplacian suite"),
     (("--suite", "gegenbauer", "--samples", "10000000"),
      f"exceeds the input bound {cli.MAX_SAMPLES} of the gegenbauer suite"),
     (("--suite", "identities", "--samples", "10000000"),
@@ -302,6 +306,7 @@ def test_verify_inputs_at_the_bounds_are_accepted(capsys):
         (("--suite", "laplacian", "--n", str(cli.MAX_VERIFY_N), "--k", "2"), 1),
         (("--suite", "gegenbauer", "--n", str(cli.MAX_VERIFY_N), "--k", str(cli.MAX_DEGREE)), 1),
         (("--suite", "laplacian", "--k", "0"), cli.MAX_SAMPLES),
+        (("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K)), cli.MAX_LAPLACIAN_WORK // 272),
     ]:
         code, out, err = run(capsys, "verify", *argv, "--samples", str(samples), "--seed", "3")
         assert (code, err) == (0, "")

@@ -10,6 +10,7 @@ from sonlap import (
     NPoly,
     Partition,
     TracePoly,
+    basis_for,
     enumerate_upto,
     general_at,
     grad_inner_pm,
@@ -25,7 +26,14 @@ from sonlap import (
     so4_lap_monomial,
 )
 from sonlap.laplacian import lap_monomial
-from refdata import WORKED_LAPLACIANS, lap_partition_three_case, so4_monomial_partition
+from refdata import (
+    WORKED_LAPLACIANS,
+    lap_partition_three_case,
+    reduced_column_via_general,
+    so3_lap_power_hand,
+    so4_lap_monomial_hand,
+    so4_monomial_partition,
+)
 
 F = Fraction
 N = NPoly.var()
@@ -151,10 +159,13 @@ def test_so3_trace_formula_matches_general_route(m):
     assert closed.reduce(SO3) == general
 
 
-@pytest.mark.parametrize("j", range(11))
+@pytest.mark.parametrize("j", range(31))
 def test_so3_power_formula_matches_general_route(j):
-    general = lap_partition(Partition((1,) * j)).substitute_n(3).reduce(SO3)
-    assert so3_lap_power(j) == general
+    """The reduced rule's column equals the former hand-derived closed form up
+    to the degree bound, and the reduced general image up to 12."""
+    assert so3_lap_power(j) == so3_lap_power_hand(j)
+    if j <= 12:
+        assert so3_lap_power(j) == reduced_column_via_general(Partition((1,) * j), SO3)
 
 
 def test_so3_lap_p3_in_trace_basis():
@@ -169,12 +180,15 @@ def test_so3_lap_p3_in_trace_basis():
 
 
 @pytest.mark.parametrize(
-    "l,m", [(l, m) for w in range(9) for m in range(w // 2 + 1) for l in [w - 2 * m]]
+    "l,m", [(l, m) for w in range(31) for m in range(w // 2 + 1) for l in [w - 2 * m]]
 )
 def test_so4_monomial_formula_matches_general_route(l, m):
-    partition = so4_monomial_partition(l, m)
-    general = lap_partition(partition).substitute_n(4).reduce(SO4)
-    assert so4_lap_monomial(l, m) == general
+    """The reduced rule's column equals the former hand-derived closed form up
+    to the degree bound, and the reduced general image up to weight 12."""
+    assert so4_lap_monomial(l, m) == so4_lap_monomial_hand(l, m)
+    if l + 2 * m <= 12:
+        partition = so4_monomial_partition(l, m)
+        assert so4_lap_monomial(l, m) == reduced_column_via_general(partition, SO4)
 
 
 def test_so4_lap_column_p1sq_p2():
@@ -259,11 +273,16 @@ def test_lap_partition_terms_are_canonical_and_never_mutated(partition):
 
 
 def test_reduced_column_is_cached_from_so5_on():
-    """In so(N), N >= 5, each monomial's column is reduced once; general mode at
-    a fixed N stays uncached."""
+    """In so(N), N >= 5, each monomial's column is built once and equals the
+    reduced general image for every flag element up to order 8; general mode
+    at a fixed N stays uncached."""
+    for n in range(5, 9):
+        mode = so(n)
+        for part in basis_for(mode, f"so{n}", 8).elements:
+            column = lap_monomial(part, mode)
+            assert lap_monomial(part, mode) is column
+            assert column == reduced_column_via_general(part, mode), (n, part)
     part = Partition.of(2, 2, 1)
-    assert lap_monomial(part, so(5)) is lap_monomial(part, so(5))
-    assert lap_monomial(part, so(5)) == lap_partition(part).substitute_n(5).reduce(so(5))
     assert lap_monomial(part, general_at(5)) is not lap_monomial(part, general_at(5))
 
 
