@@ -41,26 +41,34 @@ MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
 # 2-core machine (the time grows linearly with the samples).  The laplacian
-# suite walks every partition of degree <= --k: 0.45-0.51 s at k=12, 0.9 s
-# at 16.  The identities suite's n^2 x n^2 matrices and its stacks of n^2
-# displaced n x n points grow as n^4: 0.90-0.96 s and 126 MB at n=30,
-# 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses it).  The
-# gegenbauer --k is a degree.
+# suite walks every partition of degree <= --k: 0.37-0.51 s at k=12, 0.6 s
+# at 16 (a library call).  The identities suite's n^2 x n^2 matrices and
+# its stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and
+# 126 MB at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI
+# refuses it).  The gegenbauer --k is a degree.
 # The other two suites draw one n x n rotation per sample for all their
-# families: laplacian k=12 takes 0.55-0.6 s at n=60 (each further sample
-# adds about 0.15 s), 1.0 s at n=100 and 2.2-2.6 s at n=200.  Each sample's
-# random stream is made as it is drawn, so the sample bound is one of time:
-# the cheapest suite, laplacian n=3 k=0, takes 0.54-0.63 s over 1000
-# samples and 2.2 s over 10000.
-# A laplacian sample checks every partition of degree <= --k, so that
-# suite's time grows as samples x partitions: 0.19 ms per partition and
-# sample at n=3, 0.55 ms at n = MAX_VERIFY_N (in process, k=12).  The
-# product is bounded at the cost of n=60: 4 samples at k=12 (1088) take
-# 1.11-1.15 s in a fresh process and 1000 samples at k=0 0.94-1.08 s; 5
-# samples at k=12 took 1.3 s and 20 took 3.2 s.
+# families: laplacian k=12 takes 0.36-0.40 s at n=60, and a library call
+# 0.42-0.52 s at n=100 and 0.37-0.47 s at n=200.  Each sample's random
+# stream is made as it is drawn, so the sample bound is one of time: the
+# cheapest suite, laplacian n=3 k=0, takes 0.53-0.62 s over 1000 samples
+# and 1.4-2.3 s over 10000 (a library call).
+# A laplacian sample builds U's powers, their traces and the power tables
+# once for all its partitions, and checks every partition of degree <= --k,
+# so that suite's time grows as samples x partitions: 0.06-0.12 ms per
+# partition and sample at every n from 3 to MAX_VERIFY_N (in process,
+# k=12).  The product is bounded at the cost of n=60: 4 samples at k=12
+# (1088) take 0.44-0.59 s in a fresh process and 1000 samples at k=0
+# 0.97-1.05 s; 5 samples at k=12 take 0.43-0.54 s and 20 take 0.81-0.91 s
+# (library calls).
+# An identities sample costs about n^4 from n=20 on: 0.24 s at n=30, 0.3 us
+# per n^4 (in process).  Its samples x n^4 is bounded at 2 samples at
+# MAX_IDENTITIES_N: 0.96-1.05 s in a fresh process, and 0.87-1.10 s at the
+# bound for n=10, 20 and 25 (162, 10 and 4 samples).  Below n=10 a sample
+# costs about 3 ms whatever n, so 1000 samples at n=3 take 2.2-2.5 s.
 MAX_LAPLACIAN_K = 12
 MAX_LAPLACIAN_WORK = 1100
 MAX_IDENTITIES_N = 30
+MAX_IDENTITIES_WORK = 2 * MAX_IDENTITIES_N**4
 MAX_VERIFY_N = 60
 MAX_SAMPLES = 1000
 _VERIFY_BOUNDS = {
@@ -210,6 +218,17 @@ def _cmd_characters(args) -> int:
     return 0
 
 
+def _check_work(args, what: str, per_sample: int, bound: int) -> None:
+    """Refuse a ``verify`` run whose samples x per-sample work exceeds the
+    suite's bound, before any draw; ``what`` names the per-sample work."""
+    work = args.samples * per_sample
+    if work > bound:
+        raise ValueError(
+            f"--samples {args.samples} times {what} ({work}) "
+            f"exceeds the input bound {bound} of the {args.suite} suite"
+        )
+
+
 def _cmd_verify(args) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
@@ -220,12 +239,7 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _seed_default()
     if args.suite == "laplacian":
         partitions = enumerate_upto(args.k)
-        work = args.samples * len(partitions)
-        if work > MAX_LAPLACIAN_WORK:
-            raise ValueError(
-                f"--samples {args.samples} times {len(partitions)} partitions ({work}) "
-                f"exceeds the input bound {MAX_LAPLACIAN_WORK} of the laplacian suite"
-            )
+        _check_work(args, f"{len(partitions)} partitions", len(partitions), MAX_LAPLACIAN_WORK)
         tol = args.tol if args.tol is not None else 1e-8
         reports = numeric.verify_laplacian(
             args.n, partitions, samples=args.samples, seed=seed, tol=tol
@@ -238,6 +252,7 @@ def _cmd_verify(args) -> int:
             args.n, families, samples=args.samples, seed=seed, tol=tol
         )
     else:
+        _check_work(args, f"n^4 = {args.n**4}", args.n**4, MAX_IDENTITIES_WORK)
         reports = numeric.verify_identities(args.n, samples=args.samples, seed=seed, tol=args.tol)
     print(json.dumps([r.to_json_obj() for r in reports], sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1

@@ -44,7 +44,11 @@ A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`)
 draws each Haar rotation once and checks every family at it.  The reports
 equal those of one run per family: every family of a run reads the same
 seeded stream per sample, hence the same rotations, and its arithmetic at
-each rotation is unchanged.
+each rotation is unchanged.  The laplacian suite builds each sample's
+powers, their traces and the two flattened power stacks once for all its
+partitions and images, and one pair of tables per distinct largest part:
+:func:`lap_numeric` and :func:`eval_tracepoly` are thin wrappers over the
+same two helpers, so the suite's floats are theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -75,16 +79,27 @@ class RotationSample:
     provenance: str = ""
 
     def __post_init__(self) -> None:
-        u = np.asarray(self.matrix, dtype=float)
-        if u.shape != (self.n, self.n):
-            raise ValueError(f"expected {self.n}x{self.n} matrix, got {u.shape}")
-        gram_err = np.max(np.abs(u.T @ u - np.eye(self.n)))
-        det_err = abs(np.linalg.det(u) - 1.0)
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.shape != (self.n, self.n):
+            raise ValueError(f"expected {self.n}x{self.n} matrix, got {self.matrix.shape}")
+        self._check(np.linalg.det(self.matrix))
+
+    def _check(self, det: float) -> None:
+        """Refuse a matrix off SO(n) by more than the tolerance; ``det`` is its determinant."""
+        gram_err = np.max(np.abs(self.matrix.T @ self.matrix - np.eye(self.n)))
+        det_err = abs(det - 1.0)
         if gram_err > _ORTHO_TOL or det_err > _ORTHO_TOL:
             raise ValueError(
                 f"not special orthogonal: |U^tU-I|={gram_err:.2e}, |det-1|={det_err:.2e}"
             )
-        self.matrix = u
+
+    @classmethod
+    def _drawn(cls, matrix: np.ndarray, det: float, provenance: str) -> RotationSample:
+        """A checked sample of a square float matrix whose determinant the caller took."""
+        sample = object.__new__(cls)
+        sample.n, sample.matrix, sample.provenance = matrix.shape[0], matrix, provenance
+        sample._check(det)
+        return sample
 
     @property
     def columns(self) -> np.ndarray:
@@ -110,7 +125,8 @@ def random_son(n: int, seed) -> RotationSample:
 
     Gaussian matrix, QR with the R-diagonal sign correction (making the
     orthogonal factor Haar on O(n)), then determinant fixed to +1 by negating
-    the last column.
+    the last column.  The determinant is taken once: negating a column
+    negates it exactly, so the sample's check reuses it.
     """
     if n < 2:
         raise ValueError("dimension must be at least 2")
@@ -122,10 +138,11 @@ def random_son(n: int, seed) -> RotationSample:
         if np.any(diag == 0.0):
             continue  # measure-zero degenerate draw
         q = q * np.sign(diag)
-        if np.linalg.det(q) < 0:
-            q = q.copy()
+        det = np.linalg.det(q)
+        if det < 0:
             q[:, -1] = -q[:, -1]
-        return RotationSample(n, q, provenance=f"haar(n={n}, seed={seed})")
+            det = -det
+        return RotationSample._drawn(q, det, provenance=f"haar(n={n}, seed={seed})")
     raise RuntimeError("degenerate Gaussian draws persisted")
 
 
@@ -203,12 +220,25 @@ def _rest_product(values: list[float], skip: tuple[int, ...]) -> float:
     return prod
 
 
-def _power_tables(u: np.ndarray, top: int) -> tuple[list[list[float]], list[list[float]]]:
-    """Frobenius products <U^a, U^b> and traces tr(U^a U^b) for 0 <= a, b <= top."""
-    pows = _powers(u, top)
-    flat = np.stack(pows).reshape(top + 1, -1)
-    flat_t = np.stack([p.T for p in pows]).reshape(top + 1, -1)
-    return (flat @ flat.T).tolist(), (flat @ flat_t.T).tolist()
+def _top_part(partitions: Iterable[Partition]) -> int:
+    """The largest part over the partitions; 0 when there is none."""
+    return max((max(p.parts, default=0) for p in partitions), default=0)
+
+
+def _power_stacks(pows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The powers and their transposes, each power flattened into one row."""
+    flat = np.stack(pows).reshape(len(pows), -1)
+    return flat, np.stack([p.T for p in pows]).reshape(len(pows), -1)
+
+
+def _power_tables(
+    flat: np.ndarray, flat_t: np.ndarray, top: int
+) -> tuple[list[list[float]], list[list[float]]]:
+    """Frobenius products <U^a, U^b> and traces tr(U^a U^b) for 0 <= a, b <= top,
+    from the first top + 1 rows of the :func:`_power_stacks`.  The width of
+    the product decides its last bits, so a table is never cut from a wider one."""
+    head, head_t = flat[: top + 1], flat_t[: top + 1]
+    return (head @ head.T).tolist(), (head @ head_t.T).tolist()
 
 
 def _monomial_traces(
@@ -245,6 +275,14 @@ def _group_laplacian(n: int, radial: float, tr_hess: float, tr_lam_hess: float) 
     return 0.5 * tr_hess - 0.5 * (n - 1) * radial - 0.5 * tr_lam_hess
 
 
+def _check_concrete(poly: TracePoly, n: int, where: str) -> None:
+    """Refuse a polynomial that is not at the concrete N = n; ``where`` names n's source."""
+    if poly.mode.symbolic:
+        raise ValueError("substitute a concrete N before numeric evaluation")
+    if poly.mode.n != n:
+        raise ValueError(f"polynomial lives at N={poly.mode.n}, {where}")
+
+
 def laplace_beltrami_value(bundle: DerivativeBundle, sample: RotationSample) -> float:
     """Evaluate the group Laplacian from a prolongation's dense derivative bundle.
 
@@ -273,15 +311,12 @@ def lap_numeric(target, sample: RotationSample) -> float:
     if isinstance(target, Partition):
         terms = {target: 1}
     elif isinstance(target, TracePoly):
-        if target.mode.symbolic:
-            raise ValueError("substitute a concrete N before numeric evaluation")
-        if target.mode.n != sample.n:
-            raise ValueError(f"polynomial lives at N={target.mode.n}, sample has n={sample.n}")
+        _check_concrete(target, sample.n, f"sample has n={sample.n}")
         terms = target.terms
     else:
         raise TypeError(f"cannot evaluate the Laplacian of {type(target).__name__}")
-    top = max((max(p.parts, default=0) for p in terms), default=0)
-    tables = _power_tables(sample.matrix, top)
+    top = _top_part(terms)
+    tables = _power_tables(*_power_stacks(_powers(sample.matrix, top)), top)
     return math.fsum(
         float(coeff) * _group_laplacian(sample.n, *_monomial_traces(part, *tables))
         for part, coeff in terms.items()
@@ -298,14 +333,16 @@ def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
     accumulated exactly over the rationalized traces instead.
     """
     u = sample.matrix if isinstance(sample, RotationSample) else np.asarray(sample, dtype=float)
-    if poly.mode.symbolic:
-        raise ValueError("substitute a concrete N before numeric evaluation")
-    if poly.mode.n != u.shape[0]:
-        raise ValueError(f"polynomial lives at N={poly.mode.n}, matrix is {u.shape[0]}x{u.shape[0]}")
+    n = u.shape[0]
+    _check_concrete(poly, n, f"matrix is {n}x{n}")
+    traces = [float(np.trace(p)) for p in _powers(u, _top_part(poly.terms))]
+    return _eval_traces(poly, traces, exact)
+
+
+def _eval_traces(poly: TracePoly, traces: list[float], exact: bool = False) -> float:
+    """:func:`eval_tracepoly` from the traces p_0, ..., p_top of U's powers,
+    top at least the polynomial's largest part; its mode is not checked."""
     terms = poly.terms
-    top = max((max(p.parts, default=0) for p in terms), default=0)
-    pows = _powers(u, top)
-    traces = [float(np.trace(p)) for p in pows]
     values = [math.prod((traces[m] for m in part), start=float(c)) for part, c in terms.items()]
     total = math.fsum(values)
     slack = math.fsum(map(abs, values)) * 2.0**-52 * (poly.degree + 2)
@@ -454,31 +491,19 @@ def _report(
     return VerifyReport(target, n, params, samples, seed, tol, errs[0], errs[1], errs[1] <= tol)
 
 
-def _sweep(n: int, streams, checks) -> list[tuple[float, float]]:
-    """Draw one rotation per stream and run every check at it.
+def _sweep(n: int, streams, families: int, check) -> list[tuple[float, float]]:
+    """Draw one rotation per stream and check every family at it.
 
-    Each check maps a sample to ``(got, ref)``; the result is its running
-    (max abs, max relative) error, in check order.  Every family of a suite
-    reads the same rotations, so one draw per sample serves them all.
+    ``check`` maps a sample to one ``(got, ref)`` pair per family; the result
+    is each family's running (max abs, max relative) error, in family order.
+    Every family of a suite reads the same rotations, so one draw per sample
+    serves them all.
     """
-    errs = [(0.0, 0.0)] * len(checks)
+    errs = [(0.0, 0.0)] * families
     for stream in streams:
         sample = random_son(n, stream)
-        errs = [_err_update(err, *check(sample)) for err, check in zip(errs, checks)]
+        errs = [_err_update(err, *pair) for err, pair in zip(errs, check(sample))]
     return errs
-
-
-def _laplacian_check(partition: Partition, image: TracePoly, sample: RotationSample):
-    return lap_numeric(partition, sample), eval_tracepoly(image, sample)
-
-
-def _gegenbauer_check(n: int, k: int, row: int, col: int, sample: RotationSample):
-    entry = float(sample.matrix[row, col])
-    value, d1, d2 = gegenbauer(k, (n - 2) / 2, entry)
-    # grad f = C' e_rc and Hess f = C'' at the one (rc, rc) slot, where
-    # Lambda(U) holds u_rc^2
-    got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
-    return got, -k * (k + n - 2) / 2 * value
 
 
 def verify_laplacian(
@@ -493,12 +518,28 @@ def verify_laplacian(
     report per partition, in order."""
     streams = _sample_streams(seed, samples)
     partitions = list(partitions)
-    checks = [
-        partial(_laplacian_check, p, lap_partition(p).substitute_n(n)) for p in partitions
-    ]
+    images = [lap_partition(p).substitute_n(n) for p in partitions]
+    for image in images:
+        _check_concrete(image, n, f"sample has n={n}")
+    tops = [max(p.parts, default=0) for p in partitions]
+    distinct_tops = set(tops)
+    top = max(tops + [_top_part(image.terms) for image in images], default=0)
+
+    def check(sample: RotationSample) -> list[tuple[float, float]]:
+        # lap_numeric(p) and eval_tracepoly(image) of every family from one
+        # set of powers and traces, and one table per distinct largest part
+        pows = _powers(sample.matrix, top)
+        traces = [float(np.trace(p)) for p in pows]
+        flat, flat_t = _power_stacks(pows)
+        tables = {t: _power_tables(flat, flat_t, t) for t in distinct_tops}
+        return [
+            (_group_laplacian(n, *_monomial_traces(p, *tables[t])), _eval_traces(image, traces))
+            for p, image, t in zip(partitions, images, tops)
+        ]
+
     return [
         _report("laplacian", n, {"partition": p.serialize()}, samples, seed, tol, errs)
-        for p, errs in zip(partitions, _sweep(n, streams, checks))
+        for p, errs in zip(partitions, _sweep(n, streams, len(partitions), check))
     ]
 
 
@@ -522,10 +563,22 @@ def verify_gegenbauer_families(
             raise ValueError("needs n >= 3")
         if k < 0:
             raise ValueError("k must be nonnegative")
-    checks = [partial(_gegenbauer_check, n, k, i - 1, j - 1) for k, i, j in families]
+    alpha = (n - 2) / 2
+
+    def check(sample: RotationSample) -> list[tuple[float, float]]:
+        pairs = []
+        for k, i, j in families:
+            entry = float(sample.matrix[i - 1, j - 1])
+            value, d1, d2 = gegenbauer(k, alpha, entry)
+            # grad f = C' e_ij and Hess f = C'' at the one (ij, ij) slot,
+            # where Lambda(U) holds u_ij^2
+            got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
+            pairs.append((got, -k * (k + n - 2) / 2 * value))
+        return pairs
+
     return [
         _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs)
-        for (k, i, j), errs in zip(families, _sweep(n, streams, checks))
+        for (k, i, j), errs in zip(families, _sweep(n, streams, len(families), check))
     ]
 
 

@@ -278,6 +278,12 @@ VERIFY_REFUSED = [
       "--samples", "5"),
      f"--samples 5 times 272 partitions (1360) exceeds the input bound "
      f"{cli.MAX_LAPLACIAN_WORK} of the laplacian suite"),
+    (("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N), "--samples", "3"),
+     f"--samples 3 times n^4 = 810000 (2430000) exceeds the input bound "
+     f"{cli.MAX_IDENTITIES_WORK} of the identities suite"),
+    (("--suite", "identities", "--n", "10", "--samples", "163"),
+     f"--samples 163 times n^4 = 10000 (1630000) exceeds the input bound "
+     f"{cli.MAX_IDENTITIES_WORK} of the identities suite"),
     (("--suite", "gegenbauer", "--samples", "10000000"),
      f"exceeds the input bound {cli.MAX_SAMPLES} of the gegenbauer suite"),
     (("--suite", "identities", "--samples", "10000000"),
@@ -307,6 +313,8 @@ def test_verify_inputs_at_the_bounds_are_accepted(capsys):
         (("--suite", "gegenbauer", "--n", str(cli.MAX_VERIFY_N), "--k", str(cli.MAX_DEGREE)), 1),
         (("--suite", "laplacian", "--k", "0"), cli.MAX_SAMPLES),
         (("--suite", "laplacian", "--k", str(cli.MAX_LAPLACIAN_K)), cli.MAX_LAPLACIAN_WORK // 272),
+        (("--suite", "identities", "--n", str(cli.MAX_IDENTITIES_N)),
+         cli.MAX_IDENTITIES_WORK // cli.MAX_IDENTITIES_N**4),
     ]:
         code, out, err = run(capsys, "verify", *argv, "--samples", str(samples), "--seed", "3")
         assert (code, err) == (0, "")

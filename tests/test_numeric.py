@@ -36,8 +36,12 @@ from sonlap import numeric
 from sonlap.cli import main
 from sonlap.numeric import (
     DEFAULT_SEED,
+    RotationSample,
+    _eval_traces,
     _monomial_traces,
+    _power_stacks,
     _power_tables,
+    _powers,
     euclid_derivatives_matrix,
     eval_tracepoly_matrix,
     fd_gradient,
@@ -65,6 +69,29 @@ def test_random_son_invariants(n):
     u = sample.matrix
     assert np.max(np.abs(u.T @ u - np.eye(n))) <= 1e-12
     assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+
+def test_random_son_takes_the_determinant_once(monkeypatch):
+    """One determinant per draw, also where the last column is negated, and
+    every sample still passes the Gram and |det - 1| checks."""
+    det, calls = np.linalg.det, []
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    samples = [random_son(n, seed) for n in (2, 3, 4, 6) for seed in range(25)]
+    assert len(calls) == len(samples)
+    monkeypatch.undo()
+    for sample in samples:
+        u = sample.matrix
+        assert np.max(np.abs(u.T @ u - np.eye(sample.n))) <= 1e-12
+        assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+
+def test_rotation_sample_refuses_a_reflection():
+    with pytest.raises(ValueError, match="not special orthogonal"):
+        RotationSample(3, np.diag([1.0, 1.0, -1.0]))
+    reflection = random_son(4, 3).matrix.copy()
+    reflection[:, -1] = -reflection[:, -1]
+    with pytest.raises(ValueError, match=r"\|det-1\|=2\.00e\+00"):
+        RotationSample(4, reflection)
 
 
 def test_random_son_deterministic():
@@ -284,6 +311,23 @@ def test_eval_tracepoly_float_path_survives_cancellation():
             assert abs(eval_tracepoly(poly, sample) - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def test_traces_evaluation_keeps_the_exact_fallback():
+    """The laplacian suite evaluates each image from the sample's shared
+    traces.  The SO(3) character at k = 30, a polynomial in p_1, cancels so
+    much that the plain float sum is off at this rotation; the evaluation
+    from the traces falls back to the exact one, as eval_tracepoly does."""
+    poly = character_so3(30).poly
+    sample = random_son(3, 1)
+    traces = [float(np.trace(p)) for p in _powers(sample.matrix, 1)]
+    values = [
+        math.prod((traces[m] for m in part), start=float(c)) for part, c in poly.terms.items()
+    ]
+    exact = eval_tracepoly(poly, sample, exact=True)
+    assert abs(math.fsum(values) - exact) > 1e-9
+    assert _eval_traces(poly, traces) == exact
+    assert _eval_traces(poly, traces, exact=True) == exact
+
+
 def test_lap_numeric_ignores_term_order():
     image = lap_partition(Partition.of(4, 3, 2, 1, 1)).substitute_n(5)
     reversed_image = TracePoly(dict(reversed(list(image.terms.items()))), image.mode)
@@ -316,7 +360,7 @@ def test_closed_form_traces_match_dense_hessian(n, orthogonal):
     else:
         u = np.random.default_rng(400 + n).standard_normal((n, n)) / math.sqrt(n)
     lam = _loop_lambda(u)
-    tables = _power_tables(u, 5)
+    tables = _power_tables(*_power_stacks(_powers(u, 5)), 5)
     for partition in enumerate_upto(5):
         grad, hess = euclid_derivatives_matrix(partition, u)
         radial, tr_hess, tr_lam_hess = _monomial_traces(partition, *tables)
@@ -679,11 +723,13 @@ def test_verify_suite_draws_one_rotation_per_sample(monkeypatch, capsys, argv):
     assert len(draws) == 3
 
 
-@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("n", [3, 5, 6, 8, 20])
 def test_laplacian_suite_matches_the_per_family_loop(n):
     """One shared sample loop gives the per-family reports field for field,
-    floats included."""
-    partitions = list(enumerate_upto(4))
+    floats included.  The suite shares each sample's powers, traces and
+    tables; from n = 6 on, a table cut from a wider product would differ in
+    the last bits, so each largest part gets its own."""
+    partitions = list(enumerate_upto(6))
     for seed in (1, 77):
         assert verify_laplacian(n, partitions, samples=3, seed=seed) == [
             verify_partition_reference(n, p, samples=3, seed=seed) for p in partitions
