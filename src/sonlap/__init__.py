@@ -39,19 +39,17 @@ from .laplacian import (
     so3_lap_power,
     so4_lap_monomial,
 )
+from .haar import RotationSample, random_son, rotation_from_angles
 from .npoly import NPoly
 from .numeric import (
     DEFAULT_SEED,
     DerivativeBundle,
-    RotationSample,
     VerifyReport,
     commutation_matrix,
     euclid_derivatives,
     eval_tracepoly,
     gegenbauer,
     lap_numeric,
-    random_son,
-    rotation_from_angles,
     sphere_lap_numeric,
     structure_matrices,
     tangential_gradient,

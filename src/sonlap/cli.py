@@ -40,31 +40,34 @@ _BASES = {"bprime": SO3, "btrace": SO3, "so4": SO4}
 MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
-# 2-core machine (the time grows linearly with the samples).  The laplacian
-# suite walks every partition of degree <= --k: 0.37-0.51 s at k=12, 0.6 s
-# at 16 (a library call).  The identities suite's n^2 x n^2 matrices and
-# its stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and
-# 126 MB at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI
-# refuses it).  The gegenbauer --k is a degree.
+# 2-core machine.  Every suite runs its samples in chunks, one stacked draw
+# and one stacked pass per family per chunk (see ``numeric``); a chunk holds
+# max(1, 4096 // e) samples, e the floats one sample takes in the suite's
+# largest stacked array, so from n = 9 on an identities chunk is one sample,
+# and so is a laplacian or gegenbauer chunk at n = 60.  The laplacian suite
+# walks every partition of degree <= --k: 0.37-0.51 s at k=12, 0.6 s at 16
+# (a library call).  The identities suite's n^2 x n^2 matrices and its
+# stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and 126 MB
+# at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses
+# it).  The gegenbauer --k is a degree.
 # The other two suites draw one n x n rotation per sample for all their
 # families: laplacian k=12 takes 0.36-0.40 s at n=60, and a library call
 # 0.42-0.52 s at n=100 and 0.37-0.47 s at n=200.  Each sample's random
 # stream is made as it is drawn, so the sample bound is one of time: the
-# cheapest suite, laplacian n=3 k=0, takes 0.53-0.62 s over 1000 samples
-# and 1.4-2.3 s over 10000 (a library call).
-# A laplacian sample builds U's powers, their traces and the power tables
-# once for all its partitions, and checks every partition of degree <= --k,
-# so that suite's time grows as samples x partitions: 0.06-0.12 ms per
-# partition and sample at every n from 3 to MAX_VERIFY_N (in process,
-# k=12).  The product is bounded at the cost of n=60: 4 samples at k=12
-# (1088) take 0.44-0.59 s in a fresh process and 1000 samples at k=0
-# 0.97-1.05 s; 5 samples at k=12 take 0.43-0.54 s and 20 take 0.81-0.91 s
-# (library calls).
+# cheapest suite, laplacian n=3 k=0, takes 0.25-0.30 s over 1000 samples.
+# A laplacian chunk builds U's powers, their traces and the power tables
+# once for all its partitions, and each sample checks every partition of
+# degree <= --k, so that suite's time grows as samples x partitions.  The
+# product is bounded at the cost of n=60: 4 samples at k=12 (1088) take
+# 0.35-0.46 s and 1000 samples at k=0 0.80-0.86 s; gegenbauer n=60 k=30 takes
+# 1.47-1.56 s over 1000 samples (ranges over 7 runs).
 # An identities sample costs about n^4 from n=20 on: 0.24 s at n=30, 0.3 us
 # per n^4 (in process).  Its samples x n^4 is bounded at 2 samples at
-# MAX_IDENTITIES_N: 0.96-1.05 s in a fresh process, and 0.87-1.10 s at the
-# bound for n=10, 20 and 25 (162, 10 and 4 samples).  Below n=10 a sample
-# costs about 3 ms whatever n, so 1000 samples at n=3 take 2.2-2.5 s.
+# MAX_IDENTITIES_N: 0.73-1.41 s (median 0.89 s), and 1.02-1.31 s at the
+# bound for n=10 (162 samples).  Below n=9 a chunk of samples shares the
+# fixed cost of a sample: 1000 samples at n=3 take 0.38-0.47 s, below the
+# other suites' worst accepted inputs, so the bound needs no per-sample
+# floor.
 MAX_LAPLACIAN_K = 12
 MAX_LAPLACIAN_WORK = 1100
 MAX_IDENTITIES_N = 30

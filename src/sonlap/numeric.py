@@ -40,15 +40,26 @@ for bit, so the reports equal those of a loop over the points.  Every
 report keeps max |got - ref| and its ratio to max(1, |ref|), and passes
 when that ratio is within tol.
 
-A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`)
-draws each Haar rotation once and checks every family at it.  The reports
-equal those of one run per family: every family of a run reads the same
-seeded stream per sample, hence the same rotations, and its arithmetic at
-each rotation is unchanged.  The laplacian suite builds each sample's
-powers, their traces and the two flattened power stacks once for all its
-partitions and images, and one pair of tables per distinct largest part:
-:func:`lap_numeric` and :func:`eval_tracepoly` are thin wrappers over the
-same two helpers, so the suite's floats are theirs bit for bit.
+A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`,
+:func:`verify_identities`) runs its samples in chunks, each an (S, n, n)
+stack of Haar rotations from one stacked draw (:mod:`sonlap.haar`, whose
+:func:`random_son` is its one-sample case), and checks every family on the
+whole stack at once.
+Sample i reads the i-th seeded stream whatever the chunk, and batched QR,
+determinants, products, traces and sums equal the per-matrix ones bit for
+bit, so each report equals that of a loop over the samples, one family at a
+time.  A chunk holds max(1, 4096 // e) samples, e the float entries one
+sample takes in the suite's largest stacked array: n^4 for the identity
+suite, (top + 1) n^2 for the laplacian suite's power stacks and n^2 for the
+Gegenbauer suite, so a chunk's arrays stay near those of one sample at
+n = 8.  Powers of a float are taken in Python, one sample at a time: numpy's
+``array ** int`` differs from ``float ** int`` in the last bit for some
+inputs.  The laplacian suite builds one set of powers, traces and flattened
+power stacks per chunk, and one pair of tables per distinct largest part;
+its per-monomial sums stay per sample, in the helpers that
+:func:`lap_numeric` and :func:`eval_tracepoly` wrap.  Each family's error is
+the exact maximum over the samples, so its report does not depend on the
+chunks, and a NaN error fails its family.
 """
 
 from __future__ import annotations
@@ -58,52 +69,20 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
+from .haar import RotationSample, _haar_stack, random_son  # noqa: F401 (random_son is public here too)
 from .laplacian import lap_partition
 from .partitions import Partition
 from .tracepoly import TracePoly
 
 DEFAULT_SEED = 20230
 
-_ORTHO_TOL = 1e-12
-
-
-@dataclass
-class RotationSample:
-    """A concrete special orthogonal matrix with its provenance."""
-
-    n: int
-    matrix: np.ndarray
-    provenance: str = ""
-
-    def __post_init__(self) -> None:
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != (self.n, self.n):
-            raise ValueError(f"expected {self.n}x{self.n} matrix, got {self.matrix.shape}")
-        self._check(np.linalg.det(self.matrix))
-
-    def _check(self, det: float) -> None:
-        """Refuse a matrix off SO(n) by more than the tolerance; ``det`` is its determinant."""
-        gram_err = np.max(np.abs(self.matrix.T @ self.matrix - np.eye(self.n)))
-        det_err = abs(det - 1.0)
-        if gram_err > _ORTHO_TOL or det_err > _ORTHO_TOL:
-            raise ValueError(
-                f"not special orthogonal: |U^tU-I|={gram_err:.2e}, |det-1|={det_err:.2e}"
-            )
-
-    @classmethod
-    def _drawn(cls, matrix: np.ndarray, det: float, provenance: str) -> RotationSample:
-        """A checked sample of a square float matrix whose determinant the caller took."""
-        sample = object.__new__(cls)
-        sample.n, sample.matrix, sample.provenance = matrix.shape[0], matrix, provenance
-        sample._check(det)
-        return sample
-
-    @property
-    def columns(self) -> np.ndarray:
-        return self.matrix
+# float entries in one sample chunk's largest stacked array; see the module
+# docstring
+_STACK_ENTRIES = 4096
 
 
 @dataclass
@@ -115,52 +94,17 @@ class DerivativeBundle:
     hess: np.ndarray
 
     def __post_init__(self) -> None:
-        asym = np.max(np.abs(self.hess - self.hess.T)) if self.hess.size else 0.0
-        if asym > 1e-10:
-            raise ValueError(f"Hessian not symmetric: {asym:.2e}")
+        _check_symmetric(self.hess)
 
 
-def random_son(n: int, seed) -> RotationSample:
-    """Haar-distributed rotation, deterministic in (n, seed).
-
-    Gaussian matrix, QR with the R-diagonal sign correction (making the
-    orthogonal factor Haar on O(n)), then determinant fixed to +1 by negating
-    the last column.  The determinant is taken once: negating a column
-    negates it exactly, so the sample's check reuses it.
-    """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    rng = np.random.default_rng(seed)
-    for _ in range(8):
-        gauss = rng.standard_normal((n, n))
-        q, r = np.linalg.qr(gauss)
-        diag = np.diagonal(r)
-        if np.any(diag == 0.0):
-            continue  # measure-zero degenerate draw
-        q = q * np.sign(diag)
-        det = np.linalg.det(q)
-        if det < 0:
-            q[:, -1] = -q[:, -1]
-            det = -det
-        return RotationSample._drawn(q, det, provenance=f"haar(n={n}, seed={seed})")
-    raise RuntimeError("degenerate Gaussian draws persisted")
-
-
-def rotation_from_angles(n: int, angles) -> RotationSample:
-    """Canonical block-diagonal rotation with prescribed rotation angles.
-
-    Takes n // 2 angles; angle i is the 2x2 rotation block on coordinates
-    2i, 2i+1, so the eigenvalues are exp(+-i a) per angle a, and a trailing 1
-    when n is odd.
-    """
-    angles = [float(a) for a in (angles if hasattr(angles, "__len__") else [angles])]
-    if len(angles) != n // 2:
-        raise ValueError(f"n={n} takes exactly {n // 2} angle(s), got {len(angles)}")
-    u = np.eye(n)
-    for i, a in enumerate(angles):
-        block = slice(2 * i, 2 * i + 2)
-        u[block, block] = [[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]
-    return RotationSample(n, u, provenance=f"angles={angles}")
+def _check_symmetric(hess: np.ndarray) -> None:
+    """Refuse a Hessian, or a stack of them, that is not symmetric."""
+    if not hess.size:
+        return
+    diff = hess - hess.swapaxes(-2, -1)
+    asym = np.max(np.abs(diff, out=diff))
+    if asym > 1e-10:
+        raise ValueError(f"Hessian not symmetric: {asym:.2e}")
 
 
 def commutation_matrix(n: int) -> np.ndarray:
@@ -173,10 +117,22 @@ def commutation_matrix(n: int) -> np.ndarray:
 
 def structure_matrices(sample: RotationSample) -> tuple[np.ndarray, np.ndarray]:
     """(K, Lambda(U)): commutation matrix and the column-outer block matrix."""
-    n = sample.n
-    u = sample.matrix
-    lam = np.einsum("ib,ja->aibj", u, u).reshape(n * n, n * n)
-    return commutation_matrix(n), lam
+    return commutation_matrix(sample.n), _lambda(sample.matrix)
+
+
+def _lambda(u: np.ndarray) -> np.ndarray:
+    """Lambda(U), whose (i, j) block is u_j u_i^t, of a matrix or of each
+    matrix of a stack (..., n, n); its entries are single products."""
+    n = u.shape[-1]
+    return np.einsum("...ib,...ja->...aibj", u, u).reshape(u.shape[:-2] + (n * n, n * n))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two square matrices of one size, or of each pair of a
+    stack (..., n, n): every entry a single product, as in np.kron."""
+    n = a.shape[-1]
+    outer = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return outer.reshape(outer.shape[:-4] + (n * n, n * n))
 
 
 def _vec(matrix: np.ndarray) -> np.ndarray:
@@ -190,6 +146,12 @@ def _powers(u: np.ndarray, top: int) -> list[np.ndarray]:
     for _ in range(top):
         out.append(out[-1] @ u)
     return out
+
+
+def _traces(pows: list[np.ndarray]) -> np.ndarray:
+    """The traces of the powers, one row per power: a matrix's powers give
+    one float a row, a stack's one per matrix."""
+    return np.trace(np.stack(pows), axis1=-2, axis2=-1)
 
 
 def _powers_and_traces(partition: Partition, u: np.ndarray) -> tuple[list[np.ndarray], list]:
@@ -208,7 +170,8 @@ def euclid_derivatives(partition: Partition, sample: RotationSample) -> Derivati
     follow from the product rule, including the rank-one cross terms
     vec(grad p_i) vec(grad p_j)^t.
     """
-    return DerivativeBundle(*_dense_derivatives(partition, sample.matrix))
+    value, grad, hess = _dense_derivatives(partition, sample.matrix)
+    return DerivativeBundle(float(value), grad, hess)
 
 
 def _rest_product(values: list[float], skip: tuple[int, ...]) -> float:
@@ -226,19 +189,20 @@ def _top_part(partitions: Iterable[Partition]) -> int:
 
 
 def _power_stacks(pows: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """The powers and their transposes, each power flattened into one row."""
-    flat = np.stack(pows).reshape(len(pows), -1)
-    return flat, np.stack([p.T for p in pows]).reshape(len(pows), -1)
+    """The powers and their transposes, each power flattened into one row;
+    the powers of a stack (..., n, n) give one such pair of blocks per matrix."""
+    stacked = np.stack(pows, axis=-3)
+    rows = stacked.shape[:-2] + (-1,)
+    return stacked.reshape(rows), stacked.swapaxes(-2, -1).reshape(rows)
 
 
-def _power_tables(
-    flat: np.ndarray, flat_t: np.ndarray, top: int
-) -> tuple[list[list[float]], list[list[float]]]:
+def _power_tables(flat: np.ndarray, flat_t: np.ndarray, top: int) -> tuple[list, list]:
     """Frobenius products <U^a, U^b> and traces tr(U^a U^b) for 0 <= a, b <= top,
-    from the first top + 1 rows of the :func:`_power_stacks`.  The width of
-    the product decides its last bits, so a table is never cut from a wider one."""
-    head, head_t = flat[: top + 1], flat_t[: top + 1]
-    return (head @ head.T).tolist(), (head @ head_t.T).tolist()
+    from the first top + 1 rows of the :func:`_power_stacks`, as nested
+    lists, one table per matrix of a stack.  The width of the product
+    decides its last bits, so a table is never cut from a wider one."""
+    head, head_t = flat[..., : top + 1, :], flat_t[..., : top + 1, :]
+    return (head @ head.swapaxes(-2, -1)).tolist(), (head @ head_t.swapaxes(-2, -1)).tolist()
 
 
 def _monomial_traces(
@@ -290,12 +254,17 @@ def laplace_beltrami_value(bundle: DerivativeBundle, sample: RotationSample) -> 
     (n, n, n, n), where hess4[j, i, l, k] = d^2 f / du_ij du_kl, without
     building Lambda(U).
     """
-    n = sample.n
-    u = sample.matrix
-    hess4 = bundle.hess.reshape(n, n, n, n)
-    radial = float(np.sum(u * bundle.grad))  # tr(U^t grad)
-    curved = float(np.einsum("bkai,ib,ka->", hess4, u, u))
-    return _group_laplacian(n, radial, float(np.trace(bundle.hess)), curved)
+    return float(_dense_laplacian(sample.matrix, bundle.grad, bundle.hess))
+
+
+def _dense_laplacian(u: np.ndarray, grad: np.ndarray, hess: np.ndarray):
+    """:func:`laplace_beltrami_value` at a matrix, or at each matrix of a
+    stack (..., n, n) with one gradient and Hessian per matrix."""
+    n = u.shape[-1]
+    hess4 = hess.reshape(hess.shape[:-2] + (n, n, n, n))
+    radial = np.sum(u * grad, axis=(-2, -1))  # tr(U^t grad)
+    curved = np.einsum("...bkai,...ib,...ka->...", hess4, u, u)
+    return _group_laplacian(n, radial, np.trace(hess, axis1=-2, axis2=-1), curved)
 
 
 def lap_numeric(target, sample: RotationSample) -> float:
@@ -355,20 +324,25 @@ def _eval_traces(poly: TracePoly, traces: list[float], exact: bool = False) -> f
 def sphere_lap_numeric(grad: np.ndarray, hess: np.ndarray, x: np.ndarray, radius: float) -> float:
     """Sphere Laplacian of a prolongation from its derivatives at x, |x| = R."""
     x = np.asarray(x, dtype=float)
-    if abs(np.linalg.norm(x) - radius) > 1e-10:
+    return float(_sphere_laplacian(np.asarray(grad, float), np.asarray(hess, float), x, radius))
+
+
+def _sphere_laplacian(grad: np.ndarray, hess: np.ndarray, x: np.ndarray, radius: float):
+    """:func:`sphere_lap_numeric` at a point, or at each row of a stack of
+    points (..., n) with one gradient and Hessian per point."""
+    if np.any(np.abs(np.linalg.norm(x, axis=-1) - radius) > 1e-10):
         raise ValueError("point is not on the sphere of the given radius")
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    n = x.size
-    euclid_lap = float(np.trace(hess))
-    second = float(x @ hess @ x)
-    first = float(x @ grad)
-    return euclid_lap - second / radius**2 - (n - 1) * first / radius**2
+    row = x[..., None, :]
+    euclid_lap = np.trace(hess, axis1=-2, axis2=-1)
+    second = (row @ hess @ x[..., :, None])[..., 0, 0]
+    first = (row @ grad[..., :, None])[..., 0, 0]
+    return euclid_lap - second / radius**2 - (x.shape[-1] - 1) * first / radius**2
 
 
 def tangential_gradient(euclid_grad: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Project a Euclidean matrix-form gradient onto the tangent space at U."""
-    return 0.5 * (euclid_grad - u @ euclid_grad.T @ u)
+    """Project a Euclidean matrix-form gradient onto the tangent space at U;
+    stacks (..., n, n) of gradients and of matrices project pairwise."""
+    return 0.5 * (euclid_grad - u @ euclid_grad.swapaxes(-2, -1) @ u)
 
 
 def gegenbauer(k: int, alpha: float, x: float) -> tuple[float, float, float]:
@@ -402,15 +376,19 @@ def gegenbauer(k: int, alpha: float, x: float) -> tuple[float, float, float]:
 
 def _central_differences(fn, u: np.ndarray, step: float) -> np.ndarray:
     """(fn(U + step E_ij) - fn(U - step E_ij)) / (2 step) for every entry (i, j),
-    one row per entry in column-major order.
+    one row per entry in column-major order; a stack (S, n, n) of U gives one
+    such block per matrix.
 
-    ``fn`` maps a stack of matrices (n^2, n, n) to one row per matrix, so the
-    2 n^2 displaced points take two calls: the plus and the minus stack."""
-    n = u.shape[0]
+    ``fn`` maps a stack of matrices (E, n, n) to one row per matrix, so the
+    2 S n^2 displaced points take two calls: the plus and the minus stack."""
+    n = u.shape[-1]
     entry = np.arange(n * n)
     bumps = np.zeros((n * n, n, n))
     bumps[entry, entry % n, entry // n] = step  # stack index j n + i bumps (i, j)
-    return (fn(u + bumps) - fn(u - bumps)) / (2 * step)
+    centre = u[..., None, :, :]
+    rows = fn((centre + bumps).reshape(-1, n, n)) - fn((centre - bumps).reshape(-1, n, n))
+    rows /= 2 * step
+    return rows.reshape(u.shape[:-2] + (n * n,) + rows.shape[1:])
 
 
 def _each(fn):
@@ -472,38 +450,40 @@ def _sample_streams(seed: int, samples: int):
     return (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(samples))
 
 
-def _err_update(errs: tuple[float, float], got, ref) -> tuple[float, float]:
-    """Running (max abs, max relative) error; arrays compare by their largest
-    entries.  Floats stay on plain ``abs``: numpy costs 20x more per call."""
-    if isinstance(ref, np.ndarray):
-        abs_err = float(np.max(np.abs(got - ref)))
-        scale = float(np.max(np.abs(ref)))
+def _chunks(streams, entries: int):
+    """The sample streams in order, in lists of max(1, _STACK_ENTRIES
+    // entries), ``entries`` the floats one sample takes in the suite's
+    largest stacked array."""
+    streams, size = iter(streams), max(1, _STACK_ENTRIES // entries)
+    return iter(lambda: list(islice(streams, size)), [])
+
+
+def _chunk_errors(got, ref, axes: tuple[int, ...] = ()) -> np.ndarray:
+    """[max abs error, max relative error] over a chunk's samples, axis 0.
+
+    A sample's relative error is its abs error over max(1, |ref|); an array
+    family compares each sample by its largest entries over ``axes``.  Both
+    maxima are exact, so they do not depend on the order of the samples, and
+    a NaN stays NaN, so its family fails.
+    """
+    abs_err = got - ref
+    np.abs(abs_err, out=abs_err)
+    if axes:  # max |ref| as the larger of max ref and -min ref, with no |ref| array
+        abs_err = abs_err.max(axis=axes)
+        scale = np.maximum(ref.max(axis=axes), -ref.min(axis=axes))
     else:
-        abs_err = abs(got - ref)
-        scale = abs(ref)
-    return max(errs[0], abs_err), max(errs[1], abs_err / max(1.0, scale))
+        scale = np.abs(ref)
+    rel_err = abs_err / np.maximum(1.0, scale)
+    return np.stack((abs_err.max(axis=0), rel_err.max(axis=0)))
 
 
 def _report(
     target: str, n: int, params: dict, samples: int, seed: int, tol: float, errs
 ) -> VerifyReport:
-    """The report of one family; it passes when the max relative error is within ``tol``."""
-    return VerifyReport(target, n, params, samples, seed, tol, errs[0], errs[1], errs[1] <= tol)
-
-
-def _sweep(n: int, streams, families: int, check) -> list[tuple[float, float]]:
-    """Draw one rotation per stream and check every family at it.
-
-    ``check`` maps a sample to one ``(got, ref)`` pair per family; the result
-    is each family's running (max abs, max relative) error, in family order.
-    Every family of a suite reads the same rotations, so one draw per sample
-    serves them all.
-    """
-    errs = [(0.0, 0.0)] * families
-    for stream in streams:
-        sample = random_son(n, stream)
-        errs = [_err_update(err, *pair) for err, pair in zip(errs, check(sample))]
-    return errs
+    """The report of one family from its [max abs, max relative] errors; it
+    passes when the max relative error is within ``tol``, never on a NaN."""
+    max_abs, max_rel = (float(e) for e in errs)
+    return VerifyReport(target, n, params, samples, seed, tol, max_abs, max_rel, max_rel <= tol)
 
 
 def verify_laplacian(
@@ -524,22 +504,25 @@ def verify_laplacian(
     tops = [max(p.parts, default=0) for p in partitions]
     distinct_tops = set(tops)
     top = max(tops + [_top_part(image.terms) for image in images], default=0)
-
-    def check(sample: RotationSample) -> list[tuple[float, float]]:
+    errs = np.zeros((2, len(partitions)))
+    for chunk in _chunks(streams, (top + 1) * n * n):
         # lap_numeric(p) and eval_tracepoly(image) of every family from one
-        # set of powers and traces, and one table per distinct largest part
-        pows = _powers(sample.matrix, top)
-        traces = [float(np.trace(p)) for p in pows]
+        # set of powers and traces per chunk, and one table per distinct
+        # largest part; the monomial sums run per sample
+        pows = _powers(_haar_stack(n, chunk), top)
         flat, flat_t = _power_stacks(pows)
         tables = {t: _power_tables(flat, flat_t, t) for t in distinct_tops}
-        return [
-            (_group_laplacian(n, *_monomial_traces(p, *tables[t])), _eval_traces(image, traces))
-            for p, image, t in zip(partitions, images, tops)
-        ]
-
+        got, ref = [], []
+        for s, traces in enumerate(_traces(pows).T.tolist()):
+            got.append([
+                _group_laplacian(n, *_monomial_traces(p, tables[t][0][s], tables[t][1][s]))
+                for p, t in zip(partitions, tops)
+            ])
+            ref.append([_eval_traces(image, traces) for image in images])
+        errs = np.maximum(errs, _chunk_errors(np.array(got), np.array(ref)))
     return [
-        _report("laplacian", n, {"partition": p.serialize()}, samples, seed, tol, errs)
-        for p, errs in zip(partitions, _sweep(n, streams, len(partitions), check))
+        _report("laplacian", n, {"partition": p.serialize()}, samples, seed, tol, errs[:, f])
+        for f, p in enumerate(partitions)
     ]
 
 
@@ -554,7 +537,7 @@ def verify_gegenbauer_families(
     eigenvalue -k(k+n-2)/2 for each family (k, i, j), i, j 1-based entry
     indices, on the same Haar samples; one report per family, in order.
     Every family is validated before the first draw."""
-    streams = _sample_streams(seed, samples)
+    chunks = _chunks(_sample_streams(seed, samples), n * n)
     families = list(families)
     for k, i, j in families:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -564,22 +547,29 @@ def verify_gegenbauer_families(
         if k < 0:
             raise ValueError("k must be nonnegative")
     alpha = (n - 2) / 2
-
-    def check(sample: RotationSample) -> list[tuple[float, float]]:
-        pairs = []
-        for k, i, j in families:
-            entry = float(sample.matrix[i - 1, j - 1])
-            value, d1, d2 = gegenbauer(k, alpha, entry)
-            # grad f = C' e_ij and Hess f = C'' at the one (ij, ij) slot,
-            # where Lambda(U) holds u_ij^2
-            got = _group_laplacian(n, entry * d1, d2, entry * entry * d2)
-            pairs.append((got, -k * (k + n - 2) / 2 * value))
-        return pairs
-
+    _, rows, cols = np.array(families, dtype=int).reshape(-1, 3).T
+    errs = np.zeros((2, len(families)))
+    for chunk in chunks:
+        got, ref = [], []
+        # one row of entries per sample, one column per family
+        for entries in _haar_stack(n, chunk)[:, rows - 1, cols - 1].tolist():
+            pairs = [_gegenbauer_pair(n, k, alpha, x) for (k, _, _), x in zip(families, entries)]
+            got.append([g for g, _ in pairs])
+            ref.append([r for _, r in pairs])
+        errs = np.maximum(errs, _chunk_errors(np.array(got), np.array(ref)))
     return [
-        _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs)
-        for (k, i, j), errs in zip(families, _sweep(n, streams, len(families), check))
+        _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs[:, f])
+        for f, (k, i, j) in enumerate(families)
     ]
+
+
+def _gegenbauer_pair(n: int, k: int, alpha: float, x: float) -> tuple[float, float]:
+    """(ambient Laplacian, eigenvalue times value) of C_k^(alpha) in an entry
+    whose value at the sample is x."""
+    value, d1, d2 = gegenbauer(k, alpha, x)
+    # grad f = C' e_ij and Hess f = C'' at the one (ij, ij) slot, where
+    # Lambda(U) holds u_ij^2
+    return _group_laplacian(n, x * d1, d2, x * x * d2), -k * (k + n - 2) / 2 * value
 
 
 def verify_partition(
@@ -608,16 +598,17 @@ def verify_gegenbauer(
     return verify_gegenbauer_families(n, [(k, i, j)], samples, seed, tol)[0]
 
 
-def _sphere_test_h(y: np.ndarray):
-    # fixed low-degree polynomial h(y) = y1 y2 + y1^3 with analytic derivatives
-    value = y[0] * y[1] + y[0] ** 3
+def _sphere_test_h(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian of the fixed h(y) = y1 y2 + y1^3 at each row of
+    a stack of points (S, n); the squares are taken in Python."""
+    y1 = y[:, 0]
     grad = np.zeros_like(y)
-    grad[0] = y[1] + 3 * y[0] ** 2
-    grad[1] = y[0]
-    hess = np.zeros((y.size, y.size))
-    hess[0, 0] = 6 * y[0]
-    hess[0, 1] = hess[1, 0] = 1.0
-    return value, grad, hess
+    grad[:, 0] = y[:, 1] + 3 * np.array([t**2 for t in y1.tolist()])
+    grad[:, 1] = y1
+    hess = np.zeros(y.shape + y.shape[-1:])
+    hess[:, 0, 0] = 6 * y1
+    hess[:, 0, 1] = hess[:, 1, 0] = 1.0
+    return grad, hess
 
 
 _IDENTITY_TOLS = {
@@ -648,61 +639,75 @@ def verify_identities(
     2<grad p_m, grad p_m'> = m m' (p_{m-m'} - p_{m+m'}); and agreement of the
     group Laplacian with the sphere Laplacian for functions of one column.
     """
-    errs = {name: (0.0, 0.0) for name in _IDENTITY_TOLS}
+    chunks = _chunks(_sample_streams(seed, samples), n**4)
+    errs = {name: np.zeros(2) for name in _IDENTITY_TOLS}
 
     def check(name, got, ref):
-        errs[name] = _err_update(errs[name], got, ref)
+        errs[name] = np.maximum(errs[name], _chunk_errors(got, ref, tuple(range(1, ref.ndim))))
 
-    for stream in _sample_streams(seed, samples):
-        rotation_stream, aux_stream = stream.spawn(2)
-        sample = random_son(n, rotation_stream)
-        rng = np.random.default_rng(aux_stream)
-        u = sample.matrix
-        k_comm, lam = structure_matrices(sample)
-
-        a = rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        check("commutation-trace", float(np.trace(k_comm @ np.kron(a, b))), float(np.trace(a @ b)))
-        check("lambda-commutation", lam @ k_comm, np.kron(u.T, u))
-        check("lambda-commutation", k_comm @ lam, np.kron(u, u.T))
+    k_comm = commutation_matrix(n)
+    root2 = math.sqrt(2.0)
+    for chunk in chunks:
+        rotation_streams, aux_streams = zip(*(stream.spawn(2) for stream in chunk))
+        u = _haar_stack(n, rotation_streams)
+        u_t = u.swapaxes(-2, -1)
+        rngs = [np.random.default_rng(stream) for stream in aux_streams]
+        a = np.stack([rng.standard_normal((n, n)) for rng in rngs])
+        b = np.stack([rng.standard_normal((n, n)) for rng in rngs])
+        check(
+            "commutation-trace",
+            np.trace(k_comm @ _kron(a, b), axis1=-2, axis2=-1),
+            np.trace(a @ b, axis1=-2, axis2=-1),
+        )
+        lam = _lambda(u)
+        check("lambda-commutation", lam @ k_comm, _kron(u_t, u))
+        check("lambda-commutation", k_comm @ lam, _kron(u, u_t))
 
         for parts in _FD_PARTITIONS:
             partition = Partition.of(*parts)
-            bundle = euclid_derivatives(partition, sample)
+            _, grad, hess = _dense_derivatives(partition, u)
+            _check_symmetric(hess)
             # one sweep: column 0 differentiates the value, the rest the gradient
             sweep = _central_differences(partial(_value_and_gradient_rows, partition), u, 1e-5)
-            check("gradient-fd", sweep[:, 0].reshape(n, n, order="F"), bundle.grad)
-            check("hessian-fd", sweep[:, 1:].T, bundle.hess)
+            check("gradient-fd", sweep[..., 0].reshape(u.shape).swapaxes(-2, -1), grad)
+            check("hessian-fd", sweep[..., 1:].swapaxes(-2, -1), hess)
 
         pows = _powers(u, 10)  # gradient pairings reach p_{m+m'} with m, m' <= 5
-        traces = [float(np.trace(p)) for p in pows]
-        p1 = traces[1]
+        traces = _traces(pows)
 
         def tangent(partition):
             values = [traces[m] for m in partition.parts]
             return tangential_gradient(_monomial_gradient(partition, pows, values), u)
 
-        for q in range(5 + 1):
-            ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
-            check("tangential-gradient", tangent(Partition((1,) * q)), ref_m)
-        # the tangential gradients of p_1, ..., p_5 serve the next two families
+        # p_1^q for q = 0, ..., 5, then p_1, ..., p_5, whose tangential
+        # gradients serve the pairings too; the (q, sample) and (m, sample)
+        # pairs are checked as one stack
+        got, ref = [tangent(Partition((1,) * q)) for q in range(6)], [np.zeros(u.shape)]
+        for q in range(1, 6):
+            coeff = np.array([0.5 * q * p1 ** (q - 1) for p1 in traces[1].tolist()])
+            ref.append(coeff[:, None, None] * (np.eye(n) - pows[2]))
         tangents = [tangent(Partition((m,))) for m in range(1, 6)]
         for m, got_m in enumerate(tangents, 1):
-            check("tangential-gradient", got_m, 0.5 * m * (pows[m - 1].T - pows[m + 1]))
+            got.append(got_m)
+            ref.append(0.5 * m * (pows[m - 1].swapaxes(-2, -1) - pows[m + 1]))
+        check("tangential-gradient", np.concatenate(got), np.concatenate(ref))
+        got, ref = [], []
         for m, gm in enumerate(tangents, 1):
             for mp, gmp in enumerate(tangents[:m], 1):
-                got = 2 * float(np.sum(gm * gmp))
+                got.append(2 * (gm * gmp).reshape(len(u), -1).sum(axis=-1))
                 base = traces[m - mp] if m != mp else float(n)
-                check("gradient-inner", got, m * mp * (base - traces[m + mp]))
+                ref.append(m * mp * (base - traces[m + mp]))
+        check("gradient-inner", np.concatenate(got), np.concatenate(ref))
 
-        y = math.sqrt(2.0) * u[:, -1]
-        h_val, h_grad, h_hess = _sphere_test_h(y)
-        f_grad = np.zeros((n, n))
-        f_grad[:, -1] = math.sqrt(2.0) * h_grad
-        f_hess = np.zeros((n * n, n * n))
-        f_hess[(n - 1) * n:, (n - 1) * n:] = 2.0 * h_hess
-        got = lap_numeric(DerivativeBundle(h_val, f_grad, f_hess), sample)
-        check("sphere-restriction", got, sphere_lap_numeric(h_grad, h_hess, y, math.sqrt(2.0)))
+        y = root2 * u[:, :, -1]
+        h_grad, h_hess = _sphere_test_h(y)
+        f_grad = np.zeros(u.shape)
+        f_grad[:, :, -1] = root2 * h_grad
+        f_hess = np.zeros((len(u), n * n, n * n))
+        f_hess[:, (n - 1) * n:, (n - 1) * n:] = 2.0 * h_hess
+        _check_symmetric(f_hess)
+        got = _dense_laplacian(u, f_grad, f_hess)
+        check("sphere-restriction", got, _sphere_laplacian(h_grad, h_hess, y, root2))
 
     return [
         _report("identities", n, {"identity": name}, samples, seed,
@@ -723,9 +728,15 @@ def _monomial_gradient(partition: Partition, pows: list[np.ndarray], values: lis
     stack."""
     grad = np.zeros(pows[0].shape)
     for i, m in enumerate(partition.parts):
-        rest = np.asarray(_rest_product(values, (i,)))[..., None, None]
-        grad += rest * (m * np.swapaxes(pows[m - 1], -2, -1))
+        term = m * pows[m - 1].swapaxes(-2, -1)
+        term *= _scales(values, (i,))
+        grad += term
     return grad
+
+
+def _scales(values: list, skip: tuple[int, ...]) -> np.ndarray:
+    """:func:`_rest_product` shaped to scale a matrix, or each matrix of a stack."""
+    return np.asarray(_rest_product(values, skip))[..., None, None]
 
 
 def _value_and_gradient_rows(partition: Partition, stack: np.ndarray) -> np.ndarray:
@@ -734,7 +745,7 @@ def _value_and_gradient_rows(partition: Partition, stack: np.ndarray) -> np.ndar
     pows, values = _powers_and_traces(partition, stack)
     grad = _monomial_gradient(partition, pows, values)
     value = _rest_product(values, ())
-    return np.column_stack((value, np.swapaxes(grad, -2, -1).reshape(len(stack), -1)))
+    return np.column_stack((value, grad.swapaxes(-2, -1).reshape(len(stack), -1)))
 
 
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -742,24 +753,31 @@ def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.n
     return _dense_derivatives(partition, u)[1:]
 
 
-def _dense_derivatives(partition: Partition, u: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _dense_derivatives(partition: Partition, u: np.ndarray) -> tuple:
     """(value, gradient, dense Hessian) of a trace monomial from one set of
-    powers and factor traces.  K, a permutation, is applied as the row
-    reindexing (K A)[b n + a] = A[a n + b]."""
+    powers and factor traces, at a matrix or at each matrix of a stack
+    (..., n, n).  K, a permutation, is applied as the row reindexing
+    (K A)[b n + a] = A[a n + b]."""
     pows, values = _powers_and_traces(partition, u)
-    n = pows[0].shape[0]
+    n = u.shape[-1]
     parts = partition.parts
     perm = np.arange(n * n).reshape(n, n).T.ravel()
-    grads = [_vec(m * pows[m - 1].T) for m in parts]
-    hess = np.zeros((n * n, n * n))
+    # vec(m (U^t)^{m-1}) is the row-major flattening of m U^{m-1}
+    grads = [(m * pows[m - 1]).reshape(u.shape[:-2] + (n * n,)) for m in parts]
+    hess = np.zeros(u.shape[:-2] + (n * n, n * n))
     for i, m in enumerate(parts):
         if m >= 2:
-            acc = np.zeros((n * n, n * n))
+            acc = np.zeros_like(hess)
             for r in range(m - 1):
-                acc += np.kron(pows[r].T, pows[m - 2 - r])
-            hess += _rest_product(values, (i,)) * (m * acc[perm])
+                acc += _kron(pows[r].swapaxes(-2, -1), pows[m - 2 - r])
+            term = acc[..., perm, :]
+            term *= m
+            term *= _scales(values, (i,))
+            hess += term
     for i in range(len(parts)):
         for j in range(len(parts)):
             if i != j:
-                hess += _rest_product(values, (i, j)) * np.outer(grads[i], grads[j])
-    return float(_rest_product(values, ())), _monomial_gradient(partition, pows, values), hess
+                outer = grads[i][..., :, None] * grads[j][..., None, :]
+                outer *= _scales(values, (i, j))
+                hess += outer
+    return _rest_product(values, ()), _monomial_gradient(partition, pows, values), hess

@@ -27,7 +27,10 @@ current ones must equal them term for term and byte for byte.
 The numeric identity suite as it stood before its finite differences shared
 one sweep -- each monomial's powers formed afresh for every value and
 gradient, with hand-written error maxima -- is frozen at the end; its
-reports must match the current ones float for float.
+reports must match the current ones float for float.  So are the
+per-sample Haar draw, dense Laplacian contraction, sphere Laplacian and
+tangential projection that the suites' stacked sample chunks replaced, and
+the suites themselves run one sample at a time on them.
 """
 
 import math
@@ -547,6 +550,59 @@ def _fd_hessian_ref(grad_fn, u, step=1e-5):
     return out
 
 
+def random_son_reference(n, seed):
+    """The per-sample Haar draw: its own QR, sign fix and determinant."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        gauss = rng.standard_normal((n, n))
+        q, r = np.linalg.qr(gauss)
+        diag = np.diagonal(r)
+        if np.any(diag == 0.0):
+            continue
+        q = q * np.sign(diag)
+        if np.linalg.det(q) < 0:
+            q[:, -1] = -q[:, -1]
+        return q
+    raise RuntimeError("degenerate Gaussian draws persisted")
+
+
+def _sample_ref(n, seed):
+    from sonlap.numeric import RotationSample
+
+    return RotationSample(n, random_son_reference(n, seed))
+
+
+def _sphere_test_h_ref(y):
+    value = y[0] * y[1] + y[0] ** 3
+    grad = np.zeros_like(y)
+    grad[0] = y[1] + 3 * y[0] ** 2
+    grad[1] = y[0]
+    hess = np.zeros((y.size, y.size))
+    hess[0, 0] = 6 * y[0]
+    hess[0, 1] = hess[1, 0] = 1.0
+    return value, grad, hess
+
+
+def _dense_laplacian_ref(u, grad, hess):
+    n = u.shape[0]
+    hess4 = hess.reshape(n, n, n, n)
+    radial = float(np.sum(u * grad))
+    curved = float(np.einsum("bkai,ib,ka->", hess4, u, u))
+    return 0.5 * float(np.trace(hess)) - 0.5 * (n - 1) * radial - 0.5 * curved
+
+
+def _sphere_lap_ref(grad, hess, x, radius):
+    n = x.size
+    euclid_lap = float(np.trace(hess))
+    second = float(x @ hess @ x)
+    first = float(x @ grad)
+    return euclid_lap - second / radius**2 - (n - 1) * first / radius**2
+
+
+def _tangential_ref(euclid_grad, u):
+    return 0.5 * (euclid_grad - u @ euclid_grad.T @ u)
+
+
 def _err_update_ref(errs, got, ref):
     abs_err = abs(got - ref)
     rel_err = abs_err / max(1.0, abs(ref))
@@ -561,22 +617,16 @@ def verify_identities_reference(n, samples=20, seed=None, tol=None):
         _FD_PARTITIONS,
         _IDENTITY_TOLS,
         DEFAULT_SEED,
-        DerivativeBundle,
         VerifyReport,
         _sample_streams,
-        _sphere_test_h,
-        lap_numeric,
-        random_son,
-        sphere_lap_numeric,
         structure_matrices,
-        tangential_gradient,
     )
 
     seed = DEFAULT_SEED if seed is None else seed
     errs = {name: (0.0, 0.0) for name in _IDENTITY_TOLS}
     for stream in _sample_streams(seed, samples):
         rotation_stream, aux_stream = stream.spawn(2)
-        sample = random_son(n, rotation_stream)
+        sample = _sample_ref(n, rotation_stream)
         rng = np.random.default_rng(aux_stream)
         u = sample.matrix
         k_comm, lam = structure_matrices(sample)
@@ -623,14 +673,14 @@ def verify_identities_reference(n, samples=20, seed=None, tol=None):
         traces = [float(np.trace(p)) for p in pows]
         p1 = traces[1]
         for q in range(5 + 1):
-            got_m = tangential_gradient(_gradient_ref(Partition((1,) * q), u), u)
+            got_m = _tangential_ref(_gradient_ref(Partition((1,) * q), u), u)
             ref_m = 0.5 * q * p1 ** (q - 1) * (np.eye(n) - pows[2]) if q else np.zeros((n, n))
             diff = float(np.max(np.abs(got_m - ref_m)))
             scale = max(1.0, float(np.max(np.abs(ref_m))) if q else 1.0)
             cur = errs["tangential-gradient"]
             errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
         for m in range(1, 6):
-            got_m = tangential_gradient(_gradient_ref(Partition((m,)), u), u)
+            got_m = _tangential_ref(_gradient_ref(Partition((m,)), u), u)
             ref_m = 0.5 * m * (pows_t[m - 1] - pows[m + 1])
             diff = float(np.max(np.abs(got_m - ref_m)))
             scale = max(1.0, float(np.max(np.abs(ref_m))))
@@ -638,22 +688,22 @@ def verify_identities_reference(n, samples=20, seed=None, tol=None):
             errs["tangential-gradient"] = (max(cur[0], diff), max(cur[1], diff / scale))
 
         for m in range(1, 6):
-            gm = tangential_gradient(_gradient_ref(Partition((m,)), u), u)
+            gm = _tangential_ref(_gradient_ref(Partition((m,)), u), u)
             for mp in range(1, m + 1):
-                gmp = tangential_gradient(_gradient_ref(Partition((mp,)), u), u)
+                gmp = _tangential_ref(_gradient_ref(Partition((mp,)), u), u)
                 got = 2 * float(np.sum(gm * gmp))
                 base = traces[m - mp] if m != mp else float(n)
                 ref = m * mp * (base - traces[m + mp])
                 errs["gradient-inner"] = _err_update_ref(errs["gradient-inner"], got, ref)
 
         y = math.sqrt(2.0) * u[:, -1]
-        h_val, h_grad, h_hess = _sphere_test_h(y)
+        _, h_grad, h_hess = _sphere_test_h_ref(y)
         f_grad = np.zeros((n, n))
         f_grad[:, -1] = math.sqrt(2.0) * h_grad
         f_hess = np.zeros((n * n, n * n))
         f_hess[(n - 1) * n:, (n - 1) * n:] = 2.0 * h_hess
-        got = lap_numeric(DerivativeBundle(h_val, f_grad, f_hess), sample)
-        ref = sphere_lap_numeric(h_grad, h_hess, y, math.sqrt(2.0))
+        got = _dense_laplacian_ref(u, f_grad, f_hess)
+        ref = _sphere_lap_ref(h_grad, h_hess, y, math.sqrt(2.0))
         errs["sphere-restriction"] = _err_update_ref(errs["sphere-restriction"], got, ref)
 
     reports = []
@@ -681,7 +731,6 @@ def verify_partition_reference(n, partition, samples=20, seed=None, tol=1e-8):
         _sample_streams,
         eval_tracepoly,
         lap_numeric,
-        random_son,
     )
 
     seed = DEFAULT_SEED if seed is None else seed
@@ -689,7 +738,7 @@ def verify_partition_reference(n, partition, samples=20, seed=None, tol=1e-8):
     symbolic = lap_partition(partition).substitute_n(n)
     errs = (0.0, 0.0)
     for stream in streams:
-        sample = random_son(n, stream)
+        sample = _sample_ref(n, stream)
         got = lap_numeric(partition, sample)
         ref = eval_tracepoly(symbolic, sample)
         errs = _err_update_ref(errs, got, ref)
@@ -701,7 +750,7 @@ def verify_partition_reference(n, partition, samples=20, seed=None, tol=1e-8):
 
 
 def verify_gegenbauer_reference(n, k, i, j, samples=20, seed=None, tol=1e-8):
-    from sonlap.numeric import DEFAULT_SEED, VerifyReport, _sample_streams, gegenbauer, random_son
+    from sonlap.numeric import DEFAULT_SEED, VerifyReport, _sample_streams, gegenbauer
 
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("entry indices out of range")
@@ -713,8 +762,7 @@ def verify_gegenbauer_reference(n, k, i, j, samples=20, seed=None, tol=1e-8):
     row, col = i - 1, j - 1
     errs = (0.0, 0.0)
     for stream in _sample_streams(seed, samples):
-        sample = random_son(n, stream)
-        entry = float(sample.matrix[row, col])
+        entry = float(random_son_reference(n, stream)[row, col])
         value, d1, d2 = gegenbauer(k, alpha, entry)
         got = 0.5 * d2 - 0.5 * (n - 1) * (entry * d1) - 0.5 * (entry * entry * d2)
         ref = eigenvalue * value

@@ -32,7 +32,7 @@ from sonlap import (
     verify_laplacian,
     verify_partition,
 )
-from sonlap import numeric
+from sonlap import haar, numeric
 from sonlap.cli import main
 from sonlap.numeric import (
     DEFAULT_SEED,
@@ -53,6 +53,7 @@ from refdata import (
     _fd_gradient_ref,
     _fd_hessian_ref,
     _value_ref,
+    random_son_reference,
     verify_gegenbauer_reference,
     verify_identities_reference,
     verify_partition_reference,
@@ -72,17 +73,90 @@ def test_random_son_invariants(n):
 
 
 def test_random_son_takes_the_determinant_once(monkeypatch):
-    """One determinant per draw, also where the last column is negated, and
-    every sample still passes the Gram and |det - 1| checks."""
+    """One determinant per stack: one per random_son call, also where the
+    last column is negated, one per stacked draw and one per chunk of a
+    suite; every sample still passes the Gram and |det - 1| checks."""
     det, calls = np.linalg.det, []
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
     samples = [random_son(n, seed) for n in (2, 3, 4, 6) for seed in range(25)]
     assert len(calls) == len(samples)
+    calls.clear()
+    stacks = [haar._haar_stack(n, range(25)) for n in (2, 3, 4, 6)]
+    assert calls == [(25, n, n) for n in (2, 3, 4, 6)]
+    for n, count in ((3, 60), (4, 20), (8, 3)):
+        calls.clear()
+        verify_identities(n, samples=count)
+        per_chunk = max(1, numeric._STACK_ENTRIES // n**4)
+        assert len(calls) == -(-count // per_chunk)
     monkeypatch.undo()
-    for sample in samples:
-        u = sample.matrix
-        assert np.max(np.abs(u.T @ u - np.eye(sample.n))) <= 1e-12
+    for u in [s.matrix for s in samples] + [u for stack in stacks for u in stack]:
+        assert np.max(np.abs(u.T @ u - np.eye(len(u)))) <= 1e-12
         assert abs(np.linalg.det(u) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_draw_equals_the_per_sample_draw(n):
+    """Each matrix of a stacked draw is the per-sample draw of its own
+    stream, bit for bit, and random_son is the stack of one."""
+    streams = list(numeric._sample_streams(n, 9))
+    stack = haar._haar_stack(n, streams)
+    for u, stream in zip(stack, streams):
+        assert np.array_equal(u, random_son_reference(n, stream))
+    assert np.array_equal(random_son(n, 5).matrix, random_son_reference(n, 5))
+
+
+def _zero_diagonal_on(calls, target, real_qr):
+    """A QR that zeroes one R-diagonal entry of matrix ``target`` of the
+    first stack it sees (of the only matrix, for a 2-D input)."""
+
+    def qr(a):
+        q, r = real_qr(a)
+        if not calls:
+            (r[target] if r.ndim == 3 else r)[1, 1] = 0.0
+        calls.append(a.shape)
+        return q, r
+
+    return qr
+
+
+def test_a_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch):
+    """A sample whose R diagonal has a zero draws again from its own
+    generator, as the per-sample draw does; the others keep their draw."""
+    n, target = 4, 2
+    streams = list(numeric._sample_streams(5, 6))
+    want = [random_son_reference(n, stream) for stream in streams]
+    calls, real_qr = [], np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", _zero_diagonal_on(calls, target, real_qr))
+    stack = haar._haar_stack(n, streams)
+    assert calls == [(6, n, n), (1, n, n)]
+    calls.clear()
+    want[target] = random_son_reference(n, streams[target])
+    assert len(calls) == 2
+    for got, ref in zip(stack, want):
+        assert np.array_equal(got, ref)
+    assert not np.array_equal(stack[target], random_son(n, streams[target]).matrix)
+
+
+def test_persistent_degenerate_draws_are_refused(monkeypatch):
+    real_qr, calls = np.linalg.qr, []
+
+    def qr(a):
+        q, r = real_qr(a)
+        r[..., 0, 0] = 0.0
+        calls.append(len(a))
+        return q, r
+
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    with pytest.raises(RuntimeError, match="degenerate Gaussian draws persisted"):
+        haar._haar_stack(3, range(4))
+    assert calls == [4] * 8
+
+
+def test_a_rotation_with_a_nan_is_refused():
+    u = np.eye(3)
+    u[0, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not special orthogonal"):
+        RotationSample(3, u)
 
 
 def test_rotation_sample_refuses_a_reflection():
@@ -606,41 +680,51 @@ def test_verify_identities_matches_the_frozen_suite(n):
 
 def test_identity_suite_forms_powers_once_per_displaced_point(monkeypatch):
     """Each finite-differenced monomial evaluates the plus and the minus stack
-    once each: together exactly the 2 n^2 distinct points U +- step E_ij, in
-    column-major entry order, and no displaced point is evaluated alone."""
+    of a chunk once each: for every sample, in sample order, exactly the
+    2 n^2 distinct points U +- step E_ij in column-major entry order, and no
+    displaced point is evaluated alone; at one sample and at two."""
     n, step = 4, 1e-5
-    drawn, stacks, single = [], [], []
-    powers, draw = numeric._powers, numeric.random_son
+    drawn, stacks, other = [], [], []
+    powers, draw = numeric._powers, numeric._haar_stack
 
     def recording_draw(*args):
-        sample = draw(*args)
-        drawn.append(sample.matrix)
-        return sample
+        stack = draw(*args)
+        drawn.append(stack)
+        return stack
 
     def counting(u, top):
-        if u.ndim == 3:
+        if u.shape == drawn[-1].shape and np.array_equal(u, drawn[-1]):
+            pass  # the drawn samples themselves
+        elif u.ndim == 3 and len(u) == len(drawn[-1]) * n * n:
             stacks.append(u.copy())
-        elif not np.array_equal(u, drawn[-1]):
-            single.append(u.tobytes())
+        else:
+            other.append(u.copy())
         return powers(u, top)
 
-    monkeypatch.setattr(numeric, "random_son", recording_draw)
+    monkeypatch.setattr(numeric, "_haar_stack", recording_draw)
     monkeypatch.setattr(numeric, "_powers", counting)
-    verify_identities(n, samples=1)
-    u = drawn[0]
-    plus, minus = [], []
-    for j in range(n):
-        for i in range(n):
-            bump = np.zeros((n, n))
-            bump[i, j] = step
-            plus.append(u + bump)
-            minus.append(u - bump)
-    assert single == []
-    assert len(stacks) == 2 * len(numeric._FD_PARTITIONS)
-    for got_plus, got_minus in zip(stacks[::2], stacks[1::2]):
-        assert np.array_equal(got_plus, np.array(plus))
-        assert np.array_equal(got_minus, np.array(minus))
-        assert len({mat.tobytes() for mat in (*got_plus, *got_minus)}) == 2 * n * n
+    for samples in (1, 2):
+        for log in (drawn, stacks, other):
+            log.clear()
+        verify_identities(n, samples=samples)
+        assert [len(stack) for stack in drawn] == [samples]
+        plus, minus = [], []
+        for u in drawn[0]:
+            for j in range(n):
+                for i in range(n):
+                    bump = np.zeros((n, n))
+                    bump[i, j] = step
+                    plus.append(u + bump)
+                    minus.append(u - bump)
+        assert other == []
+        assert len(stacks) == 2 * len(numeric._FD_PARTITIONS)
+        for got_plus, got_minus in zip(stacks[::2], stacks[1::2]):
+            assert np.array_equal(got_plus, np.array(plus))
+            assert np.array_equal(got_minus, np.array(minus))
+            for s in range(samples):
+                points = slice(s * n * n, (s + 1) * n * n)
+                distinct = {mat.tobytes() for mat in (*got_plus[points], *got_minus[points])}
+                assert len(distinct) == 2 * n * n
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -695,7 +779,7 @@ def test_laplacian_suite_refuses_an_empty_sample_set_before_any_image(monkeypatc
 )
 def test_gegenbauer_suite_validates_every_family_before_any_draw(monkeypatch, n, bad, message):
     draws = []
-    monkeypatch.setattr(numeric, "random_son", lambda *args: draws.append(args))
+    monkeypatch.setattr(numeric, "_haar_stack", lambda *args: draws.append(args))
     good = [(0, 1, 1), (2, 1, 2)] if n >= 3 else []
     with pytest.raises(ValueError, match=message):
         verify_gegenbauer_families(n, good + [bad], samples=2)
@@ -709,18 +793,19 @@ def test_gegenbauer_suite_validates_every_family_before_any_draw(monkeypatch, n,
 )
 def test_verify_suite_draws_one_rotation_per_sample(monkeypatch, capsys, argv):
     """Every family of a suite is checked at the same rotations, so a run over
-    3 samples draws 3 rotations, however many families it checks."""
+    3 samples draws 3 rotations, in one stack, however many families it
+    checks."""
     suite, n, k = argv
-    draw, draws = numeric.random_son, []
+    draw, draws = numeric._haar_stack, []
 
-    def counting(*args):
-        draws.append(args)
-        return draw(*args)
+    def counting(n, seeds):
+        draws.append(len(seeds))
+        return draw(n, seeds)
 
-    monkeypatch.setattr(numeric, "random_son", counting)
+    monkeypatch.setattr(numeric, "_haar_stack", counting)
     assert main(["verify", "--suite", suite, "--n", n, "--k", k, "--samples", "3"]) == 0
     assert len(json.loads(capsys.readouterr().out)) > 3
-    assert len(draws) == 3
+    assert draws == [3]
 
 
 @pytest.mark.parametrize("n", [3, 5, 6, 8, 20])
@@ -734,6 +819,84 @@ def test_laplacian_suite_matches_the_per_family_loop(n):
         assert verify_laplacian(n, partitions, samples=3, seed=seed) == [
             verify_partition_reference(n, p, samples=3, seed=seed) for p in partitions
         ]
+
+
+def _chunk_corners(entries_per_sample):
+    """Sample counts at the chunk boundaries: one sample, and a partial last
+    chunk after a full one."""
+    per_chunk = max(1, numeric._STACK_ENTRIES // entries_per_sample)
+    return [1, per_chunk + 1 + per_chunk // 2]
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 9])
+def test_identities_match_the_frozen_suite_across_chunks(n):
+    """At n = 8 and 9 a chunk holds one sample; below, a partial last chunk
+    follows a full one."""
+    for samples in _chunk_corners(n**4):
+        assert verify_identities(n, samples=samples, seed=9) == verify_identities_reference(
+            n, samples=samples, seed=9
+        ), samples
+
+
+@pytest.mark.parametrize("n", [3, 7, 25])
+def test_laplacian_suite_matches_the_per_family_loop_across_chunks(n):
+    partitions = list(enumerate_upto(6))
+    for samples in _chunk_corners(7 * n * n):
+        assert verify_laplacian(n, partitions, samples=samples, seed=4) == [
+            verify_partition_reference(n, p, samples=samples, seed=4) for p in partitions
+        ], samples
+
+
+@pytest.mark.parametrize("n", [10, 64])
+def test_gegenbauer_suite_matches_the_per_family_loop_across_chunks(n):
+    families = [(k, i, j) for k in (0, 3, 6) for i, j in ((1, 1), (n // 2, n))]
+    for samples in _chunk_corners(n * n):
+        assert verify_gegenbauer_families(n, families, samples=samples, seed=4) == [
+            verify_gegenbauer_reference(n, *family, samples=samples, seed=4)
+            for family in families
+        ], samples
+
+
+def test_a_nan_error_fails_its_family():
+    """max(0.0, nan) is 0.0, so a NaN once passed as a zero error."""
+    errs = numeric._chunk_errors(np.array([1.0, np.nan, 2.0]), np.array([1.0, 1.0, 2.0]))
+    assert np.isnan(errs).all()
+    report = numeric._report("t", 3, {}, 3, 0, 1e-8, errs)
+    assert not report.passed
+    arrays = numeric._chunk_errors(np.zeros((2, 3, 3)), np.full((2, 3, 3), np.nan), (1, 2))
+    assert np.isnan(arrays).all()
+
+
+def test_a_nan_family_fails_the_cli(monkeypatch, capsys):
+    """A family whose symbolic side turns NaN at one sample reports NaN and
+    fails, and the verify command exits 1; the other families pass."""
+    evaluate, calls = numeric._eval_traces, []
+
+    def nan_once(poly, traces, exact=False):
+        calls.append(poly)
+        return math.nan if len(calls) == 5 else evaluate(poly, traces, exact)
+
+    monkeypatch.setattr(numeric, "_eval_traces", nan_once)
+    argv = ["verify", "--suite", "laplacian", "--n", "4", "--k", "2", "--samples", "3"]
+    assert main(argv) == 1
+    reports = json.loads(capsys.readouterr().out)
+    failed = [r for r in reports if not r["pass"]]
+    assert len(failed) == 1 and math.isnan(failed[0]["max_rel_err"])
+    assert len(reports) == 4 and all(r["max_rel_err"] <= r["tol"] for r in reports if r["pass"])
+
+
+@pytest.mark.parametrize("n, samples, bound_mb", [(10, 162, 1.5), (30, 2, 95)])
+def test_identity_chunks_stay_within_the_per_sample_memory(n, samples, bound_mb):
+    """A chunk of samples holds about the arrays of one sample at n = 8, so a
+    run's traced peak stays near that of one sample at a time (1.1 MB and
+    87 MB at these corners of the samples x n^4 bound)."""
+    tracemalloc.start()
+    try:
+        verify_identities(n, samples=samples)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 6, 20])
