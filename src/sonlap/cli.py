@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -235,6 +236,11 @@ def _check_work(args, what: str, per_sample: int, bound: int) -> None:
 def _cmd_verify(args) -> int:
     if args.k < 0:
         raise ValueError(f"--k must be nonnegative, got {args.k}")
+    least_n = 3 if args.suite == "gegenbauer" else 2
+    if args.n < least_n:
+        raise ValueError(f"--n must be at least {least_n} for the {args.suite} suite, got {args.n}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise ValueError(f"--tol must be finite and nonnegative, got {args.tol}")
     for name, bound in _VERIFY_BOUNDS[args.suite]:
         value = getattr(args, name)
         if value > bound:

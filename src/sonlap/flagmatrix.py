@@ -258,13 +258,15 @@ class FlagMatrix:
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     """Assemble the order-k flag matrix and assert block triangularity.
 
-    Each column's image is written straight into the rows, one entry per
-    monomial it has; every other entry is the one shared zero.
+    Each column's image is collected as (column, value) terms per row, one
+    per monomial it has.  Each row is then written once, straight into its
+    final tuple, with the one shared zero everywhere else, so the peak
+    holds one dense copy of the matrix: the returned rows.
     """
     basis = basis_for(mode, basis_id, k)
     dim = basis.dim
     zero = NPoly(0) if mode.symbolic else Fraction(0)
-    rows = [[zero] * dim for _ in range(dim)]
+    terms = [[] for _ in range(dim)]  # (column, value) of each row's nonzero entries
     below = []  # (column weight, row, column) of each image term above the column weight
     for j, element in enumerate(basis.elements):
         weight = element.degree
@@ -276,12 +278,18 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
             if basis.weights[i] > weight:
                 below.append((weight, i, j))
             else:
-                rows[i][j] = value
+                terms[i].append((j, value))
     if below:
         # the least triple is the entry a row-major scan below each block meets first
         _, i, j = min(below)
         raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
-    return FlagMatrix(basis, tuple(map(tuple, rows)), _flag(mode, basis_id))
+    entries = []
+    for row_terms in terms:
+        row = [zero] * dim
+        for j, value in row_terms:
+            row[j] = value
+        entries.append(tuple(row))
+    return FlagMatrix(basis, tuple(entries), _flag(mode, basis_id))
 
 
 # ---------------------------------------------------------------------------

@@ -98,12 +98,28 @@ EMPTY = Partition()
 
 
 def _descending(total: int, max_part: int):
+    # descending-lex; each step drops the last part above 1 and refills greedily
     if total == 0:
         yield ()
         return
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _descending(total - first, first):
-            yield (first,) + rest
+    top = min(total, max_part)
+    if top < 1:
+        return
+    parts = [top] * (total // top)
+    if total % top:
+        parts.append(total % top)
+    yield tuple(parts)
+    while parts[0] > 1:
+        freed = 1
+        while parts[-1] == 1:
+            parts.pop()
+            freed += 1
+        part = parts[-1] - 1
+        parts[-1] = part
+        parts.extend([part] * (freed // part))
+        if freed % part:
+            parts.append(freed % part)
+        yield tuple(parts)
 
 
 def partitions_of(degree: int) -> list[Partition]:

@@ -17,8 +17,9 @@ that the spectra were deflated from before the block nullity check and the
 eigenspace solve by one Fraction RREF of a leading principal submatrix that
 block back-substitution replaced.  The per-group rules that the rank rule
 r = N // 2 replaced -- the SO(3)/SO(4) block candidates, the ``so4`` basis
-order and the ``spectrum_closed`` enumerations -- are frozen as well.  All of
-them serve as exact references.
+order and the ``spectrum_closed`` enumerations -- are frozen as well, and so is
+the recursive generator chain that enumerated partitions before the
+in-place next-partition step.  All of them serve as exact references.
 ``TracePoly.reduce`` as it stood before it read cached reduced monomials --
 one product ``constant(coeff) * p_{m_1} * p_{m_2} * ...`` of p_m table
 entries per term, summed -- and the term printer as it stood before it read
@@ -171,6 +172,17 @@ SO4_CHARACTER_TABLE = {
 
 def part_of(parts) -> Partition:
     return Partition.of(*parts)
+
+
+def descending_recursive(total: int, max_part: int):
+    """Partitions of ``total`` with parts <= ``max_part``, descending-lex,
+    by the recursive generator chain the in-place next-partition step replaced."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part), 0, -1):
+        for rest in descending_recursive(total - first, first):
+            yield (first,) + rest
 
 
 def so4_monomial_partition(l: int, m: int) -> Partition:

@@ -288,6 +288,14 @@ VERIFY_REFUSED = [
      f"exceeds the input bound {cli.MAX_SAMPLES} of the gegenbauer suite"),
     (("--suite", "identities", "--samples", "10000000"),
      f"exceeds the input bound {cli.MAX_SAMPLES} of the identities suite"),
+    (("--suite", "identities", "--n", "-5"), "--n must be at least 2 for the identities suite, got -5"),
+    (("--suite", "identities", "--n", "1"), "--n must be at least 2 for the identities suite, got 1"),
+    (("--suite", "laplacian", "--n", "0"), "--n must be at least 2 for the laplacian suite, got 0"),
+    (("--suite", "gegenbauer", "--n", "-3"), "--n must be at least 3 for the gegenbauer suite, got -3"),
+    (("--suite", "gegenbauer", "--n", "2"), "--n must be at least 3 for the gegenbauer suite, got 2"),
+    (("--suite", "laplacian", "--tol", "nan"), "--tol must be finite and nonnegative, got nan"),
+    (("--suite", "identities", "--tol", "-1"), "--tol must be finite and nonnegative, got -1.0"),
+    (("--suite", "gegenbauer", "--tol", "inf"), "--tol must be finite and nonnegative, got inf"),
 ]
 
 
@@ -302,6 +310,25 @@ def test_verify_refuses_bad_input_before_any_work(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.endswith(f"{message}\n")
+
+
+def test_verify_refuses_small_n_and_bad_tol_before_any_suite(capsys, monkeypatch):
+    """No suite runs, so no draw is made and no report with "tol": NaN is printed."""
+    for name in ("verify_laplacian", "verify_gegenbauer_families", "verify_identities"):
+        monkeypatch.setattr(cli.numeric, name, lambda *a, **kw: pytest.fail("a suite ran"))
+    for suite, option, value in [
+        ("laplacian", "--n", "-5"), ("gegenbauer", "--n", "2"), ("identities", "--n", "1"),
+        ("laplacian", "--tol", "nan"), ("gegenbauer", "--tol", "-1"), ("identities", "--tol", "nan"),
+    ]:
+        code, out, err = run(capsys, "verify", "--suite", suite, option, value, "--samples", "1")
+        assert (code, out) == (2, "") and f"error: {option} must be" in err
+
+
+def test_verify_tol_zero_is_accepted(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "laplacian", "--n", "3", "--k", "0",
+                         "--samples", "1", "--seed", "3", "--tol", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)[0]["tol"] == 0.0
 
 
 def test_verify_inputs_at_the_bounds_are_accepted(capsys):

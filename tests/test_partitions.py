@@ -1,6 +1,8 @@
 import pytest
 
+from refdata import descending_recursive
 from sonlap import Partition, count, enumerate_upto, partitions_of
+from sonlap.partitions import _descending
 
 
 def brute_force_partitions(degree):
@@ -44,6 +46,14 @@ def test_partitions_of_matches_brute_force(degree):
 def test_descending_lex_order_within_degree():
     parts4 = [p.parts for p in partitions_of(4)]
     assert parts4 == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("total", range(-1, 21))
+def test_descending_matches_the_recursive_reference(total):
+    """Same partitions in the same order at every cap, caps below 1 and
+    above ``total`` included, and nothing for a negative total."""
+    for max_part in range(-1, max(total, 0) + 3):
+        assert list(_descending(total, max_part)) == list(descending_recursive(total, max_part))
 
 
 @pytest.mark.parametrize("k", [0, 4, 7])
