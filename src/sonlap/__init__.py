@@ -33,7 +33,6 @@ from .laplacian import (
     lap,
     lap_p1_pow,
     lap_partition,
-    lap_partition_product_rule,
     lap_pm,
     so3_lap_pm_btrace,
     so3_lap_power,
@@ -69,8 +68,6 @@ from .tracepoly import (
     elementary,
     general_at,
     so,
-    so3_basis_change,
-    so3_from_coordinates,
     so3_pm_in_p1,
     so4_pm_in_p1p2,
 )

@@ -3,7 +3,8 @@
 Output is byte-deterministic for fixed flags and seed.  Exit codes: 0 on
 success or a passing verification, 1 on a verification failure, 2 on usage
 errors, including an input above the degree bound ``MAX_DEGREE`` or a
-``verify`` suite's bound, and a ``verify`` run that would check nothing.
+``verify`` suite's bound, a flag the target or mode does not take, a negative
+or malformed seed, and a ``verify`` run that would check nothing.
 Rationals are printed as exact p/q strings in JSON; decimals appear only in
 CSV, next to an exact sidecar column.
 """
@@ -90,7 +91,10 @@ def _check_degree(what: str, degree) -> None:
 
 def _seed_default() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    try:
+        return int(env) if env else DEFAULT_SEED
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +182,8 @@ def _spectrum_entry_obj(entry) -> dict:
 def _cmd_spectrum(args) -> int:
     if args.target == "sphere" and args.n is None:
         raise ValueError("--target sphere requires --n")
+    if args.target != "sphere" and args.n is not None:
+        raise ValueError(f"--n applies only to --target sphere, not {args.target}")
     _check_degree("--bound", args.bound)
     entries = flagmatrix.spectrum_closed(args.target, args.bound, n=args.n)
     if args.format == "json":
@@ -202,12 +208,16 @@ def _cmd_characters(args) -> int:
     if args.mode == "so3":
         if args.k is None:
             raise ValueError("--mode so3 requires --k")
+        if args.j1 is not None or args.j2 is not None:
+            raise ValueError("--j1 and --j2 apply only to --mode so4")
         _check_degree("--k", args.k)
         character = flagmatrix.character_so3(args.k)
         name = f"chi_{args.k}"
     else:
         if args.j1 is None or args.j2 is None:
             raise ValueError("--mode so4 requires --j1 and --j2")
+        if args.k is not None:
+            raise ValueError("--k applies only to --mode so3")
         j1, j2 = Fraction(args.j1), Fraction(args.j2)
         _check_degree("twice the spin", 2 * max(j1, j2))
         character = flagmatrix.character_so4(j1, j2)

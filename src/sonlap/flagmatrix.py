@@ -61,7 +61,7 @@ from .tracepoly import (
     general_at,
     monomial_label,
     so,
-    so3_basis_change,
+    so3_pm_in_p1,
 )
 
 
@@ -161,7 +161,7 @@ def coordinates(poly: TracePoly, basis: FlagBasis) -> list:
     ``btrace`` coordinates come from the triangular change of basis instead.
     """
     if basis.basis_id == "btrace":
-        return so3_basis_change(poly, "btrace", basis.k)
+        return _btrace_coordinates(poly, basis.k)
     coords = [NPoly(0) if basis.mode.symbolic else Fraction(0)] * basis.dim
     # a partition has one slot of its own, so each slot is written once
     for pos, coeff in _sparse_coordinates(poly, basis):
@@ -183,6 +183,23 @@ def _sparse_coordinates(poly: TracePoly, basis: FlagBasis):
         yield pos, coeff
 
 
+def _btrace_coordinates(poly: TracePoly, k: int) -> list[Fraction]:
+    """Coordinates in the SO(3) trace basis {p_0, ..., p_k}: the ``bprime`` ones,
+    with the monic triangular p_m = p_1^m + (lower order) inverted from the top."""
+    coords = [Fraction(0)] * (k + 1)
+    for pos, coeff in _sparse_coordinates(poly, basis_for(SO3, "bprime", k)):
+        coords[pos] = coeff
+    for m in range(k, 0, -1):
+        c = coords[m]
+        if c:
+            for part, pc in so3_pm_in_p1(m)._terms.items():
+                j = len(part)
+                if j < m:  # the p_0 slot carries a constant over N = 3
+                    coords[j] -= c * pc / 3 if j == 0 else c * pc
+    return coords
+
+
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
     """Spanning-set coordinates with symbolic coefficients; p_0 slot = c/N."""
     if basis.basis_id != "general" or not basis.mode.symbolic:
@@ -236,12 +253,6 @@ class FlagMatrix:
     @property
     def dim(self) -> int:
         return self.basis.dim
-
-    def column(self, j: int) -> list:
-        return [row[j] for row in self.entries]
-
-    def diagonal_block(self, start: int, end: int) -> list[list]:
-        return [[self.entries[i][j] for j in range(start, end)] for i in range(start, end)]
 
     @cached_property
     def _eigenblocks(self) -> dict[Fraction, list[tuple[tuple, int, int]]]:

@@ -39,10 +39,6 @@ class RotationSample:
         sample.n, sample.matrix, sample.provenance = matrix.shape[0], matrix, provenance
         return sample
 
-    @property
-    def columns(self) -> np.ndarray:
-        return self.matrix
-
 
 def _check_rotations(stack: np.ndarray, det: np.ndarray) -> None:
     """Refuse a stack (S, n, n) holding a matrix off SO(n) by more than the

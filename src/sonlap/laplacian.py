@@ -72,6 +72,7 @@ def lap_pm(m: int) -> TracePoly:
     return TracePoly(terms, GENERAL)
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 @lru_cache(maxsize=None)
 def lap_p1_pow(q: int) -> TracePoly:
     """Laplacian of the pure power p_1^q, dimension kept symbolic."""
@@ -197,25 +198,6 @@ def lap_partition(partition: Partition) -> TracePoly:
     return TracePoly._raw(terms, GENERAL)
 
 
-def lap_partition_product_rule(partition: Partition) -> TracePoly:
-    """Same operator, assembled term by term from the plain product rule over
-    the factors p_{m_i}.
-
-    Kept as an independent route so the grouped assembly above can be
-    cross-checked exactly.
-    """
-    parts = partition.parts
-    out = TracePoly.zero(GENERAL)
-    for i, mi in enumerate(parts):
-        rest = Partition.of(*(parts[:i] + parts[i + 1:]))
-        out = out + TracePoly.monomial(rest, 1, GENERAL) * lap_pm(mi)
-    for i in range(len(parts)):
-        for j in range(i + 1, len(parts)):
-            rest = Partition.of(*(parts[:i] + parts[i + 1:j] + parts[j + 1:]))
-            out = out + TracePoly.monomial(rest, 2, GENERAL) * grad_inner_pm(parts[i], parts[j])
-    return out
-
-
 @lru_cache(maxsize=None)
 def so3_lap_power(j: int) -> TracePoly:
     """Laplacian of p_1^j on SO(3), in powers of p_1: the reduced rule's column."""
@@ -258,6 +240,7 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     for SO(3) and SO(4) through their named caches.  General mode takes the
     general image, with the dimension substituted at a fixed N.
     """
+    # the so3/so4 branches stay while perfbench/tracer.py pins their caches (ROADMAP items 1-2)
     if mode.tag == "so3":
         return so3_lap_power(len(part))
     if mode.tag == "so4":

@@ -28,17 +28,17 @@ tables, <U^a, U^b> and tr(U^a U^b) over the powers up to the largest part,
 so nothing of size n^4 is built: the matrix powers cost O(m n^3) and each
 monomial is then a few float products.  The dense n^2 x n^2 Hessian
 (:func:`euclid_derivatives`) and the explicit K and Lambda(U)
-(:func:`structure_matrices`) remain for caller-supplied derivative bundles
-and for :func:`verify_identities`, which checks them against finite
-differences and each other.  Finite differences appear only as a secondary
-oracle inside verification reports, never on the evaluation path.  One
-central-difference sweep per monomial stacks the n^2 points U + step E_ij
-into one (n^2, n, n) array and the n^2 points U - step E_ij into another,
-and takes the value and gradient at every point of a stack from one set of
-batched powers.  Batched products and traces equal the per-matrix ones bit
-for bit, so the reports equal those of a loop over the points.  Every
-report keeps max |got - ref| and its ratio to max(1, |ref|), and passes
-when that ratio is within tol.
+(:func:`structure_matrices`) remain for caller-supplied derivative bundles,
+which go through :func:`laplace_beltrami_value`, and for
+:func:`verify_identities`, which checks them against finite differences and
+each other.  Finite differences appear only as a secondary oracle inside
+verification reports, never on the evaluation path.  One central-difference
+sweep per monomial stacks the n^2 points U + step E_ij into one (n^2, n, n)
+array and the n^2 points U - step E_ij into another, and takes the value and
+gradient at every point of a stack from one set of batched powers.  Batched
+products and traces equal the per-matrix ones bit for bit, so the reports
+equal those of a loop over the points.  Every report keeps max |got - ref|
+and its ratio to max(1, |ref|), and passes when that ratio is within tol.
 
 A suite (:func:`verify_laplacian`, :func:`verify_gegenbauer_families`,
 :func:`verify_identities`) runs its samples in chunks, each an (S, n, n)
@@ -115,6 +115,7 @@ def commutation_matrix(n: int) -> np.ndarray:
     return k
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def structure_matrices(sample: RotationSample) -> tuple[np.ndarray, np.ndarray]:
     """(K, Lambda(U)): commutation matrix and the column-outer block matrix."""
     return commutation_matrix(sample.n), _lambda(sample.matrix)
@@ -133,10 +134,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     outer = a[..., :, None, :, None] * b[..., None, :, None, :]
     return outer.reshape(outer.shape[:-4] + (n * n, n * n))
-
-
-def _vec(matrix: np.ndarray) -> np.ndarray:
-    return matrix.flatten(order="F")
 
 
 def _powers(u: np.ndarray, top: int) -> list[np.ndarray]:
@@ -162,6 +159,7 @@ def _powers_and_traces(partition: Partition, u: np.ndarray) -> tuple[list[np.nda
     return pows, [np.trace(pows[m], axis1=-2, axis2=-1) for m in partition.parts]
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def euclid_derivatives(partition: Partition, sample: RotationSample) -> DerivativeBundle:
     """Euclidean value/gradient/Hessian of the trace monomial at the sample.
 
@@ -247,6 +245,7 @@ def _check_concrete(poly: TracePoly, n: int, where: str) -> None:
         raise ValueError(f"polynomial lives at N={poly.mode.n}, {where}")
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def laplace_beltrami_value(bundle: DerivativeBundle, sample: RotationSample) -> float:
     """Evaluate the group Laplacian from a prolongation's dense derivative bundle.
 
@@ -268,15 +267,13 @@ def _dense_laplacian(u: np.ndarray, grad: np.ndarray, hess: np.ndarray):
 
 
 def lap_numeric(target, sample: RotationSample) -> float:
-    """Group Laplacian of a Partition, TracePoly, or prebuilt bundle at U.
+    """Group Laplacian of a Partition or TracePoly at U.
 
-    Partitions and trace polynomials use the closed-form Hessian traces and
-    build nothing of size n^4; a bundle is contracted densely.  The term
-    values are summed with ``math.fsum``, so the result does not depend on
-    the order of the terms.
+    The closed-form Hessian traces build nothing of size n^4; a prebuilt
+    :class:`DerivativeBundle` goes through :func:`laplace_beltrami_value`.
+    The term values are summed with ``math.fsum``, so the result does not
+    depend on the order of the terms.
     """
-    if isinstance(target, DerivativeBundle):
-        return laplace_beltrami_value(target, sample)
     if isinstance(target, Partition):
         terms = {target: 1}
     elif isinstance(target, TracePoly):
@@ -391,20 +388,6 @@ def _central_differences(fn, u: np.ndarray, step: float) -> np.ndarray:
     return rows.reshape(u.shape[:-2] + (n * n,) + rows.shape[1:])
 
 
-def _each(fn):
-    """A function of one matrix as a function of a stack, one row per matrix."""
-    return lambda stack: np.array([fn(mat) for mat in stack])
-
-
-def fd_gradient(value_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    return _central_differences(_each(value_fn), u, step).reshape(u.shape, order="F")
-
-
-def fd_hessian(grad_fn, u: np.ndarray, step: float = 1e-5) -> np.ndarray:
-    """Central differences of the gradient, columns in column-major order."""
-    return _central_differences(_each(lambda mat: _vec(grad_fn(mat))), u, step).T
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -446,6 +429,8 @@ def _sample_streams(seed: int, samples: int):
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
     entropy = np.random.SeedSequence(seed).entropy
     return (np.random.SeedSequence(entropy, spawn_key=(i,)) for i in range(samples))
 
@@ -572,6 +557,7 @@ def _gegenbauer_pair(n: int, k: int, alpha: float, x: float) -> tuple[float, flo
     return _group_laplacian(n, x * d1, d2, x * x * d2), -k * (k + n - 2) / 2 * value
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def verify_partition(
     n: int,
     partition: Partition,
@@ -584,6 +570,7 @@ def verify_partition(
     return verify_laplacian(n, [partition], samples, seed, tol)[0]
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def verify_gegenbauer(
     n: int,
     k: int,
@@ -716,11 +703,6 @@ def verify_identities(
     ]
 
 
-def eval_tracepoly_matrix(partition: Partition, u: np.ndarray) -> float:
-    """Value of a single trace monomial at an arbitrary square matrix."""
-    return float(_rest_product(_powers_and_traces(partition, u)[1], ()))
-
-
 def _monomial_gradient(partition: Partition, pows: list[np.ndarray], values: list) -> np.ndarray:
     """Matrix-form gradient sum_i R_i m_i (U^t)^{m_i-1} of a trace monomial,
     R_i the product of the other factors' traces, from the powers and factor
@@ -748,6 +730,7 @@ def _value_and_gradient_rows(partition: Partition, stack: np.ndarray) -> np.ndar
     return np.column_stack((value, grad.swapaxes(-2, -1).reshape(len(stack), -1)))
 
 
+# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, dense Hessian) of a trace monomial at any square matrix, unchecked."""
     return _dense_derivatives(partition, u)[1:]

@@ -475,56 +475,6 @@ def _reduced_monomial(mode: GroupMode, part: Partition) -> TracePoly:
 # e_3 = 1, each entry reads the three cached entries below it
 so3_pm_in_p1 = _pm_table(SO3)
 # p_m on SO(4) in p_1, p_2: with e_1 = e_3 = p_1, e_2 = (p_1^2 - p_2)/2 and
-# e_4 = 1, each entry reads the four cached entries below it
+# e_4 = 1, each entry reads the four cached entries below it; no package code
+# calls it, and it stays while perfbench/tracer.py pins it (ROADMAP items 1-2)
 so4_pm_in_p1p2 = _pm_table(SO4)
-
-
-def so3_basis_change(a: TracePoly, target: str, k: int | None = None) -> list[Fraction]:
-    """Coordinates of ``a`` in an SO(3) flag basis of order ``k``.
-
-    ``target`` is ``"bprime"`` for {p_0, p_1, p_1^2, ..., p_1^k} or
-    ``"btrace"`` for {p_0, p_1, p_2, ..., p_k}.  A constant c contributes the
-    exact coordinate c/3 on the p_0 slot.  The trace-basis conversion inverts
-    the monic triangular relation p_m = p_1^m + (lower order).
-    """
-    if target not in ("bprime", "btrace"):
-        raise ValueError(f"unknown SO(3) basis {target!r}")
-    red = a if a.mode == SO3 else a.reduce(SO3)
-    deg = red.degree
-    if k is None:
-        k = deg
-    if deg > k:
-        raise ValueError(f"degree {deg} exceeds basis order {k}")
-    powers = {len(part): coeff for part, coeff in red._terms.items()}
-    coords = [Fraction(0)] * (k + 1)
-    if target == "bprime":
-        for j, c in powers.items():
-            coords[j] = c / 3 if j == 0 else c
-        return coords
-    work = dict(powers)
-    for m in range(k, 0, -1):
-        c = work.get(m, Fraction(0))
-        if not c:
-            continue
-        coords[m] = c
-        for part, pc in so3_pm_in_p1(m)._terms.items():
-            j = len(part)
-            work[j] = work.get(j, Fraction(0)) - c * pc
-    coords[0] = work.get(0, Fraction(0)) / 3
-    return coords
-
-
-def so3_from_coordinates(coords, target: str) -> TracePoly:
-    """Inverse of :func:`so3_basis_change`: rebuild the SO(3)-reduced polynomial."""
-    if target not in ("bprime", "btrace"):
-        raise ValueError(f"unknown SO(3) basis {target!r}")
-    out = TracePoly.constant(Fraction(coords[0]) * 3, SO3)
-    for m in range(1, len(coords)):
-        c = coords[m]
-        if not c:
-            continue
-        if target == "bprime":
-            out = out + TracePoly.monomial(Partition((1,) * m), c, SO3)
-        else:
-            out = out + so3_pm_in_p1(m) * c
-    return out

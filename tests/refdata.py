@@ -2,9 +2,11 @@
 
 The symbolic Laplacian table covers every monomial of degree <= 4; the SO(4)
 order-4 matrix, its eigenvector list and the character table are the known
-closed-form results this package must reproduce exactly.  The three-case
-monomial Laplacian is the assembly ``lap_partition`` used before the grouped
-product rule.  The hand-derived SO(3) p_1^j and SO(4) p_1^l p_2^m
+closed-form results this package must reproduce exactly.  The plain
+product rule, term by term over the factors, is the independent route the
+grouped ``lap_partition`` is checked against; the three-case monomial
+Laplacian is the assembly ``lap_partition`` used before the grouped product
+rule.  The hand-derived SO(3) p_1^j and SO(4) p_1^l p_2^m
 Laplacians and the so(N) column as the reduced general image, which the one
 reduced product rule replaced, are frozen next to it.  The character
 enumeration is the candidate search
@@ -49,9 +51,10 @@ from sonlap import (
     TracePoly,
     character_so3,
     character_so4,
+    grad_inner_pm,
     lap_p1_pow,
     lap_partition,
-    lap_partition_product_rule,
+    lap_pm,
 )
 
 F = Fraction
@@ -187,6 +190,22 @@ def descending_recursive(total: int, max_part: int):
 
 def so4_monomial_partition(l: int, m: int) -> Partition:
     return Partition.of(*([2] * m + [1] * l))
+
+
+def lap_partition_product_rule(partition: Partition) -> TracePoly:
+    """Laplacian of a trace monomial assembled term by term from the plain
+    product rule over the factors p_{m_i}: the independent route that the
+    grouped assembly of ``lap_partition`` is cross-checked against."""
+    parts = partition.parts
+    out = TracePoly.zero(GENERAL)
+    for i, mi in enumerate(parts):
+        rest = Partition.of(*(parts[:i] + parts[i + 1:]))
+        out = out + TracePoly.monomial(rest, 1, GENERAL) * lap_pm(mi)
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            rest = Partition.of(*(parts[:i] + parts[i + 1:j] + parts[j + 1:]))
+            out = out + TracePoly.monomial(rest, 2, GENERAL) * grad_inner_pm(parts[i], parts[j])
+    return out
 
 
 def lap_partition_three_case(partition: Partition) -> TracePoly:

@@ -204,6 +204,32 @@ def test_seed_env_override(capsys, monkeypatch):
     assert all(r["seed"] == 31415 for r in json.loads(out))
 
 
+@pytest.mark.parametrize("env, message", [
+    ("abc", "SONLAP_SEED must be an integer, got 'abc'"),
+    ("1.5", "SONLAP_SEED must be an integer, got '1.5'"),
+    ("-5", "seed must be a nonnegative integer, got -5"),
+])
+def test_seed_env_refuses_a_bad_seed_before_any_draw(capsys, monkeypatch, env, message):
+    monkeypatch.setenv("SONLAP_SEED", env)
+    monkeypatch.setattr(cli.numeric, "_haar_stack", lambda n, seeds: pytest.fail("drew a sample"))
+    code, out, err = run(capsys, "verify", "--suite", "laplacian", "--n", "3", "--k", "1",
+                         "--samples", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("spectrum", "--target", "so3", "--n", "5", "--bound", "2"), "--n"),
+    (("spectrum", "--target", "so4", "--n", "4", "--bound", "2"), "--n"),
+    (("characters", "--mode", "so4", "--j1", "1", "--j2", "1", "--k", "7"), "--k"),
+    (("characters", "--mode", "so3", "--k", "2", "--j1", "1"), "--j1"),
+    (("characters", "--mode", "so3", "--k", "2", "--j2", "1/2"), "--j2"),
+])
+def test_flags_the_target_or_mode_does_not_take_are_refused(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ") or f" {flag} " in err
+
+
 OVERSIZE = [
     ("lap", "--mode", "so3", "--partition", "900"),
     ("lap", "--mode", "so4", "--partition", "300"),
@@ -296,6 +322,9 @@ VERIFY_REFUSED = [
     (("--suite", "laplacian", "--tol", "nan"), "--tol must be finite and nonnegative, got nan"),
     (("--suite", "identities", "--tol", "-1"), "--tol must be finite and nonnegative, got -1.0"),
     (("--suite", "gegenbauer", "--tol", "inf"), "--tol must be finite and nonnegative, got inf"),
+    (("--suite", "laplacian", "--n", "3", "--k", "1", "--samples", "1", "--seed", "-1"),
+     "seed must be a nonnegative integer, got -1"),
+    (("--suite", "identities", "--seed", "-7"), "seed must be a nonnegative integer, got -7"),
 ]
 
 

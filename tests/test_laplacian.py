@@ -11,16 +11,15 @@ from sonlap import (
     Partition,
     TracePoly,
     basis_for,
+    coordinates,
     enumerate_upto,
     general_at,
     grad_inner_pm,
     lap,
     lap_p1_pow,
     lap_partition,
-    lap_partition_product_rule,
     lap_pm,
     so,
-    so3_basis_change,
     so3_lap_pm_btrace,
     so3_lap_power,
     so4_lap_monomial,
@@ -28,6 +27,7 @@ from sonlap import (
 from sonlap.laplacian import lap_monomial
 from refdata import (
     WORKED_LAPLACIANS,
+    lap_partition_product_rule,
     lap_partition_three_case,
     reduced_column_via_general,
     so3_lap_power_hand,
@@ -171,7 +171,7 @@ def test_so3_power_formula_matches_general_route(j):
 def test_so3_lap_p3_in_trace_basis():
     # Laplacian of p_3 on SO(3): 3 p_0 - 3 p_1 - 3 p_2 - 6 p_3
     poly = TracePoly.power_sum(3).substitute_n(3).reduce(SO3)
-    coords = so3_basis_change(lap(poly), "btrace", k=3)
+    coords = coordinates(lap(poly), basis_for(SO3, "btrace", 3))
     assert coords == [F(3), F(-3), F(-3), F(-6)]
 
 

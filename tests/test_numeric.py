@@ -43,9 +43,7 @@ from sonlap.numeric import (
     _power_tables,
     _powers,
     euclid_derivatives_matrix,
-    eval_tracepoly_matrix,
-    fd_gradient,
-    fd_hessian,
+    laplace_beltrami_value,
 )
 
 from refdata import (
@@ -308,9 +306,9 @@ def test_derivatives_match_finite_differences(n, parts):
     sample = random_son(n, 31 * n + sum(parts))
     u = sample.matrix
     bundle = euclid_derivatives(partition, sample)
-    fd_g = fd_gradient(lambda mat: eval_tracepoly_matrix(partition, mat), u)
+    fd_g = _fd_gradient_ref(lambda mat: _value_ref(partition, mat), u)
     assert np.max(np.abs(bundle.grad - fd_g)) <= 1e-6
-    fd_h = fd_hessian(lambda mat: euclid_derivatives_matrix(partition, mat)[0], u)
+    fd_h = _fd_hessian_ref(lambda mat: euclid_derivatives_matrix(partition, mat)[0], u)
     assert np.max(np.abs(bundle.hess - fd_h)) <= 1e-6
 
 
@@ -454,7 +452,7 @@ def test_lap_numeric_matrix_free_matches_dense_bundle(n):
         sample = random_son(n, 500 + 10 * seed + n)
         for partition in enumerate_upto(5):
             got = lap_numeric(partition, sample)
-            ref = lap_numeric(euclid_derivatives(partition, sample), sample)
+            ref = laplace_beltrami_value(euclid_derivatives(partition, sample), sample)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref)), (partition, got, ref)
             monomial = TracePoly.monomial(partition, 1, general_at(n))
             value = eval_tracepoly(monomial, sample)
@@ -473,6 +471,8 @@ def test_lap_numeric_tracepoly_errors():
         lap_numeric(symbolic.substitute_n(5), sample)
     with pytest.raises(TypeError):
         lap_numeric("p_2", sample)
+    with pytest.raises(TypeError):  # a dense bundle goes through laplace_beltrami_value
+        lap_numeric(euclid_derivatives(Partition.of(2), sample), sample)
 
 
 def test_verify_partition_memory_at_n60():
@@ -653,7 +653,7 @@ def test_verify_gegenbauer_matches_dense_bundle(n, k, i, j):
         hess = np.zeros((n * n, n * n))
         slot = (j - 1) * n + (i - 1)
         hess[slot, slot] = d2
-        got = lap_numeric(DerivativeBundle(value, grad, hess), sample)
+        got = laplace_beltrami_value(DerivativeBundle(value, grad, hess), sample)
         ref = -k * (k + n - 2) / 2 * value
         abs_errs.append(abs(got - ref))
         rel_errs.append(abs(got - ref) / max(1.0, abs(ref)))
@@ -727,23 +727,16 @@ def test_identity_suite_forms_powers_once_per_displaced_point(monkeypatch):
                 assert len(distinct) == 2 * n * n
 
 
-@pytest.mark.parametrize("n", [3, 5])
-@pytest.mark.parametrize("parts", [(2,), (3, 1), (2, 1, 1)])
-def test_fd_sweeps_equal_the_per_point_loops(n, parts):
-    """The public per-matrix differences run over the stacked sweep and give
-    the per-point loops' arrays bit for bit."""
-    partition = Partition.of(*parts)
-    u = random_son(n, 7 * n + len(parts)).matrix
-
-    def value_fn(mat):
-        return eval_tracepoly_matrix(partition, mat)
-
-    def grad_fn(mat):
-        return euclid_derivatives_matrix(partition, mat)[0]
-
-    assert np.array_equal(fd_gradient(value_fn, u), _fd_gradient_ref(value_fn, u))
-    assert np.array_equal(fd_hessian(grad_fn, u), _fd_hessian_ref(grad_fn, u))
-    assert np.array_equal(fd_gradient(value_fn, u, 1e-4), _fd_gradient_ref(value_fn, u, 1e-4))
+def test_verify_suites_refuse_a_negative_seed_before_any_draw(monkeypatch):
+    """numpy's own refusal of a negative seed does not name it."""
+    monkeypatch.setattr(numeric, "_haar_stack", lambda n, seeds: pytest.fail("drew a sample"))
+    for suite in (
+        lambda: verify_laplacian(3, [Partition.of(1)], seed=-1),
+        lambda: verify_gegenbauer_families(3, [(1, 1, 1)], seed=-1),
+        lambda: verify_identities(3, seed=-1),
+    ):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer, got -1"):
+            suite()
 
 
 @pytest.mark.parametrize("samples", [0, -1])

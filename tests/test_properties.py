@@ -21,8 +21,8 @@ from sonlap import (
     general_at,
     lap,
     lap_partition,
-    lap_partition_product_rule,
 )
+from refdata import lap_partition_product_rule
 
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
 

@@ -21,6 +21,8 @@ from sonlap import (
     NPoly,
     Partition,
     TracePoly,
+    basis_for,
+    coordinates,
     elementary,
     enumerate_upto,
     eval_tracepoly,
@@ -30,8 +32,6 @@ from sonlap import (
     random_son,
     rotation_from_angles,
     so,
-    so3_basis_change,
-    so3_from_coordinates,
     so3_pm_in_p1,
     so4_pm_in_p1p2,
 )
@@ -458,6 +458,10 @@ def test_reduce_and_lap_leave_the_cached_images_alone():
 # SO(3) basis change
 
 
+def so3_coordinates(poly, basis_id, k):
+    return coordinates(poly, basis_for(SO3, basis_id, k))
+
+
 def test_basis_change_known_eigenvector():
     # -(1/3) p_0 + p_1 + p_2 has power-basis coordinates (-1/3, -1, 1)
     chi2 = (
@@ -465,7 +469,7 @@ def test_basis_change_known_eigenvector():
         + TracePoly.monomial(Partition.of(1), 1, general_at(3))
         + TracePoly.monomial(Partition.of(2), 1, general_at(3))
     )
-    assert so3_basis_change(chi2, "bprime") == [F(-1, 3), F(-1), F(1)]
+    assert so3_coordinates(chi2, "bprime", 2) == [F(-1, 3), F(-1), F(1)]
     # numeric cross-check of the two forms at a generic angle
     rotation = rotation_from_angles(3, math.pi / 5)
     reduced = chi2.reduce(SO3)
@@ -473,14 +477,14 @@ def test_basis_change_known_eigenvector():
 
 
 def test_basis_change_p1_squared_in_traces():
-    coords = so3_basis_change(p1pow(2), "btrace", k=2)
+    coords = so3_coordinates(p1pow(2), "btrace", 2)
     assert coords == [F(0), F(2), F(1)]
 
 
 def test_basis_change_p0_unit():
     p0 = TracePoly.constant(3, general_at(3))
-    assert so3_basis_change(p0, "bprime", k=2) == [F(1), F(0), F(0)]
-    assert so3_basis_change(p0, "btrace", k=2) == [F(1), F(0), F(0)]
+    assert so3_coordinates(p0, "bprime", 2) == [F(1), F(0), F(0)]
+    assert so3_coordinates(p0, "btrace", 2) == [F(1), F(0), F(0)]
 
 
 def test_basis_change_round_trips():
@@ -488,14 +492,29 @@ def test_basis_change_round_trips():
     for _ in range(25):
         poly = random_tracepoly(rng, mode=general_at(3), max_degree=5).reduce(SO3)
         k = max(poly.degree, 1)
-        for basis in ("bprime", "btrace"):
-            coords = so3_basis_change(poly, basis, k=k)
-            assert so3_from_coordinates(coords, basis) == poly
+        for basis_id in ("bprime", "btrace"):
+            coords = so3_coordinates(poly, basis_id, k)
+            # p_0 = 3 is the constant of the first slot; slot m holds p_1^m or p_m
+            rebuilt = TracePoly.constant(coords[0] * 3, SO3)
+            for m, c in enumerate(coords[1:], 1):
+                element = p1pow(m) if basis_id == "bprime" else so3_pm_in_p1(m)
+                rebuilt = rebuilt + element * c
+            assert rebuilt == poly
 
 
 def test_basis_change_degree_overflow():
-    with pytest.raises(ValueError):
-        so3_basis_change(p1pow(4), "bprime", k=3)
+    for basis_id in ("bprime", "btrace"):
+        with pytest.raises(ValueError):
+            so3_coordinates(p1pow(4), basis_id, 3)
+
+
+def test_btrace_coordinates_of_each_trace_are_its_unit_vector():
+    """p_j, written in p_1 by its table entry, sits on slot j of the trace
+    basis alone: the triangular inversion undoes the table exactly."""
+    for k in range(13):
+        for j in range(k + 1):
+            unit = [F(int(i == j)) for i in range(k + 1)]
+            assert so3_coordinates(so3_pm_in_p1(j), "btrace", k) == unit, (j, k)
 
 
 # ---------------------------------------------------------------------------
