@@ -10,7 +10,6 @@ from sonlap import (
     Partition,
     enumerate_upto,
     grad_inner_pm,
-    lap_p1_pow,
     lap_partition,
     lap_pm,
 )
@@ -25,7 +24,7 @@ print("Pure powers of the first trace")
 print("------------------------------")
 for q in range(5):
     label = "p_1" + (f"^{q}" if q != 1 else "")
-    print(f"  D {label:<10} = {lap_p1_pow(q).pretty()}")
+    print(f"  D {label:<10} = {lap_partition(Partition((1,) * q)).pretty()}")
 
 print()
 print("Tangential gradient pairings")

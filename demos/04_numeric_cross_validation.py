@@ -17,10 +17,9 @@ import json
 from sonlap import (
     Partition,
     enumerate_upto,
-    verify_gegenbauer,
+    verify_gegenbauer_families,
     verify_identities,
     verify_laplacian,
-    verify_partition,
 )
 
 SEED = 20230
@@ -34,7 +33,7 @@ for n in (3, 4, 5, 6):
 print()
 print("Gegenbauer entry eigenfunctions, eigenvalue -k(k+n-2)/2")
 for n, k in [(3, 2), (5, 1), (6, 8)]:
-    report = verify_gegenbauer(n, k, 1, n, samples=20, seed=SEED)
+    [report] = verify_gegenbauer_families(n, [(k, 1, n)], samples=20, seed=SEED)
     print(f"  n={n}, k={k}: pass={report.passed}, max_rel={report.max_rel_err:.3e}")
 
 print()
@@ -44,5 +43,5 @@ for report in verify_identities(4, samples=10, seed=SEED):
 
 print()
 print("One-line check of a single monomial at n=6")
-report = verify_partition(6, Partition.of(3, 2), samples=50, seed=SEED)
+[report] = verify_laplacian(6, [Partition.of(3, 2)], samples=50, seed=SEED)
 print(f"  D p_(3,2) on SO(6): pass={report.passed}, max_abs={report.max_abs_err:.3e}")

@@ -204,6 +204,14 @@ def _character_obj(character) -> dict:
     }
 
 
+def _spin(flag: str, text: str) -> Fraction:
+    """An SO(4) spin flag's value; a malformed one is refused by its flag."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{flag} must be a spin such as 3/2 or 1.5, got {text!r}") from None
+
+
 def _cmd_characters(args) -> int:
     if args.mode == "so3":
         if args.k is None:
@@ -218,7 +226,7 @@ def _cmd_characters(args) -> int:
             raise ValueError("--mode so4 requires --j1 and --j2")
         if args.k is not None:
             raise ValueError("--k applies only to --mode so3")
-        j1, j2 = Fraction(args.j1), Fraction(args.j2)
+        j1, j2 = _spin("--j1", args.j1), _spin("--j2", args.j2)
         _check_degree("twice the spin", 2 * max(j1, j2))
         character = flagmatrix.character_so4(j1, j2)
         name = f"chi_({j1},{j2})"
@@ -256,23 +264,20 @@ def _cmd_verify(args) -> int:
         if value > bound:
             raise ValueError(f"--{name} {value} exceeds the input bound {bound} of the {args.suite} suite")
     seed = args.seed if args.seed is not None else _seed_default()
+    options = {"samples": args.samples, "seed": seed}
+    if args.tol is not None:  # otherwise each suite's own default
+        options["tol"] = args.tol
     if args.suite == "laplacian":
         partitions = enumerate_upto(args.k)
         _check_work(args, f"{len(partitions)} partitions", len(partitions), MAX_LAPLACIAN_WORK)
-        tol = args.tol if args.tol is not None else 1e-8
-        reports = numeric.verify_laplacian(
-            args.n, partitions, samples=args.samples, seed=seed, tol=tol
-        )
+        reports = numeric.verify_laplacian(args.n, partitions, **options)
     elif args.suite == "gegenbauer":
-        tol = args.tol if args.tol is not None else 1e-8
         positions = ((1, 1), (max(1, args.n // 2), args.n))
         families = [(k, i, j) for k in range(args.k + 1) for i, j in positions]
-        reports = numeric.verify_gegenbauer_families(
-            args.n, families, samples=args.samples, seed=seed, tol=tol
-        )
+        reports = numeric.verify_gegenbauer_families(args.n, families, **options)
     else:
         _check_work(args, f"n^4 = {args.n**4}", args.n**4, MAX_IDENTITIES_WORK)
-        reports = numeric.verify_identities(args.n, samples=args.samples, seed=seed, tol=args.tol)
+        reports = numeric.verify_identities(args.n, **options)
     print(json.dumps([r.to_json_obj() for r in reports], sort_keys=True))
     return 0 if all(r.passed for r in reports) else 1
 

@@ -452,7 +452,7 @@ def _closed_candidates(mode: GroupMode, weight: int) -> list[tuple[Fraction, obj
 def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[SpectrumEntry]:
     """Closed-form eigenvalue families with parameter labels.
 
-    ``sphere``: -k(k+n-2)/2 for 0 <= k <= bound (needs n >= 2).
+    ``sphere``: -k(k+n-2)/2 for 0 <= k <= bound (needs n >= 2; no other target takes n).
     ``so3``:    -k(k+1)/2 for 0 <= k <= bound.
     ``so4``:    -(k1(k1+2)+k2(k2+2))/4 over same-parity pairs with
                 k1+k2 <= bound; unordered labels, one entry per value.
@@ -466,6 +466,8 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
         for k in range(bound + 1):
             found.setdefault(_casimir(n, (k,)), []).append(k)
     elif target in ("so3", "so4"):
+        if n is not None:
+            raise ValueError(f"n applies only to the sphere target, not {target}")
         mode = so(int(target[2:]))
         for weight in range(bound + 1):
             for eig, label in _closed_candidates(mode, weight):

@@ -5,7 +5,6 @@ Base formulas, with D the group Laplacian for the Frobenius metric:
 * ``D p_1   = -(N-1)/2 p_1``
 * ``D p_m   = m(1+(-1)^m)/4 p_0 + m sum_{i=0}^{floor((m-1)/2)} p_{m-2i}
   - m(N+1)/2 p_m - m/2 sum_{j=1}^{m-1} p_j p_{m-j}``          (m >= 2)
-* ``D p_1^q = -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2``  (q >= 2)
 * ``2 <grad p_m, grad p_m'> = m m' (p_{m-m'} - p_{m+m'})``        (m >= m')
 
 A general monomial p_lam is assembled by the Riemannian product rule,
@@ -20,7 +19,8 @@ Every coefficient is affine in N with values in (1/2)Z, so the terms are
 summed as pairs of doubled integers and no intermediate trace polynomials
 are multiplied.  No output term ever exceeds the input degree, which is
 what makes the flag of spaces invariant and the restricted operator block
-triangular.
+triangular.  At lam = (1^q) it gives the closed form, now a test reference,
+``D p_1^q = -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2``.
 
 The reduced mode so(N) of every N >= 3 reads the same rule.  Its pieces,
 D p_m and <grad p_m, grad p_m'> for m, m' <= r = N // 2, are substituted at
@@ -72,22 +72,13 @@ def lap_pm(m: int) -> TracePoly:
     return TracePoly(terms, GENERAL)
 
 
-# kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
+# kept while perfbench/tracer.py pins it and its cache (ROADMAP items 1-2)
 @lru_cache(maxsize=None)
 def lap_p1_pow(q: int) -> TracePoly:
-    """Laplacian of the pure power p_1^q, dimension kept symbolic."""
+    """Laplacian of the pure power p_1^q: :func:`lap_partition` of (1^q)."""
     if q < 0:
         raise ValueError("exponent must be nonnegative")
-    if q == 0:
-        return TracePoly.zero(GENERAL)
-    if q == 1:
-        return lap_pm(1)
-    terms = {
-        _ones(q): (_N - 1) * Fraction(-q, 2),
-        Partition.of(2, *(1,) * (q - 2)): NPoly(Fraction(-q * (q - 1), 2)),
-        _ones(q - 2): _N * Fraction(q * (q - 1), 2),
-    }
-    return TracePoly(terms, GENERAL)
+    return lap_partition(_ones(q))
 
 
 def grad_inner_pm(m: int, mp: int) -> TracePoly:
@@ -273,15 +264,13 @@ def _reduced_column(part: Partition, mode: GroupMode) -> TracePoly:
     return TracePoly._raw({_interned_part(key): c for key, c in acc.items() if c}, mode)
 
 
-def lap(a: TracePoly, mode: GroupMode | None = None) -> TracePoly:
+def lap(a: TracePoly) -> TracePoly:
     """Laplacian of an arbitrary trace polynomial; linear in the input.
 
     Extends :func:`lap_monomial` by linearity, so in a reduced mode the
     result stays in the reduced generators.  Each monomial's image is added
     in, scaled by its coefficient, straight into one dict.
     """
-    if mode is not None and mode != a.mode:
-        raise ValueError(f"mode mismatch: polynomial is {a.mode}, requested {mode}")
     out: dict[Partition, object] = {}
     for part, coeff in a._terms.items():
         _accumulate(out, lap_monomial(part, a.mode)._terms, coeff)

@@ -71,14 +71,6 @@ class NPoly:
         return dict(self._coeffs)
 
     @property
-    def degree(self) -> int:
-        return max(self._coeffs, default=0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    @property
     def is_constant(self) -> bool:
         return all(e == 0 for e in self._coeffs)
 
@@ -144,9 +136,6 @@ class NPoly:
         return NPoly._raw(out)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "NPoly":
-        return self * (Fraction(1) / _as_fraction(scalar))
 
     def subs(self, n) -> Fraction:
         """Exact value at N = n."""

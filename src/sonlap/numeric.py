@@ -59,7 +59,8 @@ power stacks per chunk, and one pair of tables per distinct largest part;
 its per-monomial sums stay per sample, in the helpers that
 :func:`lap_numeric` and :func:`eval_tracepoly` wrap.  Each family's error is
 the exact maximum over the samples, so its report does not depend on the
-chunks, and a NaN error fails its family.
+chunks, and a NaN error fails its family.  Exact evaluation takes no flag:
+:func:`eval_tracepoly` switches to it where its float sum may cancel.
 """
 
 from __future__ import annotations
@@ -289,30 +290,30 @@ def lap_numeric(target, sample: RotationSample) -> float:
     )
 
 
-def eval_tracepoly(poly: TracePoly, sample, exact: bool = False) -> float:
+def eval_tracepoly(poly: TracePoly, sample) -> float:
     """Numeric value of a trace polynomial at a rotation.
 
-    The float path sums the term values with ``math.fsum``, so the result
-    does not depend on the order of the terms.  Where sum |term| * 2^-52 *
+    The term values are summed with ``math.fsum``, so the result does not
+    depend on the order of the terms.  Where sum |term| * 2^-52 *
     (degree + 2), a bound on its rounding error, exceeds 1e-9 * max(1, |sum|)
-    (high-degree reduced forms cancel), or with ``exact=True``, the value is
-    accumulated exactly over the rationalized traces instead.
+    (high-degree reduced forms cancel), the value is accumulated exactly over
+    the rationalized traces instead.
     """
     u = sample.matrix if isinstance(sample, RotationSample) else np.asarray(sample, dtype=float)
     n = u.shape[0]
     _check_concrete(poly, n, f"matrix is {n}x{n}")
     traces = [float(np.trace(p)) for p in _powers(u, _top_part(poly.terms))]
-    return _eval_traces(poly, traces, exact)
+    return _eval_traces(poly, traces)
 
 
-def _eval_traces(poly: TracePoly, traces: list[float], exact: bool = False) -> float:
+def _eval_traces(poly: TracePoly, traces: list[float]) -> float:
     """:func:`eval_tracepoly` from the traces p_0, ..., p_top of U's powers,
     top at least the polynomial's largest part; its mode is not checked."""
     terms = poly.terms
     values = [math.prod((traces[m] for m in part), start=float(c)) for part, c in terms.items()]
     total = math.fsum(values)
     slack = math.fsum(map(abs, values)) * 2.0**-52 * (poly.degree + 2)
-    if not exact and slack <= 1e-9 * max(1.0, abs(total)):
+    if slack <= 1e-9 * max(1.0, abs(total)):
         return total
     rational = [Fraction(t) for t in traces]
     return float(sum(math.prod((rational[m] for m in part), start=c) for part, c in terms.items()))
@@ -484,8 +485,6 @@ def verify_laplacian(
     streams = _sample_streams(seed, samples)
     partitions = list(partitions)
     images = [lap_partition(p).substitute_n(n) for p in partitions]
-    for image in images:
-        _check_concrete(image, n, f"sample has n={n}")
     tops = [max(p.parts, default=0) for p in partitions]
     distinct_tops = set(tops)
     top = max(tops + [_top_part(image.terms) for image in images], default=0)

@@ -182,16 +182,8 @@ class TracePoly:
         return dict(self._terms)
 
     @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
     def degree(self) -> int:
         return max((p.degree for p in self._terms), default=0)
-
-    def coeff(self, part: Partition):
-        zero = NPoly(0) if self.mode.symbolic else Fraction(0)
-        return self._terms.get(part, zero)
 
     def sorted_terms(self) -> list[tuple[Partition, object]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
@@ -336,15 +328,6 @@ class TracePoly:
                 cmap = {"0": str(coeff)}
             out.append({"partition": list(part.parts), "coeff": cmap})
         return out
-
-    @classmethod
-    def from_json_obj(cls, obj: list, mode: GroupMode) -> "TracePoly":
-        terms = {}
-        for rec in obj:
-            part = Partition.of(*rec["partition"])
-            coeffs = {int(e): Fraction(v) for e, v in rec["coeff"].items()}
-            terms[part] = NPoly(coeffs) if mode.symbolic else NPoly(coeffs).constant_value
-        return cls(terms, mode)
 
     def __str__(self) -> str:
         return self.pretty()

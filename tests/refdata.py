@@ -6,9 +6,11 @@ closed-form results this package must reproduce exactly.  The plain
 product rule, term by term over the factors, is the independent route the
 grouped ``lap_partition`` is checked against; the three-case monomial
 Laplacian is the assembly ``lap_partition`` used before the grouped product
-rule.  The hand-derived SO(3) p_1^j and SO(4) p_1^l p_2^m
-Laplacians and the so(N) column as the reduced general image, which the one
-reduced product rule replaced, are frozen next to it.  The character
+rule, and it reads the closed form of D p_1^q that ``lap_p1_pow`` held
+before it became the product rule at (1^q).  The hand-derived SO(3) p_1^j
+and SO(4) p_1^l p_2^m Laplacians and the so(N) column as the reduced
+general image, which the one reduced product rule replaced, are frozen next
+to it.  The character
 enumeration is the candidate search
 ``match_characters`` used before it read the spectrum's labels.  The
 hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
@@ -33,7 +35,10 @@ gradient, with hand-written error maxima -- is frozen at the end; its
 reports must match the current ones float for float.  So are the
 per-sample Haar draw, dense Laplacian contraction, sphere Laplacian and
 tangential projection that the suites' stacked sample chunks replaced, and
-the suites themselves run one sample at a time on them.
+the suites themselves run one sample at a time on them.  ``exact_value``,
+a trace polynomial's value summed in Fraction over the rationalized traces,
+is the exact reference the float evaluation is compared against, and
+``tracepoly_from_json`` reads back the JSON of ``TracePoly.to_json_obj``.
 """
 
 import math
@@ -52,7 +57,6 @@ from sonlap import (
     character_so3,
     character_so4,
     grad_inner_pm,
-    lap_p1_pow,
     lap_partition,
     lap_pm,
 )
@@ -173,6 +177,16 @@ SO4_CHARACTER_TABLE = {
 }
 
 
+def tracepoly_from_json(obj: list, mode) -> TracePoly:
+    """The trace polynomial whose ``to_json_obj`` is ``obj``: the reader of
+    the JSON the ``lap`` command prints."""
+    terms = {}
+    for rec in obj:
+        coeff = NPoly({int(e): F(v) for e, v in rec["coeff"].items()})
+        terms[Partition.of(*rec["partition"])] = coeff if mode.symbolic else coeff.constant_value
+    return TracePoly(terms, mode)
+
+
 def part_of(parts) -> Partition:
     return Partition.of(*parts)
 
@@ -208,6 +222,22 @@ def lap_partition_product_rule(partition: Partition) -> TracePoly:
     return out
 
 
+def lap_p1_pow_closed_form(q: int) -> TracePoly:
+    """Laplacian of p_1^q by its former closed form
+    -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2, which ``lap_p1_pow``
+    read before it became the product rule at (1^q)."""
+    if q == 0:
+        return TracePoly.zero(GENERAL)
+    if q == 1:
+        return lap_pm(1)
+    terms = {
+        Partition((1,) * q): lin(F(q, 2), F(-q, 2)),
+        Partition.of(2, *(1,) * (q - 2)): lin(F(-q * (q - 1), 2)),
+        Partition.of(*(1,) * (q - 2)): lin(0, F(q * (q - 1), 2)),
+    }
+    return TracePoly(terms, GENERAL)
+
+
 def lap_partition_three_case(partition: Partition) -> TracePoly:
     """Laplacian of a trace monomial by the former three-case assembly.
 
@@ -221,7 +251,7 @@ def lap_partition_three_case(partition: Partition) -> TracePoly:
         return TracePoly.zero(GENERAL)
     r = sum(1 for p in parts if p >= 2)
     if r == 0:
-        return lap_p1_pow(s)
+        return lap_p1_pow_closed_form(s)
     if r == s:
         return lap_partition_product_rule(partition)
     big = parts[:r]
@@ -232,7 +262,7 @@ def lap_partition_three_case(partition: Partition) -> TracePoly:
 
     out = (
         lap_partition_product_rule(Partition(big)) * mono(*(1,) * q)
-        + mono(*big) * lap_p1_pow(q)
+        + mono(*big) * lap_p1_pow_closed_form(q)
     )
     for i, mi in enumerate(big):
         rest = mono(*(big[:i] + big[i + 1:]))
@@ -579,6 +609,17 @@ def _fd_hessian_ref(grad_fn, u, step=1e-5):
             column = (grad_fn(u + bump) - grad_fn(u - bump)) / (2 * step)
             out[:, j * n + i] = column.flatten(order="F")
     return out
+
+
+def exact_value(poly: TracePoly, u) -> float:
+    """Value of a trace polynomial at a matrix or rotation sample, summed in
+    Fraction over the rationalized traces of the matrix powers, as the exact
+    fallback of ``eval_tracepoly`` sums it."""
+    u = np.asarray(getattr(u, "matrix", u), dtype=float)
+    top = max((max(part.parts, default=0) for part in poly.terms), default=0)
+    rational = [Fraction(float(np.trace(p))) for p in _powers_ref(u, top)]
+    terms = poly.terms.items()
+    return float(sum(math.prod((rational[m] for m in part), start=c) for part, c in terms))
 
 
 def random_son_reference(n, seed):

@@ -7,9 +7,10 @@ import time
 import pytest
 
 import sonlap
-from sonlap import GENERAL, SO4, TracePoly, lap_partition, Partition
+from sonlap import GENERAL, SO4, lap_partition, Partition
 from sonlap import cli
 from sonlap.cli import main
+from refdata import tracepoly_from_json
 
 
 def run(capsys, *argv):
@@ -42,7 +43,7 @@ def test_lap_json_round_trip(capsys):
     assert code == 0
     pretty_line, json_line = out.strip().splitlines()
     assert "p_(2,1,0)" in pretty_line
-    rebuilt = TracePoly.from_json_obj(json.loads(json_line), GENERAL)
+    rebuilt = tracepoly_from_json(json.loads(json_line), GENERAL)
     assert rebuilt == lap_partition(Partition.of(2, 1))
 
 
@@ -50,7 +51,7 @@ def test_lap_so4_mode(capsys):
     code, out, _ = run(capsys, "lap", "--mode", "so4", "--partition", "3")
     assert code == 0
     json_line = out.strip().splitlines()[1]
-    rebuilt = TracePoly.from_json_obj(json.loads(json_line), SO4)
+    rebuilt = tracepoly_from_json(json.loads(json_line), SO4)
     from sonlap import lap, so4_pm_in_p1p2
 
     assert rebuilt == lap(so4_pm_in_p1p2(3))
@@ -115,6 +116,44 @@ def test_characters_so4_parity_rejected(capsys):
     code, _, err = run(capsys, "characters", "--mode", "so4", "--j1", "1/2", "--j2", "1")
     assert code == 2
     assert "integer" in err
+
+
+@pytest.mark.parametrize("flag", ["--j1", "--j2"])
+@pytest.mark.parametrize("spin", ["abc", "1/0", "1.5.2"])
+def test_malformed_spin_is_refused_by_its_flag(capsys, monkeypatch, flag, spin):
+    """A malformed spin exits 2 with a message that names its flag, before
+    any character is built."""
+    monkeypatch.setattr(cli.flagmatrix, "character_so4", lambda *args: pytest.fail("built"))
+    spins = {"--j1": "1", "--j2": "1", flag: spin}
+    argv = [t for pair in spins.items() for t in pair]
+    code, out, err = run(capsys, "characters", "--mode", "so4", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag} ") and repr(spin) in err
+
+
+SPECTRUM_TARGETS = [("so3",), ("so4",), ("sphere", "--n", "5")]
+
+
+@pytest.mark.parametrize("target", SPECTRUM_TARGETS, ids=[t[0] for t in SPECTRUM_TARGETS])
+def test_spectrum_json_matches_the_pretty_output(capsys, target):
+    """The JSON entries parse and carry the pretty output's eigenvalues and
+    labels in its order: SO(4) labels as pairs, SO(3) and sphere labels as ints."""
+    argv = ("spectrum", "--target", *target, "--bound", "6")
+    code, pretty, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    entries = json.loads(out)
+    assert len(entries) == len(pretty.splitlines()) > 1
+    for entry, line in zip(entries, pretty.splitlines()):
+        eigenvalue, labels = line.split("\t")
+        assert entry["eigenvalue"] == eigenvalue
+        if target[0] == "so4":
+            assert all(len(l) == 2 and all(type(x) is int for x in l) for l in entry["labels"])
+            assert labels == "[" + ", ".join(str(tuple(l)) for l in entry["labels"]) + "]"
+        else:
+            assert all(type(l) is int for l in entry["labels"])
+            assert labels == "[" + ", ".join(map(str, entry["labels"])) + "]"
 
 
 def test_verify_identities_passes(capsys):

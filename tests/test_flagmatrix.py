@@ -20,7 +20,6 @@ from sonlap import (
     coordinates,
     eigenspace_exact,
     eigenvalues_exact,
-    eval_tracepoly,
     general_at,
     lap,
     match_characters,
@@ -43,6 +42,7 @@ from refdata import (
     candidate_characters,
     char_poly,
     closed_candidates_per_group,
+    exact_value,
     leading_kernel_reference,
     so3_character_double_binomial,
     so4_basis_per_group,
@@ -400,6 +400,13 @@ def test_spectrum_closed_sphere():
     assert [e.eigenvalue for e in entries] == [F(0), F(-3, 2), F(-4), F(-15, 2)]
 
 
+@pytest.mark.parametrize("target", ["so3", "so4"])
+def test_spectrum_closed_refuses_n_for_the_group_targets(target):
+    """A group target fixes its dimension; an n used to be dropped silently."""
+    with pytest.raises(ValueError, match="^n applies only to the sphere target"):
+        spectrum_closed(target, 2, n=5)
+
+
 def test_spectrum_closed_so4_unordered_labels():
     entries = {e.eigenvalue: e.labels for e in spectrum_closed("so4", 8)}
     assert set(entries[F(-12)]) == {(4, 4), (6, 0)}
@@ -528,7 +535,7 @@ def test_character_so3_dirichlet_kernel_values(k):
     for _ in range(20):
         angle = rng.uniform(0.3, 2 * math.pi - 0.3)
         rotation = rotation_from_angles(3, angle)
-        got = eval_tracepoly(chi.poly, rotation, exact=True)
+        got = exact_value(chi.poly, rotation)
         want = math.sin((k + 0.5) * angle) / math.sin(angle / 2)
         assert abs(got - want) <= 1e-9
 
@@ -563,7 +570,7 @@ def test_character_so4_angle_values(label):
         a = rng.uniform(0.2, 2.8)
         b = rng.uniform(-2.8, -0.2)
         rotation = rotation_from_angles(4, (a, b))
-        got = eval_tracepoly(chi.poly, rotation, exact=True)
+        got = exact_value(chi.poly, rotation)
         tplus, tminus = (a + b) / 2, (a - b) / 2
         want = cheb_second(ka, tplus) * cheb_second(kb, tminus) + cheb_second(
             kb, tplus

@@ -27,6 +27,7 @@ from sonlap import (
 from sonlap.laplacian import lap_monomial
 from refdata import (
     WORKED_LAPLACIANS,
+    lap_p1_pow_closed_form,
     lap_partition_product_rule,
     lap_partition_three_case,
     reduced_column_via_general,
@@ -68,7 +69,19 @@ def test_lap_p1_cubed():
 
 
 def test_lap_p1_pow_zero():
-    assert lap_p1_pow(0).is_zero
+    assert not lap_p1_pow(0)
+
+
+def test_lap_p1_pow_is_the_product_rule_and_matches_the_closed_form():
+    """``lap_p1_pow`` reads ``lap_partition`` at (1^q); the former closed form
+    -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2 agrees, printing included."""
+    for q in range(40):
+        got, want = lap_p1_pow(q), lap_p1_pow_closed_form(q)
+        assert got == want == lap_partition(Partition((1,) * q)), q
+        assert got.pretty() == want.pretty(), q
+    assert lap_p1_pow.cache_info().currsize >= 40
+    with pytest.raises(ValueError):
+        lap_p1_pow(-1)
 
 
 def test_grad_inner_equal_indices():
@@ -85,7 +98,7 @@ def test_grad_inner_two_one():
 
 @pytest.mark.parametrize("m", [0, 1, 5])
 def test_grad_inner_with_constant_is_zero(m):
-    assert grad_inner_pm(m, 0).is_zero
+    assert not grad_inner_pm(m, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +217,15 @@ def test_so4_lap_column_p1sq_p2():
 
 
 def test_lap_of_constant_every_mode():
-    assert lap(TracePoly.constant(7, GENERAL)).is_zero
-    assert lap(TracePoly.constant(7, SO3)).is_zero
-    assert lap(TracePoly.constant(7, SO4)).is_zero
+    assert not lap(TracePoly.constant(7, GENERAL))
+    assert not lap(TracePoly.constant(7, SO3))
+    assert not lap(TracePoly.constant(7, SO4))
 
 
 def test_lap_linear_in_general_mode():
     a = TracePoly.monomial(Partition.of(2), N) + TracePoly.monomial(Partition.of(1, 1), -2)
     expected = lap_pm(2) * N + lap_p1_pow(2) * (-2)
     assert lap(a) == expected
-
-
-def test_lap_mode_argument_must_match():
-    poly = TracePoly.power_sum(1, SO3)
-    with pytest.raises(ValueError):
-        lap(poly, SO4)
 
 
 @pytest.mark.parametrize("mode", [SO3, SO4])
@@ -235,7 +242,7 @@ def test_lap_fast_paths_agree_with_substitution_route(mode):
                 part = so4_monomial_partition(degree - 2 * m2, m2)
             terms[part] = F(rng.randint(-5, 5), rng.randint(1, 3))
         reduced = TracePoly(terms, mode)
-        if reduced.is_zero:
+        if not reduced:
             continue
         fast = lap(reduced)
         slow = TracePoly.zero(mode)

@@ -51,6 +51,7 @@ from refdata import (
     _fd_gradient_ref,
     _fd_hessian_ref,
     _value_ref,
+    exact_value,
     random_son_reference,
     verify_gegenbauer_reference,
     verify_identities_reference,
@@ -379,7 +380,7 @@ def test_eval_tracepoly_float_path_survives_cancellation():
     for poly in (character_so3(30).poly, character_so4(15, 15).poly):
         for seed in range(20):
             sample = random_son(poly.mode.n, seed)
-            want = eval_tracepoly(poly, sample, exact=True)
+            want = exact_value(poly, sample)
             assert abs(eval_tracepoly(poly, sample) - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -394,10 +395,9 @@ def test_traces_evaluation_keeps_the_exact_fallback():
     values = [
         math.prod((traces[m] for m in part), start=float(c)) for part, c in poly.terms.items()
     ]
-    exact = eval_tracepoly(poly, sample, exact=True)
+    exact = exact_value(poly, sample)
     assert abs(math.fsum(values) - exact) > 1e-9
     assert _eval_traces(poly, traces) == exact
-    assert _eval_traces(poly, traces, exact=True) == exact
 
 
 def test_lap_numeric_ignores_term_order():
@@ -865,9 +865,9 @@ def test_a_nan_family_fails_the_cli(monkeypatch, capsys):
     fails, and the verify command exits 1; the other families pass."""
     evaluate, calls = numeric._eval_traces, []
 
-    def nan_once(poly, traces, exact=False):
+    def nan_once(poly, traces):
         calls.append(poly)
-        return math.nan if len(calls) == 5 else evaluate(poly, traces, exact)
+        return math.nan if len(calls) == 5 else evaluate(poly, traces)
 
     monkeypatch.setattr(numeric, "_eval_traces", nan_once)
     argv = ["verify", "--suite", "laplacian", "--n", "4", "--k", "2", "--samples", "3"]

@@ -22,7 +22,7 @@ from sonlap import (
     lap,
     lap_partition,
 )
-from refdata import lap_partition_product_rule
+from refdata import lap_partition_product_rule, tracepoly_from_json
 
 PROPERTIES = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -105,10 +105,10 @@ def test_lap_is_a_second_order_operator(mode, data):
         - f * lap(g * h) - g * lap(f * h) - h * lap(f * g)
         + f * g * lap(h) + f * h * lap(g) + g * h * lap(f)
     )
-    assert defect.is_zero
+    assert not defect
     constant = data.draw(coefficients)
-    assert lap(TracePoly.constant(constant, mode)).is_zero
-    assert lap(TracePoly.power_sum(0, mode)).is_zero
+    assert not lap(TracePoly.constant(constant, mode))
+    assert not lap(TracePoly.power_sum(0, mode))
 
 
 @pytest.mark.parametrize("mode", [GENERAL, general_at(5), SO3, SO4], ids=str)
@@ -116,7 +116,7 @@ def test_lap_is_a_second_order_operator(mode, data):
 @given(data=st.data())
 def test_json_round_trip(mode, data):
     (poly,) = data.draw(mode_polys(mode, 1))
-    assert TracePoly.from_json_obj(poly.to_json_obj(), mode) == poly
+    assert tracepoly_from_json(poly.to_json_obj(), mode) == poly
 
 
 @st.composite
