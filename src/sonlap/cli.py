@@ -4,7 +4,8 @@ Output is byte-deterministic for fixed flags and seed.  Exit codes: 0 on
 success or a passing verification, 1 on a verification failure, 2 on usage
 errors, including an input above the degree bound ``MAX_DEGREE`` or a
 ``verify`` suite's bound, a flag the target or mode does not take, a negative
-or malformed seed, and a ``verify`` run that would check nothing.
+or malformed seed, a malformed partition or spin (the message names its
+flag), and a ``verify`` run that would check nothing.
 Rationals are printed as exact p/q strings in JSON; decimals appear only in
 CSV, next to an exact sidecar column.
 """
@@ -141,7 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_lap(args) -> int:
     mode = _MODES[args.mode]
-    part = Partition.parse(args.partition)
+    try:
+        part = Partition.parse(args.partition)
+    except ValueError as exc:  # a malformed partition is refused by its flag
+        raise ValueError(f"--partition: {exc}") from None
     _check_degree("partition degree", part.degree)
     if mode is GENERAL:
         result = lap_partition(part)

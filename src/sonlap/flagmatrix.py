@@ -17,9 +17,11 @@ not a case for a root search.  Each eigenspace is found block by block, as
 the triangular form allows: kernel vectors are zero past the last diagonal
 block made singular by the shift, and from there down to block 0 each step
 is one nullspace of a block-sized system that also carries the solvability
-conditions on the vectors found so far.  A matrix's
-rows are made integer once; every block nullity and block solve is one
-fraction-free Gauss-Jordan elimination of integer rows built from them.
+conditions on the vectors found so far.  A matrix holds each row as its
+nonzero entries and reads it as a dense row only when asked.  Its rows are
+made integer once, from those entries; every block nullity and block solve
+is one fraction-free Gauss-Jordan elimination of integer rows built from
+them.
 General mode uses the partition spanning set; at a fixed N its eigenspaces
 are solved the same way, but it has no closed-form spectrum, so eigenvalue
 extraction is refused.
@@ -44,6 +46,7 @@ Casimir value -sum_i lam_i(lam_i + N - 2i)/2 of its label.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -162,7 +165,7 @@ def coordinates(poly: TracePoly, basis: FlagBasis) -> list:
     """
     if basis.basis_id == "btrace":
         return _btrace_coordinates(poly, basis.k)
-    coords = [NPoly(0) if basis.mode.symbolic else Fraction(0)] * basis.dim
+    coords = [_zero(basis.mode)] * basis.dim
     # a partition has one slot of its own, so each slot is written once
     for pos, coeff in _sparse_coordinates(poly, basis):
         coords[pos] = coeff
@@ -234,9 +237,62 @@ def _flag(mode: GroupMode, basis_id: str) -> _FlagStore:
     return _FlagStore()
 
 
+def _zero(mode: GroupMode):
+    """The one zero every entry of a ``mode`` flag matrix shares."""
+    return NPoly(0) if mode.symbolic else Fraction(0)
+
+
+class _Row(Sequence):
+    """One matrix row, held as its nonzero entries ``terms`` ({column: value},
+    in column order) and read as the dense row: indexing, slicing, iteration,
+    equality and hashing all behave as on the tuple with ``zero`` in every
+    other column."""
+
+    __slots__ = ("dim", "zero", "terms")
+
+    def __init__(self, dim: int, zero, terms: dict):
+        self.dim = dim
+        self.zero = zero
+        self.terms = terms
+
+    def __len__(self) -> int:
+        return self.dim
+
+    def _dense(self) -> list:
+        row = [self.zero] * self.dim
+        for j, value in self.terms.items():
+            row[j] = value
+        return row
+
+    def __iter__(self):
+        return iter(self._dense())
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._dense()[index])
+        j = range(self.dim)[index]  # negative indices, and IndexError past the end
+        return self.terms.get(j, self.zero)
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, _Row)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class FlagMatrix:
     """Exact matrix of the restricted Laplacian; column j = coords of D(basis[j]).
+
+    ``entries`` reads as the dense rows, but each row holds only its nonzero
+    entries (the flag matrices are nearly empty: 13 863 of 915^2 entries at
+    general k = 16).  Dense rows given by hand are converted to that form;
+    a row count or row length other than the basis dimension is refused.
 
     Block nullities, eigenspaces and character coordinates are kept in
     ``flag``, shared by every order of one flag that :func:`build_matrix`
@@ -247,8 +303,22 @@ class FlagMatrix:
     """
 
     basis: FlagBasis
-    entries: tuple[tuple, ...]  # rows of Fraction (numeric) or NPoly (symbolic)
+    entries: tuple[Sequence, ...]  # rows of Fraction (numeric) or NPoly (symbolic)
     flag: _FlagStore = field(default_factory=_FlagStore, compare=False, repr=False)
+
+    def __post_init__(self):
+        dim = self.basis.dim
+        if len(self.entries) != dim:
+            raise ValueError(f"a dim-{dim} flag matrix needs {dim} rows, got {len(self.entries)}")
+        zero = _zero(self.basis.mode)
+        rows = []
+        for i, row in enumerate(self.entries):
+            if len(row) != dim:
+                raise ValueError(f"row {i} of a dim-{dim} flag matrix has {len(row)} entries")
+            if not isinstance(row, _Row):
+                row = _Row(dim, zero, {j: v for j, v in enumerate(row) if v})
+            rows.append(row)
+        object.__setattr__(self, "entries", tuple(rows))
 
     @property
     def dim(self) -> int:
@@ -262,22 +332,28 @@ class FlagMatrix:
     @cached_property
     def _integer_rows(self) -> list[tuple[int, list[int]]]:
         """Each row as (scale, ints), ints = scale * row with scale its least common
-        denominator: the one integer form every elimination is built from."""
-        return [_cleared(row) for row in self.entries]
+        denominator: the one integer form every elimination is built from.  The
+        scale is read off the nonzero entries; the ints are dense, for slicing."""
+        out = []
+        for row in self.entries:
+            scale = lcm(*(v.denominator for v in row.terms.values()))
+            ints = [0] * self.dim
+            for j, v in row.terms.items():
+                ints[j] = v.numerator * (scale // v.denominator)
+            out.append((scale, ints))
+        return out
 
 
 def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
     """Assemble the order-k flag matrix and assert block triangularity.
 
-    Each column's image is collected as (column, value) terms per row, one
-    per monomial it has.  Each row is then written once, straight into its
-    final tuple, with the one shared zero everywhere else, so the peak
-    holds one dense copy of the matrix: the returned rows.
+    Each column's image is written into the rows as {column: value} terms,
+    one per monomial it has, and those terms are the rows the matrix keeps:
+    no dense dim x dim form is built.
     """
     basis = basis_for(mode, basis_id, k)
     dim = basis.dim
-    zero = NPoly(0) if mode.symbolic else Fraction(0)
-    terms = [[] for _ in range(dim)]  # (column, value) of each row's nonzero entries
+    terms = [{} for _ in range(dim)]  # each row's nonzero entries, in column order
     below = []  # (column weight, row, column) of each image term above the column weight
     for j, element in enumerate(basis.elements):
         weight = element.degree
@@ -289,18 +365,14 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
             if basis.weights[i] > weight:
                 below.append((weight, i, j))
             else:
-                terms[i].append((j, value))
+                terms[i][j] = value
     if below:
         # the least triple is the entry a row-major scan below each block meets first
         _, i, j = min(below)
         raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
-    entries = []
-    for row_terms in terms:
-        row = [zero] * dim
-        for j, value in row_terms:
-            row[j] = value
-        entries.append(tuple(row))
-    return FlagMatrix(basis, tuple(entries), _flag(mode, basis_id))
+    zero = _zero(mode)
+    rows = tuple(_Row(dim, zero, row_terms) for row_terms in terms)
+    return FlagMatrix(basis, rows, _flag(mode, basis_id))
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +861,17 @@ def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) ->
 # exports
 
 
+def _cells(matrix: FlagMatrix, render):
+    """Each row rendered cell by cell: the rendered zero, computed once, with
+    the nonzero entries' renderings written over it."""
+    zero = render(_zero(matrix.basis.mode))
+    for row in matrix.entries:
+        cells = [zero] * matrix.dim
+        for j, value in row.terms.items():
+            cells[j] = render(value)
+        yield cells
+
+
 def matrix_to_json_obj(matrix: FlagMatrix) -> dict:
     basis = matrix.basis
     return {
@@ -798,7 +881,7 @@ def matrix_to_json_obj(matrix: FlagMatrix) -> dict:
         "k": basis.k,
         "basis": [basis.label(i) for i in range(basis.dim)],
         "block_starts": list(basis.block_starts),
-        "entries": [[str(v) for v in row] for row in matrix.entries],
+        "entries": list(_cells(matrix, str)),
     }
 
 
@@ -813,11 +896,18 @@ def matrix_to_csv(matrix: FlagMatrix) -> str:
         "# basis_order=" + "|".join(basis.label(i) for i in range(basis.dim)),
         "row,col,value,exact",
     ]
-    for i, row in enumerate(matrix.entries):
-        for j, value in enumerate(row):
-            decimal = float(value) if isinstance(value, Fraction) else ""
-            lines.append(f"{i},{j},{decimal!r},{value}")
+    for i, cells in enumerate(_cells(matrix, _csv_cell)):
+        lines.extend(f"{i},{j},{cell}" for j, cell in enumerate(cells))
     return "\n".join(lines) + "\n"
+
+
+def _csv_cell(value) -> str:
+    decimal = float(value) if isinstance(value, Fraction) else ""
+    return f"{decimal!r},{value}"
+
+
+def _latex_cell(value) -> str:
+    return _latex_rational(value) if isinstance(value, Fraction) else str(value)
 
 
 def _latex_rational(value: Fraction) -> str:
@@ -836,10 +926,7 @@ def matrix_to_latex(matrix: FlagMatrix) -> str:
     lines = [f"\\begin{{array}}{{{cols}}}"]
     lines.append(" & " + " & ".join(f"\\Delta {lab}" for lab in labels) + " \\\\")
     lines.append("\\hline")
-    for i, row in enumerate(matrix.entries):
-        cells = [
-            _latex_rational(v) if isinstance(v, Fraction) else str(v) for v in row
-        ]
+    for i, cells in enumerate(_cells(matrix, _latex_cell)):
         lines.append(labels[i] + " & " + " & ".join(cells) + " \\\\")
     lines.append("\\end{array}")
     return "\n".join(lines) + "\n"
@@ -850,8 +937,8 @@ def matrix_to_pretty(matrix: FlagMatrix) -> str:
     labels = [basis.label(i) for i in range(basis.dim)]
     header = [""] + [f"D {lab}" for lab in labels]
     rows = [header]
-    for i, row in enumerate(matrix.entries):
-        rows.append([labels[i]] + [str(v) for v in row])
+    for i, cells in enumerate(_cells(matrix, str)):
+        rows.append([labels[i]] + cells)
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     out = []
     for r in rows:

@@ -88,7 +88,13 @@ class Partition:
         text = text.strip()
         if text in ("", "0", "()"):
             return cls()
-        return cls.of(*(int(tok) for tok in text.split(",")))
+        try:
+            parts = [int(tok) for tok in text.split(",")]
+        except ValueError:
+            raise ValueError(
+                f"a partition is comma-separated nonnegative integers such as 2,1, got {text!r}"
+            ) from None
+        return cls.of(*parts)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"

@@ -131,6 +131,16 @@ def test_malformed_spin_is_refused_by_its_flag(capsys, monkeypatch, flag, spin):
     assert err.startswith(f"error: {flag} ") and repr(spin) in err
 
 
+@pytest.mark.parametrize("text", ["abc", "1,,2", "1.5"])
+def test_malformed_partition_is_refused_by_its_flag(capsys, monkeypatch, text):
+    """A malformed --partition exits 2 with a message that names the flag and
+    quotes the text, before any Laplacian is built."""
+    monkeypatch.setattr(cli, "lap", lambda *args: pytest.fail("built"))
+    code, out, err = run(capsys, "lap", "--mode", "so3", "--partition", text)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --partition: ") and repr(text) in err
+
+
 SPECTRUM_TARGETS = [("so3",), ("so4",), ("sphere", "--n", "5")]
 
 

@@ -1,6 +1,5 @@
 import math
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -252,6 +251,17 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
     assert _row_major_violation(entries, basis) == expected
 
 
+def _dense_columns(mode, basis_id, k):
+    """The coordinate list of each basis element's image: the matrix columns,
+    built densely.  A ``btrace`` element p_m is the SO(3) polynomial p_m in p_1."""
+    basis = basis_for(mode, basis_id, k)
+    if basis_id == "btrace":
+        images = [lap(so3_pm_in_p1(e.degree)) for e in basis.elements]
+    else:
+        images = [laplacian.lap_monomial(e, mode) for e in basis.elements]
+    return [coordinates(image, basis) for image in images]
+
+
 @pytest.mark.parametrize(
     "mode,basis_id,kmax",
     [
@@ -264,21 +274,61 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
 def test_row_filled_assembly_matches_dense_columns(mode, basis_id, kmax):
     """build_matrix writes each image's sparse coordinates into the rows; the
     dense route, one coordinate list per element, transposed, gives the same
-    entries.  A ``btrace`` element p_m is the SO(3) polynomial p_m in p_1."""
+    entries."""
     for k in range(kmax + 1):
-        basis = basis_for(mode, basis_id, k)
-        if basis_id == "btrace":
-            images = [lap(so3_pm_in_p1(e.degree)) for e in basis.elements]
-        else:
-            images = [laplacian.lap_monomial(e, mode) for e in basis.elements]
-        columns = [coordinates(image, basis) for image in images]
+        columns = _dense_columns(mode, basis_id, k)
         assert build_matrix(mode, basis_id, k).entries == tuple(zip(*columns)), k
 
 
-def test_general_build_holds_one_dense_copy_at_its_peak():
-    """Each row is written once into its final tuple, so with the images
-    cached the build's traced peak stays near the returned rows (1.24x at
-    k = 14; a dim x dim list of lists beside them read 2.06x)."""
+@pytest.mark.parametrize(
+    "mode,basis_id,kmax",
+    [(SO3, "bprime", 8), (SO3, "btrace", 8), (SO4, "so4", 6), (GENERAL, "general", 8)],
+)
+def test_sparse_rows_read_as_the_dense_rows(mode, basis_id, kmax):
+    """Each stored row reads as the dense tuple of the column images: the same
+    values, indexing (negative too), slices, length, IndexError past the end,
+    equality and hash; a matrix given those dense rows by hand equals and
+    hashes as the built one."""
+    for k in range(kmax + 1):
+        matrix = build_matrix(mode, basis_id, k)
+        dense = tuple(zip(*_dense_columns(mode, basis_id, k)))
+        assert tuple(map(tuple, matrix.entries)) == dense, k
+        for row, ref in zip(matrix.entries, dense):
+            size = len(ref)
+            assert len(row) == size
+            assert (row[-1], row[-size], row[size - 1]) == (ref[-1], ref[0], ref[-1])
+            assert row[1:3] == ref[1:3] and row[::-2] == ref[::-2] and row[5:] == ref[5:]
+            for index in (size, -size - 1):
+                with pytest.raises(IndexError):
+                    row[index]
+            assert row == ref and ref == row and list(row) == list(ref)
+            assert hash(row) == hash(ref)
+        by_hand = flagmatrix.FlagMatrix(matrix.basis, dense)
+        assert matrix == by_hand and by_hand.entries == dense
+        assert hash(matrix) == hash(by_hand)
+
+
+@pytest.mark.parametrize(
+    "cut,message",
+    [("rows", "needs 4 rows, got 3"), ("row length", "row 0 of a dim-4 flag matrix has 3 entries")],
+)
+def test_mis_shaped_matrix_is_refused(cut, message):
+    """Too few rows, or rows cut short, are refused on construction, naming
+    the expected dimension, not left to fail with an IndexError later."""
+    matrix = build_matrix(SO3, "bprime", 3)
+    if cut == "rows":
+        entries = matrix.entries[:3]
+    else:
+        entries = tuple(row[:3] for row in matrix.entries)
+    with pytest.raises(ValueError, match=message):
+        flagmatrix.FlagMatrix(matrix.basis, entries)
+
+
+def test_general_build_holds_no_dense_copy():
+    """Rows are held as their nonzero entries, so with the images cached the
+    build's traced peak stays below half of one dense dim x dim array of
+    8-byte pointers (0.21x at k = 14, dim 508; a build that held one dense
+    copy of the rows read 1.24x)."""
     build_matrix(GENERAL, "general", 14)  # cache the lap_partition images
     tracemalloc.start()
     try:
@@ -286,8 +336,7 @@ def test_general_build_holds_one_dense_copy_at_its_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    rows = sys.getsizeof(matrix.entries) + sum(map(sys.getsizeof, matrix.entries))
-    assert peak <= 1.5 * rows
+    assert peak <= 0.5 * matrix.dim**2 * 8
 
 
 @pytest.mark.parametrize(

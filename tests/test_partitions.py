@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from refdata import descending_recursive
@@ -102,6 +104,9 @@ def test_serialization_round_trip():
         assert Partition.parse(p.serialize()) == p
     assert Partition.parse("0") == Partition()
     assert Partition.parse("2,1").parts == (2, 1)
+    for text in ("abc", "1,,2", "1.5"):
+        with pytest.raises(ValueError, match=re.escape(f"got {text!r}")):
+            Partition.parse(text)
     assert Partition().serialize() == "0"
 
 
