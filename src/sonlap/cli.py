@@ -37,9 +37,11 @@ _BASES = {"bprime": SO3, "btrace": SO3, "so4": SO4}
 # Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
 # and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
 # bound.  At 30 the slowest accepted input, ``characters --mode so4 --j1 15
-# --j2 15``, takes about 0.45 s in a fresh process (median of 10, Python
-# 3.11 on a 2-core Intel Xeon host), and every other command at most 0.44 s;
-# the exact arithmetic grows steeply with the degree.
+# --j2 15``, takes about 0.045 s in a fresh process once the package is
+# imported, and the import of the package and numpy 0.2-0.3 s (medians of
+# 10, Python 3.11 on a 2-core Intel Xeon host); ``characters --mode so3 --k
+# 30``, ``matrix`` at k = 30 and ``lap`` at degree 30 take at most 0.04 s
+# after the import.  The exact arithmetic grows steeply with the degree.
 MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a

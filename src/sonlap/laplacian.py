@@ -37,10 +37,21 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .npoly import NPoly
 from .partitions import EMPTY, Partition
-from .tracepoly import GENERAL, SO3, SO4, GroupMode, TracePoly, _accumulate
+from .tracepoly import (
+    GENERAL,
+    SO3,
+    SO4,
+    GroupMode,
+    TracePoly,
+    _accumulate,
+    _cleared,
+    _combination,
+    _from_ints,
+)
 
 _N = NPoly.var()
 
@@ -210,8 +221,7 @@ def so3_lap_pm_btrace(m: int) -> dict[int, Fraction]:
     if m == 1:
         return {1: Fraction(-1)}
     col = {0: Fraction(m * (m - 1), 2), m: Fraction(-m * (m + 1), 2)}
-    for j in range(1, m):
-        col[j] = Fraction(-m)
+    col.update(dict.fromkeys(range(1, m), Fraction(-m)))  # one immutable -m for every p_j
     return col
 
 
@@ -246,22 +256,28 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
 @lru_cache(maxsize=None)
 def _reduced_piece(mode: GroupMode, factors: tuple[int, ...]):
     """The :func:`_piece` of ``factors`` at N = n, reduced onto the generators
-    of ``mode``, as (parts, coefficient) pairs."""
-    reduced = _piece(factors).substitute_n(mode.n).reduce(mode)
-    return tuple((part.parts, coeff) for part, coeff in reduced._terms.items())
+    of ``mode``, cleared: a common denominator and (parts, numerator) pairs."""
+    d, ints = _cleared(_piece(factors).substitute_n(mode.n).reduce(mode))
+    return d, tuple((part.parts, n) for part, n in ints.items())
 
 
 @lru_cache(maxsize=None)
 def _reduced_column(part: Partition, mode: GroupMode) -> TracePoly:
     """Laplacian of ``p_part`` in ``so(N)``: the product rule over the reduced
-    pieces, each term's parts merged with those of p_rest and its coefficient
-    scaled, summed in one dict."""
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for rest, factors, scale in _product_rule(part.parts):
-        for img, coeff in _reduced_piece(mode, factors):
+    pieces, each term's parts merged with those of p_rest and its numerator
+    scaled, summed in integers over one common denominator in one dict."""
+    pieces = [
+        (rest, scale, *_reduced_piece(mode, factors))
+        for rest, factors, scale in _product_rule(part.parts)
+    ]
+    d = lcm(*[piece_d for _, _, piece_d, _ in pieces])
+    acc: dict[tuple[int, ...], int] = {}
+    for rest, scale, piece_d, terms in pieces:
+        factor = scale * (d // piece_d)
+        for img, n in terms:
             key = tuple(sorted(rest + img, reverse=True)) if img else rest
-            acc[key] = acc.get(key, 0) + scale * coeff
-    return TracePoly._raw({_interned_part(key): c for key, c in acc.items() if c}, mode)
+            acc[key] = acc.get(key, 0) + factor * n
+    return _from_ints({_interned_part(key): n for key, n in acc.items() if n}, d, mode)
 
 
 def lap(a: TracePoly) -> TracePoly:
@@ -269,9 +285,14 @@ def lap(a: TracePoly) -> TracePoly:
 
     Extends :func:`lap_monomial` by linearity, so in a reduced mode the
     result stays in the reduced generators.  Each monomial's image is added
-    in, scaled by its coefficient, straight into one dict.
+    in, scaled by its coefficient: with numeric coefficients as one
+    :func:`_combination`, with symbolic ones straight into one dict.
     """
-    out: dict[Partition, object] = {}
+    if not a.mode.symbolic:
+        d, ints = _cleared(a)
+        images = ((n, lap_monomial(part, a.mode)) for part, n in ints.items())
+        return _combination(images, a.mode, d)
+    out: dict[Partition, NPoly] = {}
     for part, coeff in a._terms.items():
         _accumulate(out, lap_monomial(part, a.mode)._terms, coeff)
     return TracePoly._raw(out, a.mode)

@@ -7,13 +7,20 @@ multiplication and substitution at a concrete dimension are exact.
 An :class:`NPoly` is immutable: no method changes it after construction and
 :attr:`NPoly.coeffs` returns a copy, so one object may be the coefficient of
 many trace monomials at once.  The public constructor validates and coerces
-its input; ``NPoly._raw`` wraps a dict that is canonical already (integer
+its input, refusing an exponent that is not an integer rather than truncating
+it; ``NPoly._raw`` wraps a dict that is canonical already (integer
 exponents >= 0 mapped to nonzero :class:`Fraction` values) and is only for
 package code whose output is canonical by construction.
+
+Because it is immutable, an :class:`NPoly` keeps its printed text (of itself,
+of its negation and as a JSON exponent map) once it has been rendered: a
+coefficient shared by many printed terms, such as the interned general-mode
+Laplacian coefficients, is rendered once per process.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 
@@ -33,17 +40,25 @@ def _as_fraction(value) -> Fraction:
 
 
 class NPoly:
-    """Sparse polynomial in N over exact rationals."""
+    """Sparse polynomial in N over exact rationals.
 
-    __slots__ = ("_coeffs",)
+    Immutable; its printed forms are rendered on first use and kept.
+    """
+
+    # _texts and _json hold the printed forms, None until first rendered
+    __slots__ = ("_coeffs", "_texts", "_json")
 
     def __init__(self, value=0):
+        self._texts = self._json = None
         if isinstance(value, NPoly):
             self._coeffs = dict(value._coeffs)
         elif isinstance(value, dict):
             coeffs = {}
             for exp, c in value.items():
-                exp = int(exp)
+                try:
+                    exp = operator.index(exp)
+                except TypeError:
+                    raise ValueError(f"exponent {exp!r} is not an integer") from None
                 if exp < 0:
                     raise ValueError("negative exponent")
                 c = _as_fraction(c)
@@ -59,6 +74,7 @@ class NPoly:
         """Wrap a canonical ``coeffs`` dict without copying or checking it."""
         obj = object.__new__(cls)
         obj._coeffs = coeffs
+        obj._texts = obj._json = None
         return obj
 
     @classmethod
@@ -152,8 +168,26 @@ class NPoly:
         return self._signed_str(False)
 
     def _signed_str(self, negate: bool) -> str:
-        """The printed form of ``-self`` if ``negate``, else of ``self``; the
-        signs and magnitudes are read off each coefficient, not computed."""
+        """The printed form of ``-self`` if ``negate``, else of ``self``,
+        rendered on first use and kept."""
+        texts = self._texts
+        if texts is None:
+            texts = self._texts = {}
+        text = texts.get(negate)
+        if text is None:
+            text = texts[negate] = self._render(negate)
+        return text
+
+    def _json_map(self) -> dict[str, str]:
+        """A fresh ``{exponent: coefficient}`` map of strings, exponents
+        ascending, as a JSON record prints it; rendered on first use and kept."""
+        if self._json is None:
+            self._json = tuple((str(e), str(c)) for e, c in sorted(self._coeffs.items()))
+        return dict(self._json)
+
+    def _render(self, negate: bool) -> str:
+        """:meth:`_signed_str` uncached; the signs and magnitudes are read off
+        each coefficient, not computed."""
         if not self._coeffs:
             return "0"
         chunks = []

@@ -10,20 +10,27 @@ shared object per parts tuple.  The public constructors validate their input;
 ``Partition._trusted`` skips the check and is only for package code whose
 parts are canonical by construction.  Every constructor stores the hash once,
 with the value the dataclass would compute, ``hash((parts,))``, so dict and
-set lookups keyed by partitions do not rebuild it.
+set lookups keyed by partitions do not rebuild it, and the degree, the sum of
+the parts, so the sort keys of every printed term read it without a sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Canonical integer partition: non-increasing, strictly positive parts."""
+    """Canonical integer partition: non-increasing, strictly positive parts.
+
+    Every constructor stores the degree and the hash when it builds one.
+    """
 
     parts: tuple[int, ...] = ()
+    # the sum of the parts, stored by every constructor; not compared or printed
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prev = None
@@ -33,6 +40,7 @@ class Partition:
             if prev is not None and p > prev:
                 raise ValueError(f"parts not non-increasing: {self.parts!r}")
             prev = p
+        object.__setattr__(self, "degree", sum(self.parts))
         object.__setattr__(self, "_hash", hash((self.parts,)))
 
     @classmethod
@@ -40,6 +48,7 @@ class Partition:
         """Wrap ``parts`` that are already canonical, without validating them."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "parts", parts)
+        object.__setattr__(obj, "degree", sum(parts))
         object.__setattr__(obj, "_hash", hash((parts,)))
         return obj
 
@@ -48,19 +57,23 @@ class Partition:
 
     @classmethod
     def of(cls, *parts: int) -> "Partition":
-        """Build a canonical partition: sort descending, strip zeros."""
+        """Build a canonical partition: sort descending, strip zeros.
+
+        Each part must be an integer (``operator.index`` accepts it): a
+        float, :class:`~fractions.Fraction` or string part is refused, never
+        truncated.
+        """
         kept = []
         for p in parts:
-            p = int(p)
+            try:
+                p = operator.index(p)
+            except TypeError:
+                raise ValueError(f"part {p!r} of {parts!r} is not an integer") from None
             if p < 0:
                 raise ValueError(f"negative part in {parts!r}")
             if p:
                 kept.append(p)
         return cls(tuple(sorted(kept, reverse=True)))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -78,7 +91,7 @@ class Partition:
 
     def sort_key(self) -> tuple:
         """Degree ascending, then lexicographically descending parts."""
-        return (self.degree, tuple(-p for p in self.parts))
+        return (self.degree, tuple(map(operator.neg, self.parts)))
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"

@@ -14,6 +14,19 @@ for every N.  ``TracePoly.reduce`` performs that rewrite onto the p_mu with
 parts <= r in the reduced mode ``so(N)`` of every N >= 3, of which ``SO3``
 and ``SO4`` are instances; general mode treats the monomials as free
 generators.
+
+With numeric coefficients (``so(N)`` and ``general_at(n)``) the arithmetic
+is fraction-free.  Each poly's cleared form, the least common denominator d
+of its coefficients and the integer numerators over it, is computed once and
+kept on the poly (:func:`_cleared`).  Sums, scalings, products, ``reduce``
+and the Laplacian's linear extension add and multiply those integers over
+one common denominator (:func:`_combination`, ``TracePoly.__mul__``) and
+divide out the gcd once at the end (:func:`_from_ints`), so no intermediate
+:class:`Fraction` and no per-operation gcd is made.  A result holds its
+cleared form alone until its terms are read; then each coefficient becomes
+one canonical :class:`Fraction`, as every numeric coefficient is.  Symbolic
+coefficients (:class:`NPoly`) are summed term by term, by
+:func:`_accumulate`.
 """
 
 from __future__ import annotations
@@ -23,6 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby
+from math import gcd, lcm
+from operator import neg
 
 from .npoly import NPoly, _magnitude_str
 from .partitions import EMPTY, Partition
@@ -108,10 +123,83 @@ def _accumulate(out: dict, terms: dict, scale=1) -> None:
             del out[part]
 
 
-class TracePoly:
-    """Linear combination of partition-indexed trace monomials."""
+def _cleared(poly: "TracePoly") -> tuple[int, dict]:
+    """``(d, {part: n})`` with ``poly = sum n/d p_part`` and d the least
+    common denominator of the numeric coefficients of ``poly``.
 
-    __slots__ = ("_terms", "mode")
+    Computed on first use, or by :func:`_from_ints` at construction, and kept
+    on ``poly``: no code writes a :class:`TracePoly`'s terms after
+    construction, so the form never goes stale, and a cached table entry is
+    cleared once however often it is read.
+    """
+    form = poly._cleared_form
+    if form is None:
+        ratios = [(part, coeff.as_integer_ratio()) for part, coeff in poly._terms.items()]
+        d = lcm(*[den for _, (_, den) in ratios])
+        form = poly._cleared_form = (d, {part: num * (d // den) for part, (num, den) in ratios})
+    return form
+
+
+def _from_ints(acc: dict, d: int, mode: GroupMode) -> "TracePoly":
+    """The poly ``sum n/d p_part`` over the integer sums ``n`` of ``acc``,
+    held as its cleared form: over ``d`` divided by the gcd of ``d`` and
+    every sum, which is the least common denominator of the coefficients.
+    Its :class:`Fraction` coefficients are built when first read.
+
+    ``acc`` is the caller's own accumulator and is taken over: its zero
+    sums are deleted in place, and it is kept when the gcd is 1.
+    """
+    for part in [part for part, n in acc.items() if not n]:
+        del acc[part]
+    g = gcd(d, *acc.values())
+    if g != 1:
+        d //= g
+        acc = {part: n // g for part, n in acc.items()}
+    return TracePoly._raw(None, mode, (d, acc))
+
+
+def _combination(pairs, mode: GroupMode, den: int = 1) -> "TracePoly":
+    """The sum of ``scale * poly`` over ``(scale, poly)`` pairs, divided by
+    ``den``; every poly is in the numeric ``mode`` and every ``scale`` is a
+    nonzero int or :class:`Fraction`.
+
+    The sums run in integers over one common denominator, the lcm of the
+    scaled denominators.  A lone poly at scale 1 is wrapped again instead:
+    its terms and cleared form are never written, so the two share them.
+    """
+    pairs = list(pairs)
+    if den == 1 and len(pairs) == 1 and pairs[0][0] == 1:
+        poly = pairs[0][1]
+        return TracePoly._raw(poly._stored_terms, mode, poly._cleared_form)
+    scaled = []
+    d = 1
+    for scale, poly in pairs:
+        num, scale_d = scale.as_integer_ratio()
+        poly_d, ints = _cleared(poly)
+        scale_d *= poly_d
+        scaled.append((num, scale_d, ints))
+        d = lcm(d, scale_d)
+    acc: dict[Partition, int] = {}
+    for num, scale_d, ints in scaled:
+        factor = num * (d // scale_d)
+        if not acc:
+            acc = {part: factor * n for part, n in ints.items()}
+            continue
+        for part, n in ints.items():
+            acc[part] = acc.get(part, 0) + factor * n
+    return _from_ints(acc, d * den, mode)
+
+
+class TracePoly:
+    """Linear combination of partition-indexed trace monomials.
+
+    The terms are a dict from :class:`Partition` to coefficient, never
+    written after construction.  A numeric poly made by the integer kernel
+    (:func:`_from_ints`) holds only its cleared form until the
+    :class:`Fraction` terms are first read.
+    """
+
+    __slots__ = ("_stored_terms", "mode", "_cleared_form")
 
     def __init__(self, terms=None, mode: GroupMode = GENERAL):
         largest = mode.rank  # reduced: parts <= N // 2
@@ -128,18 +216,31 @@ class TracePoly:
                 data[part] = c
             else:
                 data.pop(part, None)
-        self._terms = data
+        self._stored_terms = data
         self.mode = mode
+        self._cleared_form = None
 
     @classmethod
-    def _raw(cls, terms: dict, mode: GroupMode) -> "TracePoly":
+    def _raw(cls, terms: dict | None, mode: GroupMode, cleared=None) -> "TracePoly":
         """Wrap ``terms`` that are canonical for ``mode`` already, without
         copying or checking them: :class:`Partition` keys (parts <= N // 2 in
-        a reduced mode) mapped to nonzero coefficients of the mode's type."""
+        a reduced mode) mapped to nonzero coefficients of the mode's type.
+        ``terms`` may be None when ``cleared``, the cleared form, is given."""
         obj = object.__new__(cls)
-        obj._terms = terms
+        obj._stored_terms = terms
         obj.mode = mode
+        obj._cleared_form = cleared
         return obj
+
+    @property
+    def _terms(self) -> dict:
+        """The terms, their :class:`Fraction` coefficients built from the
+        cleared form on the first read where only that form is held."""
+        terms = self._stored_terms
+        if terms is None:
+            d, ints = self._cleared_form
+            terms = self._stored_terms = {part: Fraction(n, d) for part, n in ints.items()}
+        return terms
 
     # -- constructors ------------------------------------------------------
 
@@ -157,11 +258,16 @@ class TracePoly:
 
     @classmethod
     def sum(cls, polys, mode: GroupMode) -> "TracePoly":
-        """Sum of ``polys``, all in ``mode``, accumulated in one dict."""
-        out: dict[Partition, object] = {}
+        """Sum of ``polys``, all in ``mode``: one :func:`_combination` in a
+        numeric mode, one accumulation into a dict in the symbolic one."""
+        polys = list(polys)
         for poly in polys:
             if poly.mode != mode:
                 raise ValueError(f"mode mismatch: {poly.mode} vs {mode}")
+        if not mode.symbolic:
+            return _combination(((1, poly) for poly in polys), mode)
+        out: dict[Partition, NPoly] = {}
+        for poly in polys:
             _accumulate(out, poly._terms)
         return cls._raw(out, mode)
 
@@ -189,7 +295,8 @@ class TracePoly:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        terms = self._stored_terms
+        return bool(terms if terms is not None else self._cleared_form[1])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, NPoly)):
@@ -197,7 +304,12 @@ class TracePoly:
             return self._terms == ({EMPTY: other} if other else {})
         if not isinstance(other, TracePoly):
             return NotImplemented
-        return self.mode == other.mode and self._terms == other._terms
+        if self.mode != other.mode:
+            return False
+        if self._cleared_form is not None and other._cleared_form is not None:
+            # over the least common denominator each poly has one cleared form
+            return self._cleared_form == other._cleared_form
+        return self._terms == other._terms
 
     __hash__ = None  # mutable-by-convention container; identity hashing would mislead
 
@@ -211,13 +323,19 @@ class TracePoly:
         return TracePoly.constant(other, self.mode)
 
     def __add__(self, other) -> "TracePoly":
+        rhs = self._rhs(other)
+        if not self.mode.symbolic:
+            return _combination(((1, self), (1, rhs)), self.mode)
         out = dict(self._terms)
-        _accumulate(out, self._rhs(other)._terms)
+        _accumulate(out, rhs._terms)
         return TracePoly._raw(out, self.mode)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TracePoly":
+        if self._cleared_form is not None:
+            d, ints = self._cleared_form
+            return TracePoly._raw(None, self.mode, (d, {p: -n for p, n in ints.items()}))
         return TracePoly._raw({p: -c for p, c in self._terms.items()}, self.mode)
 
     def __sub__(self, other) -> "TracePoly":
@@ -230,18 +348,30 @@ class TracePoly:
         if isinstance(other, (int, Fraction, NPoly)):
             if not other:
                 return TracePoly.zero(self.mode)
+            if not self.mode.symbolic and not isinstance(other, NPoly):
+                return _combination(((other, self),), self.mode)
             scaled = {p: c * other for p, c in self._terms.items()}
             # a rational scale keeps every coefficient's type; an NPoly one is coerced
             if isinstance(other, NPoly):
                 return TracePoly(scaled, self.mode)
             return TracePoly._raw(scaled, self.mode)
         rhs = self._rhs(other)
-        out: dict[Partition, object] = {}
-        for p1, c1 in self._terms.items():
-            # p1.concat is injective, so each row's keys are distinct; a
-            # product of nonzero coefficients is nonzero and of the same type
-            _accumulate(out, {p1.concat(p2): c1 * c2 for p2, c2 in rhs._terms.items()})
-        return TracePoly._raw(out, self.mode)
+        if self.mode.symbolic:
+            out: dict[Partition, object] = {}
+            for p1, c1 in self._terms.items():
+                # p1.concat is injective, so each row's keys are distinct; a
+                # product of nonzero coefficients is nonzero and of the same type
+                _accumulate(out, {p1.concat(p2): c1 * c2 for p2, c2 in rhs._terms.items()})
+            return TracePoly._raw(out, self.mode)
+        # numeric: the product of the cleared forms, in integers over d1 * d2
+        d1, ints1 = _cleared(self)
+        d2, ints2 = _cleared(rhs)
+        acc: dict[Partition, int] = {}
+        for p1, n1 in ints1.items():
+            for p2, n2 in ints2.items():
+                key = p1.concat(p2)
+                acc[key] = acc.get(key, 0) + n1 * n2
+        return _from_ints(acc, d1 * d2, self.mode)
 
     __rmul__ = __mul__
 
@@ -266,10 +396,11 @@ class TracePoly:
         """Rewrite onto the reduced generators p_1, ..., p_{N // 2} of ``mode``.
 
         Idempotent; requires numeric coefficients at the matching dimension.
-        The image is one accumulation of each term's coefficient times the
-        reduced form of its monomial: a single trace p_m reads the cached
-        p_m table, a longer monomial the cached product
-        :func:`_reduced_monomial`, so each is multiplied out once per mode.
+        The image is one :func:`_combination` of each term's numerator times
+        the reduced form of its monomial, over the poly's common denominator:
+        a single trace p_m reads the cached p_m table, a longer monomial the
+        cached product :func:`_reduced_monomial`, so each is multiplied out
+        once per mode.
         """
         _pm_table(mode)  # refuses a target that is not a reduced mode
         if self.mode == mode:
@@ -278,10 +409,9 @@ class TracePoly:
             raise ValueError("substitute a concrete N before reducing")
         if self.mode.n != mode.n:
             raise ValueError(f"operand lives at N={self.mode.n}, target needs N={mode.n}")
-        out: dict[Partition, Fraction] = {}
-        for part, coeff in self._terms.items():
-            _accumulate(out, _reduced_image(mode, part)._terms, coeff)
-        return TracePoly._raw(out, mode)
+        d, ints = _cleared(self)
+        images = ((n, _reduced_image(mode, part)) for part, n in ints.items())
+        return _combination(images, mode, d)
 
     # -- rendering ---------------------------------------------------------
 
@@ -303,11 +433,13 @@ class TracePoly:
         if not self._terms:
             return "0"
         # inside a weight: basis order (ascending-lex) in a reduced mode, else descending-lex
-        sign = 1 if self.mode.rank else -1
-        items = sorted(
-            self._terms.items(),
-            key=lambda kv: (-kv[0].degree, tuple(sign * p for p in kv[0].parts)),
-        )
+        ascending = bool(self.mode.rank)
+
+        def key(item):
+            parts = item[0].parts
+            return -item[0].degree, parts if ascending else tuple(map(neg, parts))
+
+        items = sorted(self._terms.items(), key=key)
         chunks = []
         for part, coeff in items:
             label = self._label(part)
@@ -323,7 +455,7 @@ class TracePoly:
         out = []
         for part, coeff in self.sorted_terms():
             if isinstance(coeff, NPoly):
-                cmap = {str(e): str(c) for e, c in sorted(coeff.coeffs.items())}
+                cmap = coeff._json_map()
             else:
                 cmap = {"0": str(coeff)}
             out.append({"partition": list(part.parts), "coeff": cmap})
@@ -336,13 +468,14 @@ class TracePoly:
         return f"TracePoly({self.pretty()!r}, mode={self.mode})"
 
 
+@lru_cache(maxsize=None)
 def monomial_label(part: Partition, tag: str) -> str:
     """Printed name of the trace monomial ``p_part`` in a mode with ``tag``.
 
     The constant is ``p_0``.  General mode prints the zero-padded partition
     (``p_(2,1,0)``, with ``p_1`` for degree one); the reduced modes print the
     product of powers by increasing trace (``p_1^2 p_2``, and ``p_j`` for a
-    single trace).
+    single trace).  Cached: each label is rendered once per process.
     """
     if not part.parts:
         return "p_0"

@@ -28,7 +28,11 @@ in-place next-partition step.  All of them serve as exact references.
 one product ``constant(coeff) * p_{m_1} * p_{m_2} * ...`` of p_m table
 entries per term, summed -- and the term printer as it stood before it read
 signs and magnitudes off the coefficients' digits are frozen too; the
-current ones must equal them term for term and byte for byte.
+current ones must equal them term for term and byte for byte.  Numeric
+sums, products, ``reduce`` and ``lap`` as they ran before the fraction-free
+kernel -- one Fraction product and sum per term -- and ``pretty``,
+``to_json_obj`` and ``monomial_label`` as they printed before their text
+was cached are frozen with them.
 The numeric identity suite as it stood before its finite differences shared
 one sweep -- each monomial's powers formed afresh for every value and
 gradient, with hand-written error maxima -- is frozen at the end; its
@@ -910,3 +914,117 @@ def coeff_chunk_reference(coeff, label):
     if mag == 1:
         return sign, label
     return sign, f"{mag}*{label}"
+
+
+# ---------------------------------------------------------------------------
+# numeric TracePoly arithmetic and the renderers before the fraction-free
+# kernel and the render caches
+
+
+def _fraction_accumulate(out: dict, terms: dict, scale) -> None:
+    """Add ``scale`` times ``terms`` into ``out``: one Fraction product and
+    one Fraction sum per term, a sum that cancels leaving no entry."""
+    for part, coeff in terms.items():
+        s = out.get(part, F(0)) + coeff * scale
+        if s:
+            out[part] = s
+        else:
+            out.pop(part, None)
+
+
+def fraction_sum(polys) -> dict:
+    """The terms of the sum of numeric ``polys``, added term by term."""
+    out = {}
+    for poly in polys:
+        _fraction_accumulate(out, poly.terms, 1)
+    return out
+
+
+def fraction_product(a: TracePoly, b: TracePoly) -> dict:
+    """The terms of ``a * b``: every pair of terms multiplied and added in."""
+    out = {}
+    for p1, c1 in a.terms.items():
+        _fraction_accumulate(out, {p1.concat(p2): c2 for p2, c2 in b.terms.items()}, c1)
+    return out
+
+
+def fraction_reduce(poly: TracePoly, mode) -> dict:
+    """The terms of ``poly.reduce(mode)``: each coefficient times the reduced
+    image of its monomial, added term by term."""
+    from sonlap.tracepoly import _reduced_image
+
+    out = {}
+    for part, coeff in poly.terms.items():
+        _fraction_accumulate(out, _reduced_image(mode, part).terms, coeff)
+    return out
+
+
+def fraction_lap(poly: TracePoly) -> dict:
+    """The terms of ``lap(poly)``: each coefficient times the Laplacian of
+    its monomial, added term by term."""
+    from sonlap.laplacian import lap_monomial
+
+    out = {}
+    for part, coeff in poly.terms.items():
+        _fraction_accumulate(out, lap_monomial(part, poly.mode).terms, coeff)
+    return out
+
+
+def monomial_label_reference(part: Partition, tag: str) -> str:
+    """The printed name of ``p_part``, rebuilt on every call: the padded
+    partition in general mode, powers by increasing trace in a reduced one."""
+    if not part.parts:
+        return "p_0"
+    if tag == "general":
+        if sum(part.parts) == 1:
+            return "p_1"
+        padded = list(part.parts) + [0] * (sum(part.parts) - len(part.parts))
+        return "p_(" + ",".join(str(p) for p in padded) + ")"
+    bits = []
+    for value in sorted(set(part.parts)):
+        power = part.parts.count(value)
+        bits.append(f"p_{value}" if power == 1 else f"p_{value}^{power}")
+    return " ".join(bits)
+
+
+def pretty_reference(poly: TracePoly) -> str:
+    """``TracePoly.pretty`` with nothing cached: highest degree first, then
+    ascending-lex in a reduced mode and descending-lex in general mode, each
+    term printed by ``coeff_chunk_reference``."""
+    terms = poly.terms
+    if not terms:
+        return "0"
+    reduced = poly.mode.tag != "general"
+    items = sorted(
+        terms.items(),
+        key=lambda kv: (-sum(kv[0].parts), kv[0].parts if reduced else tuple(-p for p in kv[0].parts)),
+    )
+    chunks = []
+    for part, coeff in items:
+        if part.parts:
+            sign, body = coeff_chunk_reference(coeff, monomial_label_reference(part, poly.mode.tag))
+        elif isinstance(coeff, NPoly) and not coeff.coeffs.get(0):
+            # N times an NPoly prints as a multiple of p_0
+            ratio = NPoly({e - 1: c for e, c in coeff.coeffs.items()})
+            sign, body = coeff_chunk_reference(ratio, "p_0")
+        else:
+            sign, body = coeff_chunk_reference(coeff, None)
+        if chunks:
+            chunks.append(f"{sign} {body}")
+        else:
+            chunks.append(body if sign == "+" else f"-{body}")
+    return " ".join(chunks)
+
+
+def json_reference(poly: TracePoly) -> list:
+    """``TracePoly.to_json_obj`` with nothing cached: degree ascending, then
+    descending-lex, each coefficient as an exponent -> rational string map."""
+    out = []
+    items = sorted(poly.terms.items(), key=lambda kv: (sum(kv[0].parts), tuple(-p for p in kv[0].parts)))
+    for part, coeff in items:
+        if isinstance(coeff, NPoly):
+            cmap = {str(e): str(c) for e, c in sorted(coeff.coeffs.items())}
+        else:
+            cmap = {"0": str(coeff)}
+        out.append({"partition": list(part.parts), "coeff": cmap})
+    return out

@@ -1,9 +1,10 @@
 import re
+from fractions import Fraction
 
 import pytest
 
 from refdata import descending_recursive
-from sonlap import Partition, count, enumerate_upto, partitions_of
+from sonlap import Partition, TracePoly, count, enumerate_upto, general_at, partitions_of
 from sonlap.partitions import _descending
 
 
@@ -97,6 +98,32 @@ def test_invalid_parts_rejected():
         Partition((0,))
     with pytest.raises(ValueError):
         Partition.of(-1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0, Fraction(3, 2), "3"], ids=repr)
+def test_of_refuses_a_part_that_is_not_an_integer(bad):
+    """A part is coerced by operator.index, never truncated: 2.5 used to
+    give (2,1), Fraction(3, 2) gave (1) and "3" gave (3)."""
+    with pytest.raises(ValueError, match=re.escape(f"part {bad!r}")):
+        Partition.of(bad, 1)
+    with pytest.raises(ValueError, match=re.escape(f"part {bad!r}")):
+        TracePoly({(bad,): 1}, general_at(3))
+
+
+def test_of_accepts_integer_parts():
+    np = pytest.importorskip("numpy")
+    built = Partition.of(np.int64(2), 1, np.int32(0))
+    assert built == Partition((2, 1)) and all(type(p) is int for p in built.parts)
+    assert Partition.of(True, 2).parts == (2, 1)
+
+
+def test_degree_is_stored_by_every_constructor():
+    for part in enumerate_upto(10):
+        parts = part.parts
+        for p in (Partition(parts), Partition.of(*reversed(parts)), Partition._trusted(parts)):
+            assert p.degree == sum(parts)
+        assert Partition(parts).concat(part).degree == 2 * sum(parts)
+    assert repr(Partition((2, 1))) == "Partition(parts=(2, 1))"
 
 
 def test_serialization_round_trip():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -8,7 +9,14 @@ import pytest
 from refdata import (
     coeff_chunk_reference,
     exact_value,
+    fraction_lap,
+    fraction_product,
+    fraction_reduce,
+    fraction_sum,
+    json_reference,
+    monomial_label_reference,
     npoly_str_reference,
+    pretty_reference,
     reduce_per_factor_reference,
     so4_pm_hand_recurrence,
     tracepoly_from_json,
@@ -73,6 +81,21 @@ def test_npoly_division_by_variable():
 def test_npoly_no_stored_zeros():
     assert not (N - N)
     assert (N - N).coeffs == {}
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, F(3, 2), "2"], ids=repr)
+def test_npoly_refuses_an_exponent_that_is_not_an_integer(exponent):
+    """An exponent is coerced by operator.index, never truncated: 1.5 used
+    to key N^1 and "2" N^2."""
+    with pytest.raises(ValueError, match=re.escape(repr(exponent))):
+        NPoly({exponent: 2})
+
+
+def test_npoly_accepts_integer_exponents():
+    np = pytest.importorskip("numpy")
+    assert NPoly({np.int64(2): 1}) == N * N
+    assert NPoly({True: 3}) == 3 * N
+    assert str(NPoly({np.int64(2): 1})) == "N^2"
 
 
 def test_constant_npoly_hashes_as_its_value():
@@ -596,3 +619,138 @@ def test_pretty_pads_partitions():
     poly = TracePoly.monomial(Partition.of(2, 1), -3)
     assert "p_(2,1,0)" in poly.pretty()
     assert TracePoly.zero().pretty() == "0"
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against plain Fraction arithmetic
+
+KERNEL_DENOMINATORS = [1, 1, 2, 3, 4, 6, 7, 12, 35]
+
+
+def _random_poly(rng, mode, degree: int, size: int) -> TracePoly:
+    """Up to ``size`` monomials of ``mode`` of degree <= ``degree``, with
+    numerators in [-30, 30] over mixed denominators."""
+    rank = mode.rank
+    parts = [p for p in enumerate_upto(degree) if rank is None or not p.parts or p.parts[0] <= rank]
+    chosen = rng.sample(parts, min(size, len(parts)))
+    return TracePoly({p: F(rng.randint(-30, 30) or 1, rng.choice(KERNEL_DENOMINATORS)) for p in chosen}, mode)
+
+
+def _assert_canonical(poly: TracePoly, expected: dict) -> None:
+    """``poly`` has the ``expected`` terms, every coefficient a nonzero
+    Fraction, and a kept cleared form over the least common denominator."""
+    terms = poly.terms
+    assert terms == expected
+    assert all(type(c) is F and c for c in terms.values()), terms
+    if poly._cleared_form is not None:
+        assert poly._cleared_form == tracepoly._cleared(TracePoly(terms, poly.mode))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_kernel_matches_the_fraction_reference(n):
+    """Sums, scalings, products, reduce and lap in integers over a common
+    denominator give, term for term, what per-term Fraction arithmetic
+    gives; every coefficient stays a nonzero Fraction, and no operand's
+    terms or kept cleared form change."""
+    rng = random.Random(2600 + n)
+    fixed, reduced = general_at(n), so(n)
+    operands = []
+    for _ in range(8):
+        for mode in (fixed, reduced):
+            a, b, c = (_random_poly(rng, mode, 5, 7) for _ in range(3))
+            scale = rng.choice(SCALES)
+            operands += [a, b, c]
+            snapshot = {id(p): p.terms for p in (a, b, c)}
+            # forced cancellations: a and -a in one sum, the cross terms of (a + b)(a - b)
+            _assert_canonical(TracePoly.sum([a, b, -a, c], mode), fraction_sum([b, c]))
+            _assert_canonical(a + b - b, a.terms)
+            _assert_canonical(a * scale, {p: x * scale for p, x in a.terms.items()})
+            _assert_canonical(a * b, fraction_product(a, b))
+            sum_ab, diff_ab = a + b, a - b
+            _assert_canonical(sum_ab * diff_ab, fraction_product(sum_ab, diff_ab))
+            assert sum_ab * diff_ab == a * a - b * b
+            _assert_canonical(lap(a), fraction_lap(a))
+            _assert_canonical(lap(sum_ab * scale), fraction_lap(sum_ab * scale))
+            if mode == fixed:
+                _assert_canonical(a.reduce(reduced), fraction_reduce(a, reduced))
+                # a minus its own reduced image, read back in general mode, reduces to zero
+                back = TracePoly(a.reduce(reduced).terms, fixed)
+                _assert_canonical((a - back).reduce(reduced), {})
+                assert not (a - back).reduce(reduced)
+            for p in (a, b, c):
+                assert p.terms == snapshot[id(p)]
+    for p in operands:
+        # a kept cleared form is the one a fresh copy of the terms computes
+        kept = p._cleared_form
+        if kept is not None:
+            assert kept == tracepoly._cleared(TracePoly(p.terms, p.mode))
+
+
+def test_kernel_results_compare_and_negate_exactly():
+    """Equality over cleared forms agrees with equality of the terms, and a
+    negated kernel result is the term-by-term negation."""
+    rng = random.Random(2690)
+    for mode in (general_at(5), so(5), SO4):
+        a, b = _random_poly(rng, mode, 4, 6), _random_poly(rng, mode, 4, 6)
+        left, right = a * b, b * a
+        assert left._cleared_form is not None and right._cleared_form is not None
+        assert left == right and left.terms == right.terms
+        assert (left == left + 1) is False
+        # the same numerators over another denominator are another poly
+        half = left * F(1, 2)
+        assert half != left and half * 2 == left
+        assert (-left).terms == {p: -c for p, c in left.terms.items()}
+        assert -left + left == TracePoly.zero(mode) and not (-left + left)
+        fresh = TracePoly(left.terms, mode)
+        assert fresh == left and left == fresh
+
+
+# ---------------------------------------------------------------------------
+# the render caches
+
+
+def _render_pairs(polys) -> list:
+    return [(poly.pretty(), poly.to_json_obj()) for poly in polys]
+
+
+def test_render_caches_change_no_bytes():
+    """pretty() and to_json_obj() of symbolic and reduced polys equal the
+    uncached references, on the first render, a second one, and again after
+    unrelated renders have filled the caches in another order."""
+    rng = random.Random(2626)
+    symbolic = [lap_partition(p) for p in rng.sample(enumerate_upto(9), 40)]
+    symbolic += [
+        TracePoly({p: NPoly({e: F(rng.randint(-9, 9), rng.choice([1, 2, 3])) for e in range(3)})
+                   for p in rng.sample(enumerate_upto(5), 5)}, GENERAL)
+        for _ in range(20)
+    ]
+    numeric = []
+    for mode in (SO3, SO4, so(6)):
+        numeric += [lap(_random_poly(rng, mode, 6, 6)) for _ in range(10)]
+        numeric += [_random_poly(rng, general_at(mode.n), 6, 6).reduce(mode) for _ in range(10)]
+    polys = symbolic + numeric
+    expected = [(pretty_reference(poly), json_reference(poly)) for poly in polys]
+    assert _render_pairs(polys) == expected
+    assert _render_pairs(polys) == expected
+    # a caller writing into a returned record changes no later render
+    for _, obj in _render_pairs(polys):
+        for record in obj:
+            record["coeff"]["0"] = "changed"
+    unrelated = [lap_partition(p) for p in enumerate_upto(10)] + [
+        lap(_random_poly(rng, mode, 8, 8)) for mode in (SO3, SO4, so(6))
+    ]
+    _render_pairs(unrelated)
+    rng.shuffle(polys)
+    assert _render_pairs(polys) == [(pretty_reference(poly), json_reference(poly)) for poly in polys]
+    for poly in symbolic:
+        for coeff in poly.terms.values():
+            assert str(coeff) == npoly_str_reference(coeff)
+
+
+@pytest.mark.parametrize("mode", [GENERAL, SO3, SO4, so(6)], ids=str)
+def test_monomial_label_matches_the_uncached_rule(mode):
+    rank = mode.rank
+    parts = [p for p in enumerate_upto(12) if rank is None or not p.parts or p.parts[0] <= rank]
+    for _ in range(2):
+        for part in parts:
+            assert tracepoly.monomial_label(part, mode.tag) == monomial_label_reference(part, mode.tag), part
