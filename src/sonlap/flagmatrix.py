@@ -5,42 +5,31 @@ upper block triangular matrix whose diagonal blocks carry the whole
 spectrum.  Every basis is a tuple of trace monomials indexed by partitions,
 so one coordinate loop and one label renderer serve all of them.  One rank
 rule, r = N // 2, serves every reduced mode SO(N), N >= 3: the weight-w
-block is spanned by the p_mu, mu |- w with parts <= r, and its closed-form
-eigenvalues are the Casimir values of the conjugate highest weights lam (at
-most r parts), one per row.  Two highest weights of one block can share a
-Casimir value from SO(6) on ((4,1,1) and (3,3,0) at weight 6), so the
-candidates are merged by value, each value carrying all its labels.  The
-blocks are diagonalizable (the operator is self-adjoint for the Haar inner
-product), so the distinct candidate values exhaust a block exactly when their
-nullities sum to its size; a block they do not exhaust is an inconsistency,
-not a case for a root search.  Each eigenspace is found block by block, as
-the triangular form allows: kernel vectors are zero past the last diagonal
-block made singular by the shift, and from there down to block 0 each step
-is one nullspace of a block-sized system that also carries the solvability
-conditions on the vectors found so far.  A matrix holds each row as its
-nonzero entries and reads it as a dense row only when asked.  Its rows are
-made integer once, from those entries; every block nullity and block solve
-is one fraction-free Gauss-Jordan elimination of integer rows built from
-them.
-General mode uses the partition spanning set; at a fixed N its eigenspaces
-are solved the same way, but it has no closed-form spectrum, so eigenvalue
-extraction is refused.
+block is spanned by the p_mu, mu |- w with parts <= r, and its labels are
+the conjugate highest weights lam (at most r parts), one per row, each with
+its Casimir value -sum_i lam_i(lam_i + N - 2i)/2.  Two labels of one block
+can share a value from SO(6) on ((4,1,1) and (3,3,0) at weight 6).
+
+In a reduced mode the irreducible characters certify the spectrum and the
+eigenspaces (:func:`_certified_blocks`): each label's character, a
+Koike-Terada l(lam) x l(lam) determinant built independently of the
+matrices, must lie in ker(M - cI), c its value, and the characters sharing
+a value in one block must be independent there.  Then the labels
+diagonalize M, a value's multiplicity is its number of labels and its
+eigenspace their span.  A failed check is an inconsistency and raises,
+naming the block's weight; nothing falls back to elimination.  Fixed-N
+``general`` matrices have no characters yet: eigenvalue extraction is
+refused, and their eigenspaces are solved by block back-substitution.
+Matrix rows are held as their nonzero entries and made integer once; every
+kernel check and elimination runs on those integer rows.
 
 The flag is nested: the order-k matrix is the leading principal submatrix of
-every higher-order matrix of the same (mode, basis).  A block's nullities
-depend only on that block, a kernel that ends at block end only on the
-leading submatrix up to it, and a character's coordinates only on the basis
-elements up to its weight.  So these results are kept once per flag, in a
-store that every matrix :func:`build_matrix` makes for it shares, and each
-block is solved once however many orders are asked for.  A hand-built
-:class:`FlagMatrix` gets a store of its own.
-
-Irreducible characters are built independently of the matrices, one per
-spectrum label lam, as Koike-Terada orthogonal characters (an r x r
-determinant) over the elementary symmetric functions of
-:func:`tracepoly.elementary`, and then located inside the computed
-eigenspaces.  Every eigenvalue, sphere ones included, is the
-Casimir value -sum_i lam_i(lam_i + N - 2i)/2 of its label.
+every higher order of the same (mode, basis), with nothing below its
+diagonal blocks, and a character's coordinates depend only on the basis
+elements up to its weight.  So a block's certificate holds for every order
+and is kept once per flag, in a store that every matrix :func:`build_matrix`
+makes for it shares.  A hand-built :class:`FlagMatrix` gets a store of its
+own, so it is certified itself.
 """
 
 from __future__ import annotations
@@ -216,19 +205,13 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 
 @dataclass
 class _FlagStore:
-    """Block results of one flag, valid for every order built from it.
+    """Certified blocks of one flag, valid for every order built from it.
 
-    ``nullities[weight]``: (eigenvalue, labels, nullity) of each distinct
-    candidate root of the weight block, kept once the candidates exhausted
-    the block.
-    ``kernels[eigenvalue, end]``: the primitive kernel vectors of the leading
-    submatrix M[:end, :end] shifted by the eigenvalue, of length ``end``.
-    ``coords[label]``: (character, its coordinates up to the last nonzero one).
+    ``blocks[weight]``: {eigenvalue: [(label, coordinates)]} of a certified
+    weight block, each label's character coordinates cut at the block end.
     """
 
-    nullities: dict = field(default_factory=dict)
-    kernels: dict = field(default_factory=dict)
-    coords: dict = field(default_factory=dict)
+    blocks: dict = field(default_factory=dict)
 
 
 @lru_cache(maxsize=None)
@@ -240,6 +223,17 @@ def _flag(mode: GroupMode, basis_id: str) -> _FlagStore:
 def _zero(mode: GroupMode):
     """The one zero every entry of a ``mode`` flag matrix shares."""
     return NPoly(0) if mode.symbolic else Fraction(0)
+
+
+def _exact(mode: GroupMode, value, i: int, j: int):
+    """A hand-given entry (i, j) as the matrix keeps it: an ``NPoly`` in
+    symbolic mode, else a ``Fraction``, itself or from an ``int`` (not a ``bool``)."""
+    kinds = (NPoly,) if mode.symbolic else (int, Fraction)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        kind = type(value).__name__
+        raise TypeError(f"entry ({i},{j}) of a {mode.tag} flag matrix is a {kind}, not {names}")
+    return Fraction(value) if isinstance(value, int) else value
 
 
 class _Row(Sequence):
@@ -291,15 +285,17 @@ class FlagMatrix:
 
     ``entries`` reads as the dense rows, but each row holds only its nonzero
     entries (the flag matrices are nearly empty: 13 863 of 915^2 entries at
-    general k = 16).  Dense rows given by hand are converted to that form;
-    a row count or row length other than the basis dimension is refused.
+    general k = 16).  Dense rows given by hand are converted to that form,
+    an ``int`` entry becoming a ``Fraction``; a row count or row length
+    other than the basis dimension is refused, and so is an entry that is
+    not exact: numeric modes take ``int`` and ``Fraction``, symbolic mode
+    takes ``NPoly``.
 
-    Block nullities, eigenspaces and character coordinates are kept in
-    ``flag``, shared by every order of one flag that :func:`build_matrix`
-    makes: each order-k matrix is the leading principal submatrix of the
-    higher ones, so a block solved for one order is solved for all.  A
-    hand-built matrix gets a fresh store, so a perturbed copy never sees
-    another matrix's results.
+    Certified blocks are kept in ``flag``, shared by every order of one flag
+    that :func:`build_matrix` makes: each order-k matrix is the leading
+    principal submatrix of the higher ones, so a block certified for one
+    order is certified for all.  A hand-built matrix gets a fresh store, so
+    a perturbed copy never sees another matrix's results.
     """
 
     basis: FlagBasis
@@ -310,13 +306,15 @@ class FlagMatrix:
         dim = self.basis.dim
         if len(self.entries) != dim:
             raise ValueError(f"a dim-{dim} flag matrix needs {dim} rows, got {len(self.entries)}")
-        zero = _zero(self.basis.mode)
+        mode = self.basis.mode
+        zero = _zero(mode)
         rows = []
         for i, row in enumerate(self.entries):
             if len(row) != dim:
                 raise ValueError(f"row {i} of a dim-{dim} flag matrix has {len(row)} entries")
             if not isinstance(row, _Row):
-                row = _Row(dim, zero, {j: v for j, v in enumerate(row) if v})
+                cells = ((j, _exact(mode, v, i, j)) for j, v in enumerate(row))
+                row = _Row(dim, zero, {j: v for j, v in cells if v})
             rows.append(row)
         object.__setattr__(self, "entries", tuple(rows))
 
@@ -325,9 +323,10 @@ class FlagMatrix:
         return self.basis.dim
 
     @cached_property
-    def _eigenblocks(self) -> dict[Fraction, list[tuple[tuple, int, int]]]:
-        """(labels, block end, nullity) of every diagonal block each eigenvalue is a root of."""
-        return _block_nullities(self)
+    def _eigenblocks(self) -> dict[Fraction, list[tuple[object, list[Fraction]]]]:
+        """(label, character coordinates) of each eigenvalue's labels, from
+        the certificate of :func:`_certified_blocks`."""
+        return _certified_blocks(self)
 
     @cached_property
     def _integer_rows(self) -> list[tuple[int, list[int]]]:
@@ -453,9 +452,7 @@ def _primitive(vec: list) -> list[Fraction]:
     return [Fraction(v) for v in ints]
 
 
-def _block_rows(
-    matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction, kernel=()
-) -> list[list[int]]:
+def _block_rows(matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction, kernel) -> list:
     """Integer rows of [B - eigenvalue I | M[start:stop, stop:end] X], B the diagonal
     block on start..stop-1 and X the integer ``kernel`` vectors on stop..end-1.
 
@@ -471,11 +468,6 @@ def _block_rows(
         row += [den * sum(ints[j] * vec[j - stop] for j in support) for vec in kernel]
         rows.append(row)
     return rows
-
-
-def _nullity(matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction) -> int:
-    """dim ker(B - eigenvalue I) of the diagonal block B on start..stop-1."""
-    return stop - start - len(_rref(_block_rows(matrix, start, stop, eigenvalue))[1])
 
 
 # ---------------------------------------------------------------------------
@@ -553,116 +545,99 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
     ]
 
 
-def _block_nullities(matrix: FlagMatrix) -> dict[Fraction, list[tuple[tuple, int, int]]]:
-    """The one candidate-nullity pass over the diagonal blocks.
+def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, list[Fraction]]]]:
+    """The character certificate of the spectrum, block by block.
 
-    Each block is checked against the closed-form candidate eigenvalues of
-    its weight, which the paper proves complete.  Candidates that share a
-    Casimir value are merged, one nullity per distinct value carrying every
-    label of that value.  The blocks are diagonalizable, so the distinct
-    values exhaust a block exactly when their nullities sum to its size; a
-    shortfall is an inconsistency and raises, naming the block's weight.  A
-    block's roots are kept in the flag store, so each block is checked once
-    per flag.
+    The labels of the weight-w block are its closed-form candidates, one per
+    row.  Each label's character must lie in ker(M - cI), c its Casimir
+    value, and the characters that share c in the block must be independent
+    on it.  Characters of distinct values, or ending in distinct blocks, are
+    independent anyway, so the labels give dim M independent eigenvectors:
+    they diagonalize M, the multiplicity of c is its number of labels and
+    ker(M - cI) is their span.  A failed check is an inconsistency and
+    raises, naming the block's weight.  Each block's result is kept in the
+    flag store, so a block is certified once per flag.
+
+    Returns (label, character coordinates cut at the label's block end) of
+    each eigenvalue's labels, in block order.
     """
     mode = matrix.basis.mode
     if mode.tag == "general":
         raise ValueError("eigenvalue extraction requires a proven basis (reduced SO(N) modes only)")
-    stored = matrix.flag.nullities
-    found: dict[Fraction, list[tuple[tuple, int, int]]] = {}
+    found: dict[Fraction, list[tuple[object, list[Fraction]]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
-        roots = stored.get(weight)
-        if roots is None:
-            merged: dict[Fraction, list] = {}
+        block = matrix.flag.blocks.get(weight)
+        if block is None:
+            block = {}
             for eig, label in _closed_candidates(mode, weight):
-                merged.setdefault(eig, []).append(label)
-            roots = [
-                (eig, tuple(labels), nullity)
-                for eig, labels in merged.items()
-                if (nullity := _nullity(matrix, start, end, eig))
-            ]
-            covered = sum(nullity for _, _, nullity in roots)
-            if covered != end - start:
-                raise ArithmeticError(
-                    f"weight-{weight} block has eigenvalues outside the closed-form family: "
-                    f"the candidates' nullities sum to {covered} of {end - start}"
-                )
-            stored[weight] = roots
-        for eig, labels, nullity in roots:
-            found.setdefault(eig, []).append((labels, end, nullity))
+                coords = coordinates(_label_character(mode, label).poly, matrix.basis)
+                if not _in_kernel(matrix, eig, coords):
+                    raise ArithmeticError(
+                        f"weight-{weight} block: the character of {label} escaped the eigenspace of {eig}"
+                    )
+                block.setdefault(eig, []).append((label, coords[:end]))
+            for eig, pairs in block.items():
+                parts = [_cleared(coords[start:end])[1] for _, coords in pairs]
+                if len(_rref(parts)[1]) < len(parts):
+                    labels = [label for label, _ in pairs]
+                    raise ArithmeticError(
+                        f"weight-{weight} block: the characters of {labels} at {eig} are dependent"
+                    )
+            matrix.flag.blocks[weight] = block
+        for eig, pairs in block.items():
+            found.setdefault(eig, []).extend(pairs)
     return found
 
 
 def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
-    """Exact spectrum of a flag matrix from the block nullities of :func:`_block_nullities`.
+    """Exact spectrum of a reduced-mode flag matrix, certified by its characters.
 
-    M is diagonalizable (the operator is self-adjoint), so a geometric
-    multiplicity other than the sum of the eigenvalue's block nullities raises.
+    Each eigenvalue carries the labels whose characters span its eigenspace
+    (see :func:`_certified_blocks`), in block order, and its geometric
+    multiplicity is their number.
     """
-    blocks = matrix._eigenblocks
-    out = []
-    for eig in sorted(blocks, reverse=True):
-        multiplicity = len(_stored_kernel(matrix, eig))
-        nullities = sum(nullity for _, _, nullity in blocks[eig])
-        if multiplicity != nullities:
-            raise ArithmeticError(
-                f"eigenvalue {eig} has geometric multiplicity {multiplicity}, "
-                f"but its block nullities sum to {nullities}"
-            )
-        labels = tuple(label for block_labels, _, _ in blocks[eig] for label in block_labels)
-        out.append(SpectrumEntry(eig, labels, multiplicity))
-    return out
+    labels = {eig: tuple(label for label, _ in pairs) for eig, pairs in matrix._eigenblocks.items()}
+    return [SpectrumEntry(eig, labels[eig], len(labels[eig])) for eig in sorted(labels, reverse=True)]
 
 
 def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """Exact basis of ker(M - eigenvalue I), primitively normalized.
+    """Exact basis of ker(M - eigenvalue I) in the normal form of the RREF
+    nullspace: primitive vectors, ordered by their last nonzero entry, each
+    zero at the others' last nonzero entries.
 
-    Solved once per flag, eigenvalue and kernel end (see :func:`_kernel_end`);
-    every call returns fresh lists, zero-padded to the matrix.
+    In a reduced mode it is the row reduction from the right of the
+    certified character coordinates, cut at the end of the eigenvalue's last
+    block; a fixed-N ``general`` matrix is solved by :func:`_leading_kernel`.
+    Every call returns fresh lists, zero-padded to the matrix.
     """
-    if matrix.basis.mode.symbolic:
+    mode = matrix.basis.mode
+    if mode.symbolic:
         raise ValueError("exact eigenspaces need rational entries; fix N first")
-    space = _stored_kernel(matrix, Fraction(eigenvalue))
-    pad = [Fraction(0)] * (matrix.dim - len(space[0]))
-    return [vec + pad for vec in space]
-
-
-def _stored_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """The flag store's kernel of M - eigenvalue I, cut at its kernel end and
-    solved on first use; shared, so callers must not modify it."""
-    end = _kernel_end(matrix, eigenvalue)
-    space = matrix.flag.kernels.get((eigenvalue, end))
-    if space is None:
-        space = matrix.flag.kernels[eigenvalue, end] = _leading_kernel(matrix, eigenvalue)
-    return space
-
-
-def _kernel_end(matrix: FlagMatrix, eigenvalue: Fraction) -> int:
-    """End of the last diagonal block B for which B - eigenvalue I is singular.
-
-    Read from the spectrum's block nullities; 0 when there is none.
-    Fixed-N ``general`` matrices have no closed-form spectrum and take
-    their last block.
-    """
-    if matrix.basis.mode.tag == "general":
-        return matrix.dim
-    blocks = matrix._eigenblocks.get(eigenvalue)
-    return blocks[-1][1] if blocks else 0
+    eigenvalue = Fraction(eigenvalue)
+    if mode.tag == "general":
+        return _leading_kernel(matrix, eigenvalue)
+    pairs = matrix._eigenblocks.get(eigenvalue)
+    if not pairs:
+        raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
+    end = len(pairs[-1][1])  # the labels of the last block come last
+    flipped = [[0] * (end - len(coords)) + _cleared(coords)[1][::-1] for _, coords in pairs]
+    pad = [Fraction(0)] * (matrix.dim - end)
+    # the rows come in pivot order, so by descending last nonzero entry once flipped back
+    return [_primitive(row[::-1]) + pad for row in reversed(_rref(flipped)[0])]
 
 
 def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
     """Kernel of M - eigenvalue I by block back-substitution, as primitive
-    vectors cut at the kernel end.
+    vectors: the route of fixed-N ``general`` matrices, which have no characters.
 
-    A kernel vector is zero on every block after :func:`_kernel_end`, so the
-    kernel depends only on the leading submatrix up to it.  From there the
-    blocks are walked down to block 0.  With X the q kernel vectors found
-    so far on the later blocks, one nullspace of the b x (b + q) system
-    [B_s - eigenvalue | M[s, >s] X] gives the block's new kernel vectors
-    together with the solvability conditions on the old ones, so singular
-    and invertible blocks, and eigenvalues of several blocks, take the same
-    step.  The system rows are integer multiples of the matrix rows and X is
-    kept as primitive integer vectors, so no step builds a Fraction.
+    The blocks are walked from the last down to block 0.  With X the q
+    kernel vectors found so far on the later blocks, one nullspace of the
+    b x (b + q) system [B_s - eigenvalue | M[s, >s] X] gives the block's new
+    kernel vectors together with the solvability conditions on the old
+    ones, so singular and invertible blocks, and eigenvalues of several
+    blocks, take the same step.  The system rows are integer multiples of
+    the matrix rows and X is kept as primitive integer vectors, so no step
+    builds a Fraction.
 
     Every step keeps X in the normal form of the RREF nullspace, which the
     kernel alone fixes: the vectors are ordered by their last nonzero entry,
@@ -672,17 +647,14 @@ def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fract
     solvability conditions remove.  So the primitive basis is the one a
     full-matrix elimination gives.
     """
-    end = _kernel_end(matrix, eigenvalue)
-    kernel: list[list[int]] = []  # restricted to the columns from the last solved block to end
+    kernel: list[list[int]] = []  # restricted to the columns from the last solved block on
     for start, stop, _ in reversed(matrix.basis.block_ranges()):
-        if stop > end:
-            continue
         width = stop - start
         solved = []
         for sol in _nullspace(_block_rows(matrix, start, stop, eigenvalue, kernel)):
             # the block part, then the combination of the old vectors it asks for
             used = [(c, vec) for c, vec in zip(sol[width:], kernel) if c]
-            tail = [sum(c * vec[j] for c, vec in used) for j in range(end - stop)]
+            tail = [sum(c * vec[j] for c, vec in used) for j in range(matrix.dim - stop)]
             solved.append(_content_free(sol[:width] + tail))
         kernel = solved
     if not kernel:
@@ -722,11 +694,15 @@ def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TraceP
 
     o_lam = det(h_{lam_i-i+j} - h_{lam_i-i-j})_{i,j <= N // 2} (Koike and
     Terada, J. Algebra 107, 1987); ``lam`` has N // 2 parts, zeros allowed.
-    For even N and lam_r > 0 it is the sum of the two mirror SO(N)
-    characters.  The eigen-equation D o_lam = c o_lam, c the Casimir value
-    of lam, is verified exactly.
+    Only the leading l(lam) x l(lam) minor is built, l(lam) the number of
+    nonzero parts (at least 1).  That is exact: a row i > l(lam) has
+    lam_i = 0, so its entries h_{j-i} - h_{-i-j} are zero left of the
+    diagonal and 1 on it, and the matrix is block upper triangular with a
+    unit triangular corner.  For even N and lam_r > 0 it is the sum of the
+    two mirror SO(N) characters.  The eigen-equation D o_lam = c o_lam, c the
+    Casimir value of lam, is verified exactly.
     """
-    size = range(len(lam))  # 0-based i, j: the 1-based indices shift the lower h by 2
+    size = range(max(1, sum(part > 0 for part in lam)))  # 0-based i, j: the lower h shifts by 2
     rows = [
         [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
         for i in size
@@ -740,7 +716,7 @@ def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TraceP
 
 def _determinant(rows: list[list[TracePoly]]) -> TracePoly:
     """Determinant by Laplace expansion along the first row: r! products of
-    r entries for an r x r matrix, r = N // 2 here."""
+    r entries for an r x r matrix, r = l(lam) here."""
     if len(rows) == 1:
         return rows[0][0]
     minors = ([row[:j] + row[j + 1:] for row in rows[1:]] for j in range(len(rows)))
@@ -800,9 +776,9 @@ def character_so4(j1, j2) -> Character:
 def _label_character(mode: GroupMode, label) -> Character:
     """The irreducible character named by a spectrum label of ``mode``.
 
-    Built and verified once per label; :func:`match_characters` still checks
-    it against every matrix.  From SO(5) on the label is the highest weight
-    lam and the character is o_lam.
+    Built and verified once per label; the certificate of
+    :func:`_certified_blocks` checks it against every flag.  From SO(5) on
+    the label is the highest weight lam and the character is o_lam.
     """
     if mode == SO3:
         return character_so3(label)
@@ -814,36 +790,19 @@ def _label_character(mode: GroupMode, label) -> Character:
 
 
 def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]]:
-    """Locate the character of every spectrum label inside its eigenspace.
+    """Pair every spectrum label with its irreducible character.
 
     Returns one (entry, character) pair per label, in spectrum order; entries
-    carry the exact geometric multiplicity, so eigenvalues richer than their
-    character count are visible to the caller.  A character missing from its
-    eigenspace is an inconsistency and raises.
-
-    A character's coordinates are located once per flag: the flag is nested,
-    so in every order they are the same list, zero-padded.  They are reused
-    only for the very character object they were located for, and checked
-    against every matrix.
+    carry the exact geometric multiplicity.  The spectrum's certificate has
+    already found each character inside its eigenspace, so nothing is
+    located or checked again here.
     """
-    stored = matrix.flag.coords
-    out = []
-    for entry in eigenvalues_exact(matrix):
-        for label in entry.labels:
-            character = _label_character(matrix.basis.mode, label)
-            hit = stored.get(label)
-            if hit is None or hit[0] is not character:
-                coords = coordinates(character.poly, matrix.basis)
-                while coords and not coords[-1]:
-                    coords.pop()
-                hit = stored[label] = (character, coords)
-            coords = hit[1] + [Fraction(0)] * (matrix.dim - len(hit[1]))
-            if not _in_kernel(matrix, entry.eigenvalue, coords):
-                raise ArithmeticError(
-                    f"character {character.label} escaped the eigenspace of {entry.eigenvalue}"
-                )
-            out.append((entry, character))
-    return out
+    mode = matrix.basis.mode
+    return [
+        (entry, _label_character(mode, label))
+        for entry in eigenvalues_exact(matrix)
+        for label in entry.labels
+    ]
 
 
 def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) -> bool:

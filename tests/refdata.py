@@ -17,9 +17,11 @@ hand-derived SO(3)/SO(4) constructions that the elementary-symmetric ones
 replaced -- the double-binomial SO(3) character, the symmetrized Chebyshev
 SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
 are frozen here too, as are the Faddeev-LeVerrier characteristic polynomial
-that the spectra were deflated from before the block nullity check and the
+that the spectra were deflated from before the block nullity check, the
 eigenspace solve by one Fraction RREF of a leading principal submatrix that
-block back-substitution replaced.  The per-group rules that the rank rule
+block back-substitution and then the character certificate replaced, and
+the full r x r Koike-Terada determinant that the leading l(lam) minor
+replaced.  The per-group rules that the rank rule
 r = N // 2 replaced -- the SO(3)/SO(4) block candidates, the ``so4`` basis
 order and the ``spectrum_closed`` enumerations -- are frozen as well, and so is
 the recursive generator chain that enumerated partitions before the
@@ -500,16 +502,32 @@ def _primitive_fraction(vec: list) -> list:
     return ints
 
 
+def block_values_reference(n: int, weight: int) -> set:
+    """Casimir values -sum_i lam_i(lam_i + n - 2i)/2 of the highest weights
+    lam |- weight with at most n // 2 parts: the closed-form eigenvalues of
+    the weight block of SO(n)."""
+    return {
+        -F(sum(part * (part + n - 2 * i) for i, part in enumerate(lam, 1)), 2)
+        for lam in descending_recursive(weight, weight)
+        if len(lam) <= n // 2
+    }
+
+
 def leading_kernel_reference(matrix, eigenvalue: F) -> list:
     """Primitive kernel basis of M - eigenvalue I by the former solve: one
     Fraction RREF of the leading principal submatrix that ends with the last
-    diagonal block the eigenvalue is a root of (the whole matrix in fixed-N
-    general mode), zero-padded past it."""
-    if matrix.basis.mode.tag == "general":
+    diagonal block whose closed-form values take the eigenvalue (the whole
+    matrix in fixed-N general mode), zero-padded past it."""
+    mode = matrix.basis.mode
+    if mode.tag == "general":
         end = matrix.dim
     else:
-        blocks = matrix._eigenblocks.get(eigenvalue)
-        end = blocks[-1][1] if blocks else 0
+        ends = [
+            end
+            for _, end, weight in matrix.basis.block_ranges()
+            if eigenvalue in block_values_reference(mode.n, weight)
+        ]
+        end = ends[-1] if ends else 0
     shifted = [
         [matrix.entries[i][j] - (eigenvalue if i == j else 0) for j in range(end)]
         for i in range(end)
@@ -526,6 +544,19 @@ def leading_kernel_reference(matrix, eigenvalue: F) -> list:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
     pad = [F(0)] * (matrix.dim - end)
     return [_primitive_fraction(v + pad) for v in kernel]
+
+
+def orthogonal_character_full(mode, lam: tuple) -> TracePoly:
+    """Koike-Terada o_lam as the full r x r determinant, r = N // 2, zeros of
+    ``lam`` included: the form before the cut to the leading l(lam) minor."""
+    from sonlap.flagmatrix import _complete, _determinant
+
+    size = range(len(lam))
+    rows = [
+        [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
+        for i in size
+    ]
+    return _determinant(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,9 @@ from refdata import (
     char_poly,
     closed_candidates_per_group,
     exact_value,
+    block_values_reference,
     leading_kernel_reference,
+    orthogonal_character_full,
     so3_character_double_binomial,
     so4_basis_per_group,
     so4_character_chebyshev,
@@ -324,6 +326,41 @@ def test_mis_shaped_matrix_is_refused(cut, message):
         flagmatrix.FlagMatrix(matrix.basis, entries)
 
 
+@pytest.mark.parametrize(
+    "mode, basis_id, value, kind",
+    [
+        (SO3, "bprime", -1.0, "float"),
+        (SO3, "bprime", 0.0, "float"),
+        (SO3, "bprime", complex(-1, 0), "complex"),
+        (SO3, "bprime", 0j, "complex"),
+        (SO3, "bprime", True, "bool"),
+        (SO3, "bprime", "-1", "str"),
+        (GENERAL, "general", F(-1), "Fraction"),
+        (GENERAL, "general", -1, "int"),
+    ],
+)
+def test_inexact_entry_is_refused(mode, basis_id, value, kind):
+    """An entry that is not exact for the mode is refused on construction,
+    naming its row and column, not left to fail inside the spectrum or to
+    print as a float; a zero is no exception."""
+    matrix = build_matrix(mode, basis_id, 3)
+    entries = [list(row) for row in matrix.entries]
+    entries[1][2] = value
+    with pytest.raises(TypeError, match=rf"^entry \(1,2\) of a {mode.tag} flag matrix is a {kind}, not "):
+        flagmatrix.FlagMatrix(matrix.basis, entries)
+
+
+def test_integer_entries_become_fractions():
+    matrix = build_matrix(SO3, "bprime", 3)
+    entries = [[int(v) if v.denominator == 1 else v for v in row] for row in matrix.entries]
+    assert any(type(v) is int for row in entries for v in row)
+    by_hand = flagmatrix.FlagMatrix(matrix.basis, entries)
+    assert all(type(v) is F for row in by_hand.entries for v in row.terms.values())
+    assert by_hand == matrix and matrix_to_json(by_hand) == matrix_to_json(matrix)
+    assert eigenvalues_exact(by_hand) == eigenvalues_exact(matrix)
+    assert match_characters(by_hand) == match_characters(matrix)
+
+
 def test_general_build_holds_no_dense_copy():
     """Rows are held as their nonzero entries, so with the images cached the
     build's traced peak stays below half of one dense dim x dim array of
@@ -492,17 +529,18 @@ def test_every_block_has_as_many_distinct_candidates_as_rows(mode, basis_id):
 
 
 def test_so6_weight6_candidates_share_one_nullity(monkeypatch):
-    """(4,1,1) and (3,3,0) both give -18 at SO(6) weight 6: one nullity for the
-    shared value exhausts the block, and the -18 entry carries both labels."""
+    """(4,1,1) and (3,3,0) both give -18 at SO(6) weight 6: the -18 entry
+    carries both labels with multiplicity 2, and one rank check on the block
+    covers the two characters."""
     flagmatrix._flag.cache_clear()
     checked = []
-    nullity = flagmatrix._nullity
+    rref = flagmatrix._rref
 
-    def counting_nullity(matrix, start, stop, eigenvalue):
-        checked.append((start, eigenvalue))
-        return nullity(matrix, start, stop, eigenvalue)
+    def counting_rref(rows):
+        checked.append(rows)
+        return rref(rows)
 
-    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
+    monkeypatch.setattr(flagmatrix, "_rref", counting_rref)
     matrix = build_matrix(so(6), "so6", 6)
     start, end, weight = matrix.basis.block_ranges()[-1]
     assert weight == 6 and end - start == 7
@@ -511,10 +549,31 @@ def test_so6_weight6_candidates_share_one_nullity(monkeypatch):
     entries = {entry.eigenvalue: entry for entry in eigenvalues_exact(matrix)}
     assert entries[F(-18)].labels == ((4, 1, 1), (3, 3, 0))
     assert entries[F(-18)].geometric_multiplicity == 2
-    block = [eig for s, eig in checked if s == start]
-    assert block.count(F(-18)) == 1
+    block = sorted(len(rows) for rows in checked if len(rows[0]) == end - start)
+    assert block == [1] * 5 + [2]
     assert len(block) == len({eig for eig, _ in candidates}) == len(candidates) - 1
     assert sum(e.geometric_multiplicity for e in entries.values()) == matrix.dim
+
+
+def test_characters_sharing_a_value_must_be_independent_on_their_block(monkeypatch):
+    """Offering the character of (4,1,1) for (3,3,0) too passes every kernel
+    check at -18, but leaves one vector short: the rank check refuses the
+    block, and the block keeps nothing."""
+    flagmatrix._flag.cache_clear()
+    label_character = flagmatrix._label_character
+    monkeypatch.setattr(
+        flagmatrix,
+        "_label_character",
+        lambda mode, label: label_character(mode, (4, 1, 1) if label == (3, 3, 0) else label),
+    )
+    matrix = build_matrix(so(6), "so6", 6)
+    with pytest.raises(
+        ArithmeticError,
+        match=r"^weight-6 block: the characters of \[\(4, 1, 1\), \(3, 3, 0\)\] at -18 are dependent$",
+    ):
+        eigenvalues_exact(matrix)
+    assert 6 not in matrix.flag.blocks
+    flagmatrix._flag.cache_clear()
 
 
 @pytest.mark.parametrize("n, k, count", [(5, 10, 36), (6, 8, 41), (7, 8, 41), (8, 8, 53)])
@@ -549,6 +608,22 @@ def test_orthogonal_character_determinant_keeps_the_small_ranks():
     p2 = TracePoly.power_sum(2, so(7))
     assert flagmatrix._orthogonal_character(so(7), (1, 0, 0))[0] == p1
     assert flagmatrix._orthogonal_character(so(7), (1, 1, 0))[0] == (p1 * p1 - p2) * F(1, 2)
+
+
+def test_orthogonal_character_leading_minor_equals_the_full_determinant():
+    """The l(lam) x l(lam) minor gives the r x r determinant, term order
+    included, for every lam |- w <= 8 with at most r parts in SO(5)-SO(10)."""
+    labels = 0
+    for n in range(5, 11):
+        mode = so(n)
+        for weight in range(9):
+            for _, lam in flagmatrix._closed_candidates(mode, weight):
+                poly = flagmatrix._orthogonal_character(mode, lam)[0]
+                full = orthogonal_character_full(mode, lam)
+                assert poly == full, (n, lam)
+                assert list(poly._terms.items()) == list(full._terms.items()), (n, lam)
+                labels += 1
+    assert labels == 273
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +799,17 @@ def test_match_characters_equal_the_candidate_search(mode, basis_id, ks):
 
 
 def test_match_characters_rejects_a_character_outside_its_eigenspace(monkeypatch):
+    """From an empty flag store the certificate meets the wrong character in
+    the first block, and a block that fails keeps nothing."""
+    flagmatrix._flag.cache_clear()
     matrix = build_matrix(SO3, "btrace", 3)
     # offer chi_1 (eigenvalue -1) as the character of every eigenvalue
     monkeypatch.setattr(flagmatrix, "_label_character", lambda mode, label: character_so3(1))
-    with pytest.raises(ArithmeticError, match="escaped the eigenspace"):
+    with pytest.raises(
+        ArithmeticError, match="^weight-0 block: the character of 0 escaped the eigenspace of 0$"
+    ):
         match_characters(matrix)
+    assert not matrix.flag.blocks
 
 
 def test_characters_are_built_once_per_label(monkeypatch):
@@ -751,17 +832,19 @@ def test_characters_are_built_once_per_label(monkeypatch):
 
 def test_cached_characters_are_still_checked_against_every_matrix():
     """A warm cache skips the construction, never the per-matrix check: a
-    matrix with the same spectrum and labels but other eigenvectors still
-    lets a character escape."""
+    matrix with the same eigenvalues but other eigenvectors lets a character
+    escape, and its spectrum is refused."""
     matrix = build_matrix(SO3, "btrace", 3)
     match_characters(matrix)
     entries = [list(row) for row in matrix.entries]
-    entries[1][3] += F(1, 7)  # above the diagonal: eigenvalues and labels stay
+    entries[1][3] += F(1, 7)  # above the diagonal: the eigenvalues stay, chi_3 moves
     perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
-    assert eigenvalues_exact(perturbed) == eigenvalues_exact(matrix)
     misses = flagmatrix._label_character.cache_info().misses
-    with pytest.raises(ArithmeticError, match="escaped the eigenspace"):
-        match_characters(perturbed)
+    for call in (eigenvalues_exact, match_characters):
+        with pytest.raises(
+            ArithmeticError, match="^weight-3 block: the character of 3 escaped the eigenspace of -6$"
+        ):
+            call(perturbed)
     assert flagmatrix._label_character.cache_info().misses == misses
 
 
@@ -817,33 +900,27 @@ def test_leading_block_eigenspaces_equal_full_matrix_ones(mode, basis_id, ks):
 
 
 def test_eigenspaces_solved_once_per_matrix(monkeypatch):
-    """One kernel solve per distinct eigenvalue, however many queries follow;
-    every elimination is the size of a diagonal block at most.  The count
+    """Each label's character is checked once, however many queries follow;
+    every elimination has at most as many rows as a diagonal block: one rank
+    check per distinct value per block, and one per eigenspace query.  A
+    value outside the spectrum is refused with no elimination.  The count
     starts from an empty flag store."""
     flagmatrix._flag.cache_clear()
-    solves = []
+    checks = []
     rows = []
-    nullities = []
-    leading_kernel = flagmatrix._leading_kernel
+    in_kernel = flagmatrix._in_kernel
     rref = flagmatrix._rref
-    nullity = flagmatrix._nullity
 
-    def counting_solve(matrix, eigenvalue):
-        space = leading_kernel(matrix, eigenvalue)
-        solves.append(eigenvalue)
-        return space
+    def counting_check(matrix, eigenvalue, vec):
+        checks.append(eigenvalue)
+        return in_kernel(matrix, eigenvalue, vec)
 
     def counting_rref(block_rows):
         rows.append(len(block_rows))
         return rref(block_rows)
 
-    def counting_nullity(matrix, start, stop, eigenvalue):
-        nullities.append(eigenvalue)
-        return nullity(matrix, start, stop, eigenvalue)
-
-    monkeypatch.setattr(flagmatrix, "_leading_kernel", counting_solve)
+    monkeypatch.setattr(flagmatrix, "_in_kernel", counting_check)
     monkeypatch.setattr(flagmatrix, "_rref", counting_rref)
-    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
     matrix = build_matrix(SO4, "so4", 6)
     entries = eigenvalues_exact(matrix)
     for entry in entries:
@@ -854,11 +931,12 @@ def test_eigenspaces_solved_once_per_matrix(monkeypatch):
     with pytest.raises(ArithmeticError, match="not an eigenvalue"):
         eigenspace_exact(matrix, 17)
     assert len(rows) == eliminations  # refused with no elimination
-    assert sorted(solves) == sorted(entry.eigenvalue for entry in entries)
     blocks = matrix.basis.block_ranges()
     assert max(rows) <= max(end - start for start, end, _ in blocks) == 4
-    # one nullity per closed-form candidate per block, however many queries follow
-    assert len(nullities) == sum(len(flagmatrix._closed_candidates(SO4, w)) for _, _, w in blocks)
+    # one kernel check per closed-form candidate per block, however many queries follow
+    assert len(checks) == sum(len(flagmatrix._closed_candidates(SO4, w)) for _, _, w in blocks) == matrix.dim
+    values = sum(len({eig for eig, _ in flagmatrix._closed_candidates(SO4, w)}) for _, _, w in blocks)
+    assert eliminations == values + len(entries)
 
 
 @pytest.mark.parametrize(
@@ -884,21 +962,34 @@ def test_eigenvalues_exact_reads_multiplicities_without_eigenspace_calls(monkeyp
 
 @pytest.mark.parametrize(
     "mode, basis_id, ks",
-    [(SO3, "bprime", range(25)), (SO3, "btrace", range(25)), (SO4, "so4", range(13))],
-    ids=["so3-bprime", "so3-btrace", "so4"],
+    [
+        (SO3, "bprime", range(25)),
+        (SO3, "btrace", range(25)),
+        (SO4, "so4", range(13)),
+        (so(5), "so5", range(9)),
+        (so(6), "so6", range(9)),
+    ],
+    ids=["so3-bprime", "so3-btrace", "so4", "so5", "so6"],
 )
 def test_back_substitution_equals_the_leading_submatrix_solve(mode, basis_id, ks):
-    """Block back-substitution returns the primitive basis that one RREF of
-    the leading principal submatrix gave, vector for vector."""
+    """The certified character spans, put in normal form, are the primitive
+    basis that one RREF of the leading principal submatrix gave, vector for
+    vector; every closed-form value of a block is an eigenvalue."""
     for k in ks:
         matrix = build_matrix(mode, basis_id, k)
-        for eigenvalue in matrix._eigenblocks:
+        spans = {}
+        for _, end, weight in matrix.basis.block_ranges():
+            for eigenvalue in block_values_reference(mode.n, weight):
+                spans[eigenvalue] = spans.get(eigenvalue, 0) + 1
+        for eigenvalue in spans:
             expected = leading_kernel_reference(matrix, eigenvalue)
             assert eigenspace_exact(matrix, eigenvalue) == expected, (k, eigenvalue)
     if mode == SO4:
         # eigenvalues that are roots of several diagonal blocks take the same path
-        spans = [len(blocks) for blocks in matrix._eigenblocks.values()]
-        assert sum(span > 1 for span in spans) >= 3
+        assert sum(span > 1 for span in spans.values()) >= 3
+    if mode == so(6):
+        # -18 is a value shared by two labels of the weight-6 block
+        assert len(eigenspace_exact(matrix, F(-18))) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -992,30 +1083,30 @@ def test_flag_results_do_not_depend_on_the_order_of_the_walk(mode, basis_id, top
     ids=["so3-bprime", "so3-btrace", "so4"],
 )
 def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
-    """Walking k = 0..top of one flag from an empty store checks each block's
-    candidates once, solves one kernel per (eigenvalue, kernel end) and
-    locates each character once."""
+    """Walking k = 0..top of one flag from an empty store certifies each
+    block once: each label's character is located and checked once, and each
+    distinct value of a block gets one rank check."""
     flagmatrix._flag.cache_clear()
     matrices = [build_matrix(mode, basis_id, k) for k in range(top + 1)]
-    nullities, solves, located = [], [], []
-    nullity = flagmatrix._nullity
-    leading_kernel = flagmatrix._leading_kernel
+    checks, ranks, located = [], [], []
+    in_kernel = flagmatrix._in_kernel
+    rref = flagmatrix._rref
     coordinates_of = flagmatrix.coordinates
 
-    def counting_nullity(matrix, start, stop, eigenvalue):
-        nullities.append(eigenvalue)
-        return nullity(matrix, start, stop, eigenvalue)
+    def counting_check(matrix, eigenvalue, vec):
+        checks.append(eigenvalue)
+        return in_kernel(matrix, eigenvalue, vec)
 
-    def counting_solve(matrix, eigenvalue):
-        solves.append((eigenvalue, flagmatrix._kernel_end(matrix, eigenvalue)))
-        return leading_kernel(matrix, eigenvalue)
+    def counting_rref(rows):
+        ranks.append(len(rows))
+        return rref(rows)
 
     def counting_coordinates(poly, basis):
         located.append(poly)
         return coordinates_of(poly, basis)
 
-    monkeypatch.setattr(flagmatrix, "_nullity", counting_nullity)
-    monkeypatch.setattr(flagmatrix, "_leading_kernel", counting_solve)
+    monkeypatch.setattr(flagmatrix, "_in_kernel", counting_check)
+    monkeypatch.setattr(flagmatrix, "_rref", counting_rref)
     monkeypatch.setattr(flagmatrix, "coordinates", counting_coordinates)
     labels = set()
     queries = 0
@@ -1025,15 +1116,17 @@ def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
             labels.update(entry.labels)
             queries += 1
         match_characters(matrix)
-    assert len(nullities) == sum(len(flagmatrix._closed_candidates(mode, w)) for w in range(top + 1))
-    assert len(set(solves)) == len(solves) < queries
-    assert set(solves) == set(matrices[0].flag.kernels)
+    candidates = [flagmatrix._closed_candidates(mode, w) for w in range(top + 1)]
+    assert len(checks) == sum(map(len, candidates)) == len(labels)
+    assert sorted(matrices[0].flag.blocks) == list(range(top + 1))
     assert len(located) == len(labels) == len({id(poly) for poly in located})
+    # one rank check per distinct value of each block, and one elimination per eigenspace query
+    assert len(ranks) == sum(len({eig for eig, _ in block}) for block in candidates) + queries
 
 
 def test_flag_store_hands_out_copies_and_keeps_hand_built_matrices_apart():
     """-12 is a root of the weight-4 and weight-6 blocks of SO(4), so the
-    orders 6 and 8 share its kernel; neither a caller's edits nor a
+    orders 6 and 8 share its characters; neither a caller's edits nor a
     hand-built matrix reach the shared store."""
     flagmatrix._flag.cache_clear()
     small, large = build_matrix(SO4, "so4", 6), build_matrix(SO4, "so4", 8)
@@ -1044,22 +1137,24 @@ def test_flag_store_hands_out_copies_and_keeps_hand_built_matrices_apart():
     first[1].append(F(1))
     first.append([F(1)] * small.dim)
     assert eigenspace_exact(small, F(-12)) == expected
+    assert sorted(small.flag.blocks) == list(range(7))
     pad = [F(0)] * (large.dim - small.dim)
     assert eigenspace_exact(large, F(-12)) == [v + pad for v in expected]
-    assert len(small.flag.kernels) == 1
+    assert sorted(small.flag.blocks) == list(range(9))
     copy = flagmatrix.FlagMatrix(small.basis, small.entries)
     assert copy == small and copy.flag is not small.flag
-    assert not copy.flag.kernels and not copy.flag.nullities
+    assert not copy.flag.blocks
     assert eigenspace_exact(copy, F(-12)) == expected
-    assert len(copy.flag.kernels) == len(small.flag.kernels) == 1
+    assert sorted(copy.flag.blocks) == list(range(7))
+    assert sorted(small.flag.blocks) == list(range(9))
 
 
 @pytest.mark.parametrize("mode, basis_id, k", [(SO4, "so4", 8), (SO3, "btrace", 16)])
 def test_every_elimination_sees_integer_rows(monkeypatch, mode, basis_id, k):
-    """Matrix rows become integers once; every block nullity and block solve
-    behind the spectrum, the eigenspaces and the character match hands
-    ``_rref`` integer rows, never a Fraction.  The flag store starts empty,
-    so every elimination runs."""
+    """Matrix rows and character coordinates become integers once; every
+    rank check and row reduction behind the spectrum, the eigenspaces and
+    the character match hands ``_rref`` integer rows, never a Fraction.  The
+    flag store starts empty, so every elimination runs."""
     flagmatrix._flag.cache_clear()
     rref = flagmatrix._rref
     eliminations = []
@@ -1078,23 +1173,30 @@ def test_every_elimination_sees_integer_rows(monkeypatch, mode, basis_id, k):
 
 
 @pytest.mark.parametrize(
-    "mode, basis_id, k", [(SO3, "bprime", 16), (SO3, "btrace", 16), (SO4, "so4", 10)]
+    "mode, basis_id, k",
+    [(SO3, "bprime", 16), (SO3, "btrace", 16), (SO4, "so4", 10), (so(6), "so6", 8)],
 )
 def test_block_nullities_agree_with_the_characteristic_polynomial(mode, basis_id, k):
-    """The nullity check says what the former deflation said: each block's
-    characteristic polynomial is prod (x - c)^nullity(B - c) over its distinct
-    closed-form candidates c.  The order-k matrix holds every block of the
-    lower orders as a diagonal block."""
+    """No elimination is needed for a block's spectrum: each block's
+    characteristic polynomial is prod (x - c_lam) over the block's labels,
+    and the certified multiplicity of each value is its number of roots over
+    all blocks.  The order-k matrix holds every block of the lower orders as
+    a diagonal block; so(6) has the value -18 twice in its weight-6 block."""
     matrix = build_matrix(mode, basis_id, k)
+    roots = {}
     for start, end, weight in matrix.basis.block_ranges():
         block = [row[start:end] for row in matrix.entries[start:end]]
         candidates = [eig for eig, _ in flagmatrix._closed_candidates(mode, weight)]
-        assert len(set(candidates)) == len(candidates), weight
+        if mode in (SO3, SO4):
+            assert len(set(candidates)) == len(candidates), weight
         product = [F(1)]
         for eig in candidates:
-            for _ in range(flagmatrix._nullity(matrix, start, end, eig)):
-                product = [a - eig * b for a, b in zip(product + [F(0)], [F(0)] + product)]
+            product = [a - eig * b for a, b in zip(product + [F(0)], [F(0)] + product)]
+            roots[eig] = roots.get(eig, 0) + 1
         assert product == char_poly(block), weight
+    assert {e.eigenvalue: e.geometric_multiplicity for e in eigenvalues_exact(matrix)} == roots
+    if mode == so(6):
+        assert roots[F(-18)] == 2
 
 
 @pytest.mark.parametrize(
@@ -1102,20 +1204,23 @@ def test_block_nullities_agree_with_the_characteristic_polynomial(mode, basis_id
 )
 def test_eigenvalues_exact_names_a_block_outside_the_closed_family(mode, basis_id, k):
     """Perturbing one diagonal entry moves the block's trace, so the closed
-    candidates cannot exhaust its characteristic polynomial any more."""
+    candidates are not its eigenvalues any more: a character of the block
+    leaves its eigenspace, and the certificate names the block."""
     matrix = build_matrix(mode, basis_id, k)
     for start, end, weight in matrix.basis.block_ranges():
         entries = [list(row) for row in matrix.entries]
         entries[end - 1][end - 1] += F(1, 7)
         perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
-        with pytest.raises(ArithmeticError, match=rf"^weight-{weight} block .*closed-form family"):
+        with pytest.raises(ArithmeticError, match=rf"^weight-{weight} block: the character of .* escaped"):
             eigenvalues_exact(perturbed)
 
 
 def test_eigenvalues_exact_names_an_eigenvalue_short_of_its_block_nullities():
     """-12 is a root of the weight-4 and the weight-6 block of SO(4) k=6.
-    Any change to an entry coupling the two leaves the block nullities as
-    they are but makes M defective there: its kernel drops to dimension 1."""
+    Any change to an entry coupling the two leaves the block spectra as they
+    are but makes M defective there (its kernel drops to dimension 1), and
+    moves every character of the weight-6 block that is nonzero in the
+    changed column: the certificate refuses the weight-6 block."""
     matrix = build_matrix(SO4, "so4", 6)
     ranges = {weight: (start, end) for start, end, weight in matrix.basis.block_ranges()}
     rows, cols = range(*ranges[4]), range(*ranges[6])
@@ -1125,10 +1230,8 @@ def test_eigenvalues_exact_names_an_eigenvalue_short_of_its_block_nullities():
             entries = [list(row) for row in matrix.entries]
             entries[i][j] += F(1, 7)
             perturbed = flagmatrix.FlagMatrix(matrix.basis, tuple(map(tuple, entries)))
-            with pytest.raises(
-                ArithmeticError,
-                match="^eigenvalue -12 has geometric multiplicity 1, but its block nullities sum to 2$",
-            ):
+            assert len(full_matrix_eigenspace(perturbed, F(-12))) == 1
+            with pytest.raises(ArithmeticError, match="^weight-6 block: the character of .* escaped"):
                 eigenvalues_exact(perturbed)
 
 
