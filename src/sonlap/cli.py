@@ -50,22 +50,24 @@ MAX_DEGREE = 30
 # max(1, 4096 // e) samples, e the floats one sample takes in the suite's
 # largest stacked array, so from n = 9 on an identities chunk is one sample,
 # and so is a laplacian or gegenbauer chunk at n = 60.  The laplacian suite
-# walks every partition of degree <= --k: 0.37-0.51 s at k=12, 0.6 s at 16
-# (a library call).  The identities suite's n^2 x n^2 matrices and its
+# walks every partition of degree <= --k: 0.22-0.37 s at k=12, 0.33-0.58 s
+# at 16 (a library call).  The identities suite's n^2 x n^2 matrices and its
 # stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and 126 MB
 # at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses
 # it).  The gegenbauer --k is a degree.
 # The other two suites draw one n x n rotation per sample for all their
-# families: laplacian k=12 takes 0.36-0.40 s at n=60, and a library call
-# 0.42-0.52 s at n=100 and 0.37-0.47 s at n=200.  Each sample's random
+# families: laplacian k=12 takes 0.22-0.36 s at n=60, and a library call
+# 0.23-0.38 s at n=100 and 0.25-0.37 s at n=200.  Each sample's random
 # stream is made as it is drawn, so the sample bound is one of time: the
-# cheapest suite, laplacian n=3 k=0, takes 0.25-0.30 s over 1000 samples.
+# cheapest suite, laplacian n=3 k=0, takes 0.21-0.33 s over 1000 samples.
 # A laplacian chunk builds U's powers, their traces and the power tables
 # once for all its partitions, and each sample checks every partition of
-# degree <= --k, so that suite's time grows as samples x partitions.  The
-# product is bounded at the cost of n=60: 4 samples at k=12 (1088) take
-# 0.35-0.46 s and 1000 samples at k=0 0.80-0.86 s; gegenbauer n=60 k=30 takes
-# 1.47-1.56 s over 1000 samples (ranges over 7 runs).
+# degree <= --k from index plans made once per call, so that suite's time
+# grows as samples x partitions.  The product is bounded at the cost of
+# n=60: 4 samples at k=12 (1088) take 0.23-0.38 s and 1000 samples at k=0
+# 0.58-1.04 s; gegenbauer n=60 k=30, one recurrence per one-sample chunk,
+# takes 0.87-1.68 s over 1000 samples (ranges over 7 runs, import included,
+# on a shared host whose runs spread widely).
 # An identities sample costs about n^4 from n=20 on: 0.24 s at n=30, 0.3 us
 # per n^4 (in process).  Its samples x n^4 is bounded at 2 samples at
 # MAX_IDENTITIES_N: 0.73-1.41 s (median 0.89 s), and 1.02-1.31 s at the

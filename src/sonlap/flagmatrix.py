@@ -114,10 +114,12 @@ def basis_for(mode: GroupMode, basis_id: str, k: int) -> FlagBasis:
         elements = enumerate_upto(k)
     elif mode != (group := _basis_group(basis_id)):
         raise ValueError(f"basis {basis_id!r} requires {group} mode")
-    elif basis_id == "btrace":
-        elements = [Partition.of(j) for j in range(k + 1)]
+    elif basis_id == "btrace":  # (j) and the _descending parts are canonical already
+        elements = [Partition._trusted((j,) if j else ()) for j in range(k + 1)]
     else:
-        elements = [Partition(mu) for w in range(k + 1) for mu in sorted(_descending(w, mode.rank))]
+        elements = [
+            Partition._trusted(mu) for w in range(k + 1) for mu in sorted(_descending(w, mode.rank))
+        ]
     weights = tuple(p.degree for p in elements)
     starts = [0]
     for i in range(1, len(elements)):

@@ -154,9 +154,22 @@ class NPoly:
     __rmul__ = __mul__
 
     def subs(self, n) -> Fraction:
-        """Exact value at N = n."""
-        n = Fraction(n)
-        return sum((c * n**e for e, c in self._coeffs.items()), Fraction(0))
+        """Exact value at N = n = p/q, in lowest terms.
+
+        The sum runs in integers over a common denominator of the terms
+        c_e p^e / q^e, and one :class:`Fraction` is built at the end."""
+        p, q = (n, 1) if isinstance(n, int) else Fraction(n).as_integer_ratio()
+        num, den = 0, 1
+        for e, c in self._coeffs.items():
+            a, b = c.as_integer_ratio()
+            if q != 1:
+                b *= q**e
+            if b == den:
+                num += a * p**e
+            else:
+                num = num * b + a * p**e * den
+                den *= b
+        return Fraction(num, den)
 
     def div_by_var(self) -> "NPoly":
         """Exact division by N; fails if the constant term is nonzero."""

@@ -55,12 +55,21 @@ Gegenbauer suite, so a chunk's arrays stay near those of one sample at
 n = 8.  Powers of a float are taken in Python, one sample at a time: numpy's
 ``array ** int`` differs from ``float ** int`` in the last bit for some
 inputs.  The laplacian suite builds one set of powers, traces and flattened
-power stacks per chunk, and one pair of tables per distinct largest part;
-its per-monomial sums stay per sample, in the helpers that
-:func:`lap_numeric` and :func:`eval_tracepoly` wrap.  Each family's error is
-the exact maximum over the samples, so its report does not depend on the
-chunks, and a NaN error fails its family.  Exact evaluation takes no flag:
-:func:`eval_tracepoly` switches to it where its float sum may cancel.
+power stacks per chunk, and one pair of tables per distinct largest part.
+Its per-monomial sums stay per sample, in Python floats, from index plans
+made once per call: :func:`_monomial_plan` gives every distinct rest
+product (the product of a monomial's other factor traces) a slot that a
+sample fills with one multiplication, and :func:`_trace_plan` floats each
+image's coefficients once.  Every float operation keeps the order of the
+per-term loop, and :func:`lap_numeric` and :func:`eval_tracepoly` wrap the
+same plans.  Sums over (S,) arrays per family would cost more numpy calls
+than they save at the one to four samples a chunk holds from n = 14 on.
+The Gegenbauer suite runs the three-term recurrence once per chunk over
+the (samples x families) array of entries and reads each family off at its
+own degree.  Each family's error is the exact maximum over the samples, so
+its report does not depend on the chunks, and a NaN error fails its family.
+Exact evaluation takes no flag: :func:`eval_tracepoly` switches to it where
+its float sum may cancel.
 """
 
 from __future__ import annotations
@@ -204,33 +213,102 @@ def _power_tables(flat: np.ndarray, flat_t: np.ndarray, top: int) -> tuple[list,
     return (head @ head.swapaxes(-2, -1)).tolist(), (head @ head_t.swapaxes(-2, -1)).tolist()
 
 
-def _monomial_traces(
-    partition: Partition, frob: list[list[float]], prod: list[list[float]]
-) -> tuple[float, float, float]:
-    """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of a trace monomial, matrix-free.
+def _monomial_plan(partitions: Iterable[Partition]) -> tuple:
+    """The index plan of :func:`_planned_traces` for monomials that share one
+    pair of power tables.
+
+    A rest product, the product of a monomial's factor traces other than one
+    or two of them, is the product of the traces of the remaining parts, in
+    part order; each distinct one is its prefix's product times one trace,
+    so a sample computes it once for all the monomials.  The plan is
+    (products, sums, factors): ``products`` lists (prefix slot, part) for
+    slots 1, 2, ... (slot 0 is the empty product 1.0); ``sums`` lists, for
+    m = 2, ..., top, the table entries summed into the traces of the
+    Hessian of p_m; and ``factors`` holds per monomial, per factor i,
+    (m_i, slot of the rest without i, ((slot of the rest without i and j,
+    m_j) for j != i, in order)).
+    """
+    partitions = list(partitions)
+    slots: dict[tuple[int, ...], int] = {(): 0}
+    products: list[tuple[int, int]] = []
+
+    def slot(rest: tuple[int, ...]) -> int:
+        found = slots.get(rest)
+        if found is None:
+            known = len(rest) - 1
+            while rest[:known] not in slots:
+                known -= 1
+            for end in range(known + 1, len(rest) + 1):  # the missing prefixes, shortest first
+                products.append((slots[rest[: end - 1]], rest[end - 1]))
+                slots[rest[:end]] = found = len(products)
+        return found
+
+    factors = []
+    for partition in partitions:
+        parts = partition.parts
+        monomial = []
+        for i, m in enumerate(parts):
+            rest = parts[:i] + parts[i + 1:]
+            pairs = tuple((slot(rest[:j] + rest[j + 1:]), mp) for j, mp in enumerate(rest))
+            monomial.append((m, slot(rest), pairs))
+        factors.append(tuple(monomial))
+    sums = tuple(
+        (
+            tuple((r, m - 2 - r) for r in range(m - 1)),
+            tuple((r + 1, m - 1 - r) for r in range(m - 1)),
+        )
+        for m in range(2, _top_part(partitions) + 1)
+    )
+    return tuple(products), sums, tuple(factors)
+
+
+def _planned_traces(plan: tuple, frob: list[list[float]], prod: list[list[float]]) -> list:
+    """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of each monomial of the
+    :func:`_monomial_plan`, matrix-free, at one matrix.
 
     ``frob`` and ``prod`` are the :func:`_power_tables` up to at least the
     largest part.  tr((U^t)^r U^{m-2-r}) = <U^r, U^{m-2-r}>, and with
     g_i = m_i (U^t)^{m_i-1} the gradient of the factor p_{m_i}, the
     rank-one Hessian term vec(g_i) vec(g_j)^t contributes
     <g_i, g_j> = m_i m_j <U^{m_i-1}, U^{m_j-1}> and
-    tr(U^t g_j U^t g_i) = m_i m_j tr(U^{m_i} U^{m_j}).
+    tr(U^t g_j U^t g_i) = m_i m_j tr(U^{m_i} U^{m_j}).  The rest products
+    and the per-part sums are shared by the monomials; each monomial adds
+    its terms factor by factor, as a loop over its factors would.
     """
-    parts = partition.parts
+    products, sums, factors = plan
     traces = [row[0] for row in prod]
-    values = [traces[m] for m in parts]
-    radial = tr_hess = tr_lam_hess = 0.0
-    for i, m in enumerate(parts):
-        rest = _rest_product(values, (i,))
-        radial += rest * m * values[i]  # tr(U^t g_i) = m p_m
-        tr_hess += rest * m * sum(frob[r][m - 2 - r] for r in range(m - 1))
-        tr_lam_hess += rest * m * sum(traces[r + 1] * traces[m - 1 - r] for r in range(m - 1))
-        for j, mp in enumerate(parts):
-            if j != i:
-                pair = _rest_product(values, (i, j)) * m * mp
-                tr_hess += pair * frob[m - 1][mp - 1]
-                tr_lam_hess += pair * prod[m][mp]
-    return radial, tr_hess, tr_lam_hess
+    rests = [1.0]
+    for prefix, m in products:
+        rests.append(rests[prefix] * traces[m])
+    # the sums over r of <U^r, U^{m-2-r}> and p_{r+1} p_{m-1-r}; empty at m = 1
+    hess, lam = [0, 0], [0, 0]
+    for hess_entries, lam_entries in sums:
+        hess.append(sum([frob[a][b] for a, b in hess_entries]))
+        lam.append(sum([traces[a] * traces[b] for a, b in lam_entries]))
+    out = []
+    for monomial in factors:
+        radial = tr_hess = tr_lam_hess = 0.0
+        for m, rest, pairs in monomial:
+            scaled = rests[rest] * m
+            radial += scaled * traces[m]  # tr(U^t g_i) = m p_m
+            tr_hess += scaled * hess[m]
+            tr_lam_hess += scaled * lam[m]
+            if pairs:
+                frob_m, prod_m = frob[m - 1], prod[m]
+                for rest_pair, mp in pairs:
+                    pair = rests[rest_pair] * m * mp
+                    tr_hess += pair * frob_m[mp - 1]
+                    tr_lam_hess += pair * prod_m[mp]
+        out.append((radial, tr_hess, tr_lam_hess))
+    return out
+
+
+def _monomial_traces(
+    partition: Partition, frob: list[list[float]], prod: list[list[float]]
+) -> tuple[float, float, float]:
+    """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of a trace monomial, matrix-free;
+    see :func:`_planned_traces`."""
+    return _planned_traces(_monomial_plan([partition]), frob, prod)[0]
 
 
 def _group_laplacian(n: int, radial: float, tr_hess: float, tr_lam_hess: float) -> float:
@@ -284,9 +362,10 @@ def lap_numeric(target, sample: RotationSample) -> float:
         raise TypeError(f"cannot evaluate the Laplacian of {type(target).__name__}")
     top = _top_part(terms)
     tables = _power_tables(*_power_stacks(_powers(sample.matrix, top)), top)
+    traces = _planned_traces(_monomial_plan(terms), *tables)
     return math.fsum(
-        float(coeff) * _group_laplacian(sample.n, *_monomial_traces(part, *tables))
-        for part, coeff in terms.items()
+        float(coeff) * _group_laplacian(sample.n, *monomial)
+        for coeff, monomial in zip(terms.values(), traces)
     )
 
 
@@ -309,14 +388,40 @@ def eval_tracepoly(poly: TracePoly, sample) -> float:
 def _eval_traces(poly: TracePoly, traces: list[float]) -> float:
     """:func:`eval_tracepoly` from the traces p_0, ..., p_top of U's powers,
     top at least the polynomial's largest part; its mode is not checked."""
-    terms = poly.terms
-    values = [math.prod((traces[m] for m in part), start=float(c)) for part, c in terms.items()]
-    total = math.fsum(values)
-    slack = math.fsum(map(abs, values)) * 2.0**-52 * (poly.degree + 2)
-    if slack <= 1e-9 * max(1.0, abs(total)):
-        return total
-    rational = [Fraction(t) for t in traces]
-    return float(sum(math.prod((rational[m] for m in part), start=c) for part, c in terms.items()))
+    return _planned_values(_trace_plan([poly]), traces)[0]
+
+
+def _trace_plan(polys: list[TracePoly]) -> tuple:
+    """The plan of :func:`_planned_values`: every polynomial's terms as
+    (float coefficient, parts), each coefficient floated once, one list for
+    all of them; per polynomial its span of that list, its rounding factor
+    degree + 2, and its exact terms for the fallback."""
+    floats, spans, exact_terms = [], [], []
+    for poly in polys:
+        terms = poly.terms
+        spans.append((len(floats), len(floats) + len(terms), poly.degree + 2))
+        floats.extend((float(c), part.parts) for part, c in terms.items())
+        exact_terms.append(terms)
+    return floats, spans, exact_terms
+
+
+def _planned_values(plan: tuple, traces: list[float]) -> list[float]:
+    """:func:`_eval_traces` of each polynomial of the :func:`_trace_plan`."""
+    floats, spans, exact_terms = plan
+    trace = traces.__getitem__
+    values = [math.prod(map(trace, parts), start=c) for c, parts in floats]
+    out = []
+    for (start, stop, width), terms in zip(spans, exact_terms):
+        own = values[start:stop]
+        total = math.fsum(own)
+        slack = math.fsum(map(abs, own)) * 2.0**-52 * width
+        if slack <= 1e-9 * max(1.0, abs(total)):
+            out.append(total)
+            continue
+        rational = [Fraction(t) for t in traces]
+        value = sum(math.prod((rational[m] for m in part), start=c) for part, c in terms.items())
+        out.append(float(value))
+    return out
 
 
 def sphere_lap_numeric(grad: np.ndarray, hess: np.ndarray, x: np.ndarray, radius: float) -> float:
@@ -485,9 +590,16 @@ def verify_laplacian(
     streams = _sample_streams(seed, samples)
     partitions = list(partitions)
     images = [lap_partition(p).substitute_n(n) for p in partitions]
-    tops = [max(p.parts, default=0) for p in partitions]
-    distinct_tops = set(tops)
-    top = max(tops + [_top_part(image.terms) for image in images], default=0)
+    top = max([_top_part(partitions)] + [_top_part(image.terms) for image in images])
+    # one monomial plan per distinct largest part, whose families take the
+    # table of that width; the columns run in that grouped order, and the
+    # errors go back to family order at the end
+    groups: dict[int, list[int]] = {}
+    for f, p in enumerate(partitions):
+        groups.setdefault(max(p.parts, default=0), []).append(f)
+    grouped = [f for group in groups.values() for f in group]
+    plans = [_monomial_plan(partitions[f] for f in group) for group in groups.values()]
+    image_plan = _trace_plan([images[f] for f in grouped])
     errs = np.zeros((2, len(partitions)))
     for chunk in _chunks(streams, (top + 1) * n * n):
         # lap_numeric(p) and eval_tracepoly(image) of every family from one
@@ -495,15 +607,17 @@ def verify_laplacian(
         # largest part; the monomial sums run per sample
         pows = _powers(_haar_stack(n, chunk), top)
         flat, flat_t = _power_stacks(pows)
-        tables = {t: _power_tables(flat, flat_t, t) for t in distinct_tops}
+        tables = [_power_tables(flat, flat_t, t) for t in groups]
         got, ref = [], []
         for s, traces in enumerate(_traces(pows).T.tolist()):
             got.append([
-                _group_laplacian(n, *_monomial_traces(p, tables[t][0][s], tables[t][1][s]))
-                for p, t in zip(partitions, tops)
+                _group_laplacian(n, *monomial)
+                for plan, (frob, prod) in zip(plans, tables)
+                for monomial in _planned_traces(plan, frob[s], prod[s])
             ])
-            ref.append([_eval_traces(image, traces) for image in images])
+            ref.append(_planned_values(image_plan, traces))
         errs = np.maximum(errs, _chunk_errors(np.array(got), np.array(ref)))
+    errs = errs[:, np.argsort(grouped)]
     return [
         _report("laplacian", n, {"partition": p.serialize()}, samples, seed, tol, errs[:, f])
         for f, p in enumerate(partitions)
@@ -531,29 +645,52 @@ def verify_gegenbauer_families(
         if k < 0:
             raise ValueError("k must be nonnegative")
     alpha = (n - 2) / 2
-    _, rows, cols = np.array(families, dtype=int).reshape(-1, 3).T
+    degrees, rows, cols = np.array(families, dtype=int).reshape(-1, 3).T
+    eigenvalues = np.array([-k * (k + n - 2) / 2 for k, _, _ in families])
     errs = np.zeros((2, len(families)))
     for chunk in chunks:
-        got, ref = [], []
         # one row of entries per sample, one column per family
-        for entries in _haar_stack(n, chunk)[:, rows - 1, cols - 1].tolist():
-            pairs = [_gegenbauer_pair(n, k, alpha, x) for (k, _, _), x in zip(families, entries)]
-            got.append([g for g, _ in pairs])
-            ref.append([r for _, r in pairs])
-        errs = np.maximum(errs, _chunk_errors(np.array(got), np.array(ref)))
+        x = _haar_stack(n, chunk)[:, rows - 1, cols - 1]
+        value, d1, d2 = _gegenbauer_stack(degrees, alpha, x)
+        # grad f = C' e_ij and Hess f = C'' at the one (ij, ij) slot, where
+        # Lambda(U) holds u_ij^2
+        got = _group_laplacian(n, x * d1, d2, x * x * d2)
+        errs = np.maximum(errs, _chunk_errors(got, eigenvalues * value))
     return [
         _report("gegenbauer", n, {"k": k, "i": i, "j": j}, samples, seed, tol, errs[:, f])
         for f, (k, i, j) in enumerate(families)
     ]
 
 
-def _gegenbauer_pair(n: int, k: int, alpha: float, x: float) -> tuple[float, float]:
-    """(ambient Laplacian, eigenvalue times value) of C_k^(alpha) in an entry
-    whose value at the sample is x."""
-    value, d1, d2 = gegenbauer(k, alpha, x)
-    # grad f = C' e_ij and Hess f = C'' at the one (ij, ij) slot, where
-    # Lambda(U) holds u_ij^2
-    return _group_laplacian(n, x * d1, d2, x * x * d2), -k * (k + n - 2) / 2 * value
+def _gegenbauer_stack(degrees: np.ndarray, alpha: float, x: np.ndarray) -> np.ndarray:
+    """[value, first, second derivative] of C_k^(alpha) at every entry of x,
+    an array (..., F) whose column f takes k = degrees[f], as one array.
+
+    One :func:`gegenbauer` recurrence runs over the whole array up to the
+    largest degree, the value and its derivatives as the rows of one stack,
+    and each column is read off at its own degree.  Every entry takes the
+    float operations of the scalar recurrence, in order.
+    """
+    present = set(degrees.tolist())
+    out = np.zeros((3,) + x.shape)
+    out[0] = 1.0  # degree 0
+    prev = out.copy()
+    cur = np.stack((2 * alpha * x, np.full_like(x, 2 * alpha), np.zeros_like(x)))
+    nxt = np.empty_like(cur)
+    doubled = np.array([1.0, 2.0]).reshape((2,) + (1,) * x.ndim)
+    for j in range(1, max(present, default=0) + 1):
+        if j >= 2:
+            a = 2 * (j + alpha - 1)
+            b = j + 2 * alpha - 2
+            # (a x C - b C_prev, a (C + x C') - b C'_prev, a (2 C' + x C'') - b C''_prev) / j
+            np.multiply(a * x, cur[0], out=nxt[0])
+            np.multiply(a, cur[:2] * doubled + x * cur[1:], out=nxt[1:])
+            nxt -= b * prev
+            nxt /= j
+            prev, cur, nxt = cur, nxt, prev
+        if j in present:
+            np.copyto(out, cur, where=degrees == j)
+    return out
 
 
 # kept while perfbench/tracer.py pins it (ROADMAP items 1-2)

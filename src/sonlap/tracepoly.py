@@ -389,8 +389,12 @@ class TracePoly:
         """Evaluate every coefficient at N = n; result stays unreduced."""
         if not self.mode.symbolic:
             raise ValueError("coefficients are already numeric")
-        mode = general_at(n)
-        return TracePoly({p: c.subs(n) for p, c in self._terms.items()}, mode)
+        mode, terms = general_at(n), {}  # subs gives canonical Fractions; zeros are dropped
+        for part, coeff in self._terms.items():
+            value = coeff.subs(n)
+            if value:
+                terms[part] = value
+        return TracePoly._raw(terms, mode)
 
     def reduce(self, mode: GroupMode) -> "TracePoly":
         """Rewrite onto the reduced generators p_1, ..., p_{N // 2} of ``mode``.

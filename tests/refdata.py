@@ -32,7 +32,8 @@ entries per term, summed -- and the term printer as it stood before it read
 signs and magnitudes off the coefficients' digits are frozen too; the
 current ones must equal them term for term and byte for byte.  Numeric
 sums, products, ``reduce`` and ``lap`` as they ran before the fraction-free
-kernel -- one Fraction product and sum per term -- and ``pretty``,
+kernel -- one Fraction product and sum per term -- ``NPoly.subs`` and
+``substitute_n`` as they ran before the integer evaluation, and ``pretty``,
 ``to_json_obj`` and ``monomial_label`` as they printed before their text
 was cached are frozen with them.
 The numeric identity suite as it stood before its finite differences shared
@@ -41,7 +42,9 @@ gradient, with hand-written error maxima -- is frozen at the end; its
 reports must match the current ones float for float.  So are the
 per-sample Haar draw, dense Laplacian contraction, sphere Laplacian and
 tangential projection that the suites' stacked sample chunks replaced, and
-the suites themselves run one sample at a time on them.  ``exact_value``,
+the suites themselves run one sample at a time on them, as are the
+per-term monomial sums and polynomial evaluation that the index plans
+replaced.  ``exact_value``,
 a trace polynomial's value summed in Fraction over the rationalized traces,
 is the exact reference the float evaluation is compared against, and
 ``tracepoly_from_json`` reads back the JSON of ``TracePoly.to_json_obj``.
@@ -831,6 +834,40 @@ def verify_identities_reference(n, samples=20, seed=None, tol=None):
 # loop over the samples per family, each drawing its own rotations
 
 
+def monomial_traces_reference(partition, frob, prod):
+    """The matrix-free (tr(U^t grad), tr Hess, tr(Lambda Hess)) of a trace
+    monomial as summed before the index plans: one rest product per term."""
+    parts = partition.parts
+    traces = [row[0] for row in prod]
+    values = [traces[m] for m in parts]
+    radial = tr_hess = tr_lam_hess = 0.0
+    for i, m in enumerate(parts):
+        rest = _rest_product_ref(values, (i,))
+        radial += rest * m * values[i]
+        tr_hess += rest * m * sum(frob[r][m - 2 - r] for r in range(m - 1))
+        tr_lam_hess += rest * m * sum(traces[r + 1] * traces[m - 1 - r] for r in range(m - 1))
+        for j, mp in enumerate(parts):
+            if j != i:
+                pair = _rest_product_ref(values, (i, j)) * m * mp
+                tr_hess += pair * frob[m - 1][mp - 1]
+                tr_lam_hess += pair * prod[m][mp]
+    return radial, tr_hess, tr_lam_hess
+
+
+def eval_traces_reference(poly: TracePoly, traces: list) -> float:
+    """A trace polynomial's value from the traces of U's powers as evaluated
+    before the plans: each coefficient floated per call, with the exact
+    fallback where the float sum may cancel."""
+    terms = poly.terms
+    values = [math.prod((traces[m] for m in part), start=float(c)) for part, c in terms.items()]
+    total = math.fsum(values)
+    slack = math.fsum(map(abs, values)) * 2.0**-52 * (poly.degree + 2)
+    if slack <= 1e-9 * max(1.0, abs(total)):
+        return total
+    rational = [F(t) for t in traces]
+    return float(sum(math.prod((rational[m] for m in part), start=c) for part, c in terms.items()))
+
+
 def verify_partition_reference(n, partition, samples=20, seed=None, tol=1e-8):
     from sonlap.numeric import (
         DEFAULT_SEED,
@@ -918,6 +955,21 @@ def npoly_str_reference(poly: NPoly) -> str:
         else:
             chunks.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(chunks)
+
+
+def npoly_subs_reference(poly: NPoly, n) -> Fraction:
+    """``NPoly.subs`` as it was before the integer evaluation: a sum of
+    Fraction terms c * n^e."""
+    n = F(n)
+    return sum((c * n**e for e, c in poly.coeffs.items()), F(0))
+
+
+def substitute_n_reference(poly: TracePoly, n: int) -> TracePoly:
+    """``poly.substitute_n(n)`` as it was before: every coefficient through
+    :func:`npoly_subs_reference` and the validating constructor."""
+    from sonlap import general_at
+
+    return TracePoly({p: npoly_subs_reference(c, n) for p, c in poly.terms.items()}, general_at(n))
 
 
 def coeff_chunk_reference(coeff, label):

@@ -41,6 +41,7 @@ from refdata import (
     candidate_characters,
     char_poly,
     closed_candidates_per_group,
+    descending_recursive,
     exact_value,
     block_values_reference,
     leading_kernel_reference,
@@ -123,6 +124,35 @@ def test_basis_positions_match_elements(mode, basis_id):
     basis = basis_for(mode, basis_id, 7)
     assert basis.positions == {element: i for i, element in enumerate(basis.elements)}
     assert basis.positions is basis.positions  # built once per basis
+
+
+@pytest.mark.parametrize(
+    "mode,basis_id",
+    [
+        (GENERAL, "general"), (general_at(5), "general"), (SO3, "bprime"), (SO3, "btrace"),
+        (SO4, "so4"), (so(5), "so5"), (so(6), "so6"), (so(8), "so8"),
+    ],
+)
+def test_basis_elements_equal_the_validated_partitions(mode, basis_id):
+    """The elements are built unchecked; each equals the validated partition
+    of its parts, degree and hash included, in the order of the former
+    construction from validated partitions."""
+    for k in range(13):
+        elements = list(basis_for(mode, basis_id, k).elements)
+        if basis_id == "general":
+            expected = [Partition(mu) for w in range(k + 1) for mu in descending_recursive(w, w)]
+        elif basis_id == "btrace":
+            expected = [Partition.of(j) for j in range(k + 1)]
+        else:
+            expected = [
+                Partition(mu)
+                for w in range(k + 1)
+                for mu in sorted(descending_recursive(w, mode.rank))
+            ]
+        assert elements == expected, k
+        for element, validated in zip(elements, expected):
+            assert type(element.parts) is tuple and element.parts == validated.parts
+            assert element.degree == validated.degree and hash(element) == hash(validated)
 
 
 def test_basis_rejects_bad_combos():

@@ -51,7 +51,9 @@ from refdata import (
     _fd_gradient_ref,
     _fd_hessian_ref,
     _value_ref,
+    eval_traces_reference,
     exact_value,
+    monomial_traces_reference,
     random_son_reference,
     verify_gegenbauer_reference,
     verify_identities_reference,
@@ -398,6 +400,78 @@ def test_traces_evaluation_keeps_the_exact_fallback():
     exact = exact_value(poly, sample)
     assert abs(math.fsum(values) - exact) > 1e-9
     assert _eval_traces(poly, traces) == exact
+
+
+def test_planned_chunk_equals_the_per_matrix_evaluation():
+    """One chunk of 12 samples, as the laplacian suite runs it: the planned
+    values of the images equal eval_tracepoly, and the planned Laplacians of
+    the monomials, one plan per largest part, equal lap_numeric, bit for
+    bit.  The SO(3) character at k = 30 takes the exact fallback at some of
+    the samples only."""
+    n, character = 3, character_so3(30).poly
+    partitions = enumerate_upto(6)
+    polys = [character] + [lap_partition(p).substitute_n(n) for p in partitions]
+    u = haar._haar_stack(n, list(numeric._sample_streams(1, 12)))
+    pows = _powers(u, 6)
+    flat, flat_t = _power_stacks(pows)
+    plan = numeric._trace_plan(polys)
+    fallbacks = []
+    for s, traces in enumerate(numeric._traces(pows).T.tolist()):
+        sample = RotationSample(n, u[s])
+        assert numeric._planned_values(plan, traces) == [eval_tracepoly(p, sample) for p in polys]
+        values = [
+            math.prod((traces[m] for m in part), start=float(c))
+            for part, c in character.terms.items()
+        ]
+        slack = math.fsum(map(abs, values)) * 2.0**-52 * (character.degree + 2)
+        fallbacks.append(slack > 1e-9 * max(1.0, abs(math.fsum(values))))
+        for top in range(7):
+            group = [p for p in partitions if max(p.parts, default=0) == top]
+            frob, prod = _power_tables(flat, flat_t, top)
+            got = numeric._planned_traces(numeric._monomial_plan(group), frob[s], prod[s])
+            assert [numeric._group_laplacian(n, *t) for t in got] == [
+                lap_numeric(p, sample) for p in group
+            ]
+    assert any(fallbacks) and not all(fallbacks)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_plans_equal_the_former_per_term_sums(n):
+    """The planned traces and values take the float operations of the former
+    per-term sums, in order, at rotations and at general matrices alike."""
+    partitions = enumerate_upto(8)
+    polys = [lap_partition(p).substitute_n(n) for p in partitions]
+    rng = np.random.default_rng(n)
+    rotations = haar._haar_stack(n, list(numeric._sample_streams(n, 4)))
+    for u in list(rotations) + [rng.standard_normal((n, n)) for _ in range(4)]:
+        frob, prod = _power_tables(*_power_stacks(_powers(u, 8)), 8)
+        got = numeric._planned_traces(numeric._monomial_plan(partitions), frob, prod)
+        assert got == [monomial_traces_reference(p, frob, prod) for p in partitions]
+        traces = [float(np.trace(p)) for p in _powers(u, 8)]
+        assert numeric._planned_values(numeric._trace_plan(polys), traces) == [
+            eval_traces_reference(poly, traces) for poly in polys
+        ]
+
+
+def test_gegenbauer_stack_equals_the_scalar_recurrence():
+    x = np.random.default_rng(11).uniform(-1.0, 1.0, size=(5, 8))
+    degrees = np.array([0, 1, 2, 30, 5, 30, 1, 0])
+    for alpha in (0.5, 2.0, 29.0):
+        stack = numeric._gegenbauer_stack(degrees, alpha, x)
+        for s in range(5):
+            for f, k in enumerate(degrees.tolist()):
+                assert tuple(stack[:, s, f].tolist()) == gegenbauer(k, alpha, float(x[s, f]))
+
+
+@pytest.mark.parametrize("n", [3, 7])
+def test_gegenbauer_chunk_mixing_degrees_matches_the_reference(n):
+    """Degrees 0, 1 and 30 in one chunk of 25 samples: each family is read
+    at its own degree of the one recurrence."""
+    families = [(30, 1, 1), (0, 1, 2), (1, n, n), (30, 2, 3), (1, 1, 1), (0, n, 1), (7, 2, 2)]
+    assert numeric._STACK_ENTRIES // (n * n) >= 25
+    assert verify_gegenbauer_families(n, families, samples=25, seed=3) == [
+        verify_gegenbauer_reference(n, *family, samples=25, seed=3) for family in families
+    ]
 
 
 def test_lap_numeric_ignores_term_order():
@@ -863,13 +937,16 @@ def test_a_nan_error_fails_its_family():
 def test_a_nan_family_fails_the_cli(monkeypatch, capsys):
     """A family whose symbolic side turns NaN at one sample reports NaN and
     fails, and the verify command exits 1; the other families pass."""
-    evaluate, calls = numeric._eval_traces, []
+    evaluate, calls = numeric._planned_values, []
 
-    def nan_once(poly, traces):
-        calls.append(poly)
-        return math.nan if len(calls) == 5 else evaluate(poly, traces)
+    def nan_once(plan, traces):
+        values = evaluate(plan, traces)  # every family's image at one sample
+        calls.append(traces)
+        if len(calls) == 2:
+            values[0] = math.nan
+        return values
 
-    monkeypatch.setattr(numeric, "_eval_traces", nan_once)
+    monkeypatch.setattr(numeric, "_planned_values", nan_once)
     argv = ["verify", "--suite", "laplacian", "--n", "4", "--k", "2", "--samples", "3"]
     assert main(argv) == 1
     reports = json.loads(capsys.readouterr().out)

@@ -16,9 +16,11 @@ from refdata import (
     json_reference,
     monomial_label_reference,
     npoly_str_reference,
+    npoly_subs_reference,
     pretty_reference,
     reduce_per_factor_reference,
     so4_pm_hand_recurrence,
+    substitute_n_reference,
     tracepoly_from_json,
 )
 from sonlap import tracepoly
@@ -70,6 +72,65 @@ def test_npoly_arithmetic_exact():
 def test_npoly_substitution_is_rational():
     poly = NPoly({2: F(1, 3), 0: F(-1, 7)})
     assert poly.subs(4) == F(16, 3) - F(1, 7)
+
+
+def _random_npoly(rng) -> NPoly:
+    exponents = rng.sample(range(8), rng.randint(0, 5))
+    return NPoly({e: F(rng.randint(-40, 40), rng.randint(1, 12)) for e in exponents})
+
+
+def _assert_lowest_terms(value):
+    assert type(value) is Fraction and value.denominator > 0
+    assert math.gcd(value.numerator, value.denominator) == 1
+
+
+def test_npoly_subs_matches_the_fraction_sum():
+    """The integer evaluation equals the former Fraction sum at an int, a
+    negative int and a Fraction n, and returns a canonical Fraction."""
+    rng = random.Random(28)
+    for _ in range(400):
+        poly = _random_npoly(rng)
+        at = (rng.randint(0, 40), -rng.randint(1, 40), F(rng.randint(-30, 30), rng.randint(1, 9)))
+        for n in at:
+            got = poly.subs(n)
+            want = npoly_subs_reference(poly, n)
+            assert (got.numerator, got.denominator) == (want.numerator, want.denominator), (poly, n)
+            _assert_lowest_terms(got)
+
+
+def _assert_substitution_matches(poly: TracePoly, n: int):
+    got, want = poly.substitute_n(n), substitute_n_reference(poly, n)
+    assert got.mode == want.mode
+    assert list(got.terms.items()) == list(want.terms.items()), n  # term order kept
+    for value in got.terms.values():
+        _assert_lowest_terms(value)
+        assert value
+
+
+def test_substitute_n_matches_the_validated_fraction_form():
+    """Random symbolic polys whose coefficients vanish at some n: those
+    terms are dropped there, and the rest keep their order and values."""
+    rng = random.Random(5)
+    parts = enumerate_upto(5)
+    dropped = 0
+    for _ in range(60):
+        root = rng.randint(2, 9)
+        terms = {}
+        for part in rng.sample(parts, rng.randint(1, 8)):
+            coeff = _random_npoly(rng)
+            terms[part] = coeff * (N - root) if rng.random() < 0.4 else coeff
+        poly = TracePoly(terms)
+        for n in (root, root + 1, 12):
+            _assert_substitution_matches(poly, n)
+        dropped += len(poly.terms) - len(poly.substitute_n(root).terms)
+    assert dropped > 20
+
+
+def test_substitute_n_of_every_laplacian_image_matches_the_fraction_form():
+    for partition in enumerate_upto(8):
+        image = lap_partition(partition)
+        for n in range(2, 9):
+            _assert_substitution_matches(image, n)
 
 
 def test_npoly_division_by_variable():
