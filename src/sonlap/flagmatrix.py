@@ -10,18 +10,19 @@ the conjugate highest weights lam (at most r parts), one per row, each with
 its Casimir value -sum_i lam_i(lam_i + N - 2i)/2.  Two labels of one block
 can share a value from SO(6) on ((4,1,1) and (3,3,0) at weight 6).
 
-In a reduced mode the irreducible characters certify the spectrum and the
-eigenspaces (:func:`_certified_blocks`): each label's character, a
-Koike-Terada l(lam) x l(lam) determinant built independently of the
-matrices, must lie in ker(M - cI), c its value, and the characters sharing
-a value in one block must be independent there.  Then the labels
-diagonalize M, a value's multiplicity is its number of labels and its
-eigenspace their span.  A failed check is an inconsistency and raises,
-naming the block's weight; nothing falls back to elimination.  Fixed-N
-``general`` matrices have no characters yet: eigenvalue extraction is
-refused, and their eigenspaces are solved by block back-substitution.
-Matrix rows are held as their nonzero entries and made integer once; every
-kernel check and elimination runs on those integer rows.
+The irreducible characters certify the spectrum and the eigenspaces of every
+numeric flag (:func:`_certified_blocks`): each label's character, a
+Koike-Terada determinant built independently of the matrices, must lie in
+ker(M - cI), c its value, and the characters sharing a value in one block
+must be independent there.  Then the labels diagonalize M, a value's
+multiplicity is its number of labels and its eigenspace their span.  A
+failed check is an inconsistency and raises, naming the block's weight;
+nothing falls back to elimination.  The fixed-N ``general`` spanning set
+takes the same certificate: its weight-w block is labelled by every
+lam |- w with the value -sum_i lam_i(lam_i + N - 2i)/2, and each label's
+character is the universal o_lam, whose coefficients are free of N.  Only
+symbolic N is refused.  Matrix rows are held as their nonzero entries and
+made integer once; every kernel check runs on those integer rows.
 
 The flag is nested: the order-k matrix is the leading principal submatrix of
 every higher order of the same (mode, basis), with nothing below its
@@ -38,7 +39,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from math import gcd, lcm
 
 from .laplacian import lap, lap_monomial, so3_lap_pm_btrace
@@ -50,6 +51,7 @@ from .tracepoly import (
     GroupMode,
     TracePoly,
     _newton_step,
+    elementary,
     general_at,
     monomial_label,
     so,
@@ -331,17 +333,14 @@ class FlagMatrix:
         return _certified_blocks(self)
 
     @cached_property
-    def _integer_rows(self) -> list[tuple[int, list[int]]]:
-        """Each row as (scale, ints), ints = scale * row with scale its least common
-        denominator: the one integer form every elimination is built from.  The
-        scale is read off the nonzero entries; the ints are dense, for slicing."""
+    def _integer_rows(self) -> list[tuple[int, dict[int, int]]]:
+        """Each row as (scale, {column: int}), the ints scale times the row's
+        nonzero entries and scale their least common denominator: the one
+        integer form every kernel check reads."""
         out = []
         for row in self.entries:
             scale = lcm(*(v.denominator for v in row.terms.values()))
-            ints = [0] * self.dim
-            for j, v in row.terms.items():
-                ints[j] = v.numerator * (scale // v.denominator)
-            out.append((scale, ints))
+            out.append((scale, {j: v.numerator * (scale // v.denominator) for j, v in row.terms.items()}))
         return out
 
 
@@ -424,52 +423,12 @@ def _rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat, pivots
 
 
-def _nullspace(rows: list[list[int]]) -> list[list[int]]:
-    """Kernel basis of integer rows as primitive integer vectors.
-
-    The vector of free column f is a multiple of the RREF nullspace vector:
-    nonzero at f, zero at the other free columns.
-    """
-    mat, pivots = _rref(rows)
-    ncols = len(mat[0])
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        used = [(r, pc) for r, pc in enumerate(pivots) if mat[r][fc]]
-        scale = lcm(*(mat[r][pc] for r, pc in used))
-        vec = [0] * ncols
-        vec[fc] = scale
-        for r, pc in used:
-            vec[pc] = -mat[r][fc] * (scale // mat[r][pc])
-        basis.append(_content_free(vec))
-    return basis
-
-
 def _primitive(vec: list) -> list[Fraction]:
     """Scale to coprime integers with a positive leading nonzero entry."""
     ints = _content_free(_cleared(vec)[1])
     if next((v for v in ints if v), 0) < 0:
         ints = [-v for v in ints]
     return [Fraction(v) for v in ints]
-
-
-def _block_rows(matrix: FlagMatrix, start: int, stop: int, eigenvalue: Fraction, kernel) -> list:
-    """Integer rows of [B - eigenvalue I | M[start:stop, stop:end] X], B the diagonal
-    block on start..stop-1 and X the integer ``kernel`` vectors on stop..end-1.
-
-    Row i is matrix row i times its denominator and the eigenvalue's.
-    """
-    num, den = eigenvalue.numerator, eigenvalue.denominator
-    end = stop + len(kernel[0]) if kernel else stop
-    rows = []
-    for i, (scale, ints) in enumerate(matrix._integer_rows[start:stop], start):
-        row = [den * v for v in ints[start:stop]]
-        row[i - start] -= num * scale
-        support = [j for j in range(stop, end) if ints[j]]
-        row += [den * sum(ints[j] * vec[j - stop] for j in support) for vec in kernel]
-        rows.append(row)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +459,11 @@ def _closed_candidates(mode: GroupMode, weight: int) -> list[tuple[Fraction, obj
     """(Casimir value, label) of each lam |- weight with at most r = N // 2 parts,
     the conjugate of a reduced monomial p_mu of the block; the label is
     k = lam_1 on SO(3), (lam_1 + lam_2, lam_1 - lam_2) on SO(4), and the
-    highest weight lam itself, r parts with zeros, from SO(5) on."""
+    highest weight lam itself, r parts with zeros, from SO(5) on.  At a fixed
+    N the general block has one row per lam |- weight, each its own label."""
     r = mode.rank
+    if r is None:
+        return [(_casimir(mode.n, lam), lam) for lam in _descending(weight, weight)]
     out = []
     for mu in _descending(weight, r):
         lam = tuple(sum(part >= i for part in mu) for i in range(1, r + 1))
@@ -551,9 +513,10 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
     """The character certificate of the spectrum, block by block.
 
     The labels of the weight-w block are its closed-form candidates, one per
-    row.  Each label's character must lie in ker(M - cI), c its Casimir
-    value, and the characters that share c in the block must be independent
-    on it.  Characters of distinct values, or ending in distinct blocks, are
+    row, in a reduced mode and in fixed-N general mode alike.  Each label's
+    character must lie in ker(M - cI), c its Casimir value, and the
+    characters that share c in the block must be independent on it.
+    Characters of distinct values, or ending in distinct blocks, are
     independent anyway, so the labels give dim M independent eigenvectors:
     they diagonalize M, the multiplicity of c is its number of labels and
     ker(M - cI) is their span.  A failed check is an inconsistency and
@@ -564,8 +527,8 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
     each eigenvalue's labels, in block order.
     """
     mode = matrix.basis.mode
-    if mode.tag == "general":
-        raise ValueError("eigenvalue extraction requires a proven basis (reduced SO(N) modes only)")
+    if mode.symbolic:
+        raise ValueError("the symbolic general flag has no certified spectrum; fix N first")
     found: dict[Fraction, list[tuple[object, list[Fraction]]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
         block = matrix.flag.blocks.get(weight)
@@ -592,7 +555,7 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
 
 
 def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
-    """Exact spectrum of a reduced-mode flag matrix, certified by its characters.
+    """Exact spectrum of a numeric flag matrix, certified by its characters.
 
     Each eigenvalue carries the labels whose characters span its eigenspace
     (see :func:`_certified_blocks`), in block order, and its geometric
@@ -607,18 +570,15 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
     nullspace: primitive vectors, ordered by their last nonzero entry, each
     zero at the others' last nonzero entries.
 
-    In a reduced mode it is the row reduction from the right of the
-    certified character coordinates, cut at the end of the eigenvalue's last
-    block; a fixed-N ``general`` matrix is solved by :func:`_leading_kernel`.
-    Every call returns fresh lists, zero-padded to the matrix.
+    It is the row reduction from the right of the certified character
+    coordinates (see :func:`_certified_blocks`), cut at the end of the
+    eigenvalue's last block: the coordinates span the kernel, and that
+    reduction is the one normal form the kernel alone fixes.  Every call
+    returns fresh lists, zero-padded to the matrix.
     """
-    mode = matrix.basis.mode
-    if mode.symbolic:
-        raise ValueError("exact eigenspaces need rational entries; fix N first")
+    blocks = matrix._eigenblocks  # the symbolic flag is refused before the value is read
     eigenvalue = Fraction(eigenvalue)
-    if mode.tag == "general":
-        return _leading_kernel(matrix, eigenvalue)
-    pairs = matrix._eigenblocks.get(eigenvalue)
+    pairs = blocks.get(eigenvalue)
     if not pairs:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
     end = len(pairs[-1][1])  # the labels of the last block come last
@@ -626,42 +586,6 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
     pad = [Fraction(0)] * (matrix.dim - end)
     # the rows come in pivot order, so by descending last nonzero entry once flipped back
     return [_primitive(row[::-1]) + pad for row in reversed(_rref(flipped)[0])]
-
-
-def _leading_kernel(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
-    """Kernel of M - eigenvalue I by block back-substitution, as primitive
-    vectors: the route of fixed-N ``general`` matrices, which have no characters.
-
-    The blocks are walked from the last down to block 0.  With X the q
-    kernel vectors found so far on the later blocks, one nullspace of the
-    b x (b + q) system [B_s - eigenvalue | M[s, >s] X] gives the block's new
-    kernel vectors together with the solvability conditions on the old
-    ones, so singular and invertible blocks, and eigenvalues of several
-    blocks, take the same step.  The system rows are integer multiples of
-    the matrix rows and X is kept as primitive integer vectors, so no step
-    builds a Fraction.
-
-    Every step keeps X in the normal form of the RREF nullspace, which the
-    kernel alone fixes: the vectors are ordered by their last nonzero entry,
-    and each is zero at the others' last nonzero entries.  A block's new
-    vectors end inside the block, before every old one.  An old vector that
-    survives picks up only earlier old vectors, the ones the block's
-    solvability conditions remove.  So the primitive basis is the one a
-    full-matrix elimination gives.
-    """
-    kernel: list[list[int]] = []  # restricted to the columns from the last solved block on
-    for start, stop, _ in reversed(matrix.basis.block_ranges()):
-        width = stop - start
-        solved = []
-        for sol in _nullspace(_block_rows(matrix, start, stop, eigenvalue, kernel)):
-            # the block part, then the combination of the old vectors it asks for
-            used = [(c, vec) for c, vec in zip(sol[width:], kernel) if c]
-            tail = [sum(c * vec[j] for c, vec in used) for j in range(matrix.dim - stop)]
-            solved.append(_content_free(sol[:width] + tail))
-        kernel = solved
-    if not kernel:
-        raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
-    return [_primitive(vec) for vec in kernel]
 
 
 # ---------------------------------------------------------------------------
@@ -691,25 +615,62 @@ def _complete(mode: GroupMode, k: int) -> TracePoly:
     return _newton_step(mode, k, lambda j: _complete(mode, j))
 
 
+@lru_cache(maxsize=None)
+def _symmetric(mode: GroupMode, sign: int, k: int) -> TracePoly:
+    """The complete h_k (``sign`` 1) or elementary e_k (``sign`` -1) symmetric
+    function in ``mode``: 1 at k = 0, zero for k < 0.
+
+    A reduced mode reads its tables, :func:`_complete` and ``elementary``,
+    with e_k = 0 past N.  General mode keeps p_1, p_2, ... free, so Newton's
+    identities k x_k = sum_{i=1}^k sign^(i-1) p_i x_{k-i} run with no cap at
+    N: these are the h_k and e_k of the universal characters.
+    """
+    if mode.rank is not None and sign == 1:
+        return _complete(mode, k)
+    if k <= 0:
+        return TracePoly.constant(int(k == 0), mode)
+    if mode.rank is not None:
+        e = elementary(mode)
+        return e[k] if k < len(e) else TracePoly.zero(mode)
+    terms = (
+        TracePoly.power_sum(i, mode) * _symmetric(mode, sign, k - i) * sign ** (i - 1) for i in range(1, k + 1)
+    )
+    return TracePoly.sum(terms, mode) * Fraction(1, k)
+
+
 def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TracePoly, Fraction]:
     """Koike-Terada orthogonal character o_lam in ``mode``, and its eigenvalue.
 
-    o_lam = det(h_{lam_i-i+j} - h_{lam_i-i-j})_{i,j <= N // 2} (Koike and
-    Terada, J. Algebra 107, 1987); ``lam`` has N // 2 parts, zeros allowed.
-    Only the leading l(lam) x l(lam) minor is built, l(lam) the number of
-    nonzero parts (at least 1).  That is exact: a row i > l(lam) has
-    lam_i = 0, so its entries h_{j-i} - h_{-i-j} are zero left of the
-    diagonal and 1 on it, and the matrix is block upper triangular with a
-    unit triangular corner.  For even N and lam_r > 0 it is the sum of the
-    two mirror SO(N) characters.  The eigen-equation D o_lam = c o_lam, c the
-    Casimir value of lam, is verified exactly.
+    Koike and Terada (J. Algebra 107, 1987) give the universal o_lam two
+    determinants, equal in the ring of symmetric functions and so under every
+    specialization: to a rotation's eigenvalues in ``so(N)``, and to the free
+    p_m of fixed-N general mode.  The smaller is built, the h-form on a tie
+    (0-based i, j; l(lam) the number of nonzero parts, lam' the conjugate):
+
+    - the h-form det(h_{lam_i-i+j} - h_{lam_i-i-j-2}) on l(lam) rows.  The
+      r x r determinant of an r-part ``lam`` (zeros allowed) is exactly this
+      leading minor: a row i >= l(lam) has lam_i = 0, so its entries are zero
+      left of the diagonal and 1 on it, a unit triangular corner;
+    - the e-form on lam_1 rows, column 0 e_{lam'_i-i} and column j > 0
+      e_{lam'_i-i+j} + e_{lam'_i-i-j}: the dual determinant itself, uncut,
+      since lam' has exactly lam_1 nonzero parts.
+
+    In ``so(N)`` ``lam`` has N // 2 parts, and for even N and lam_r > 0 o_lam
+    is the sum of the two mirror SO(N) characters; in general mode ``lam``
+    is any partition.  The eigen-equation D o_lam = c o_lam, c the Casimir
+    value of lam at N, is verified exactly.
     """
-    size = range(max(1, sum(part > 0 for part in lam)))  # 0-based i, j: the lower h shifts by 2
-    rows = [
-        [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
-        for i in size
-    ]
-    poly = _determinant(rows)
+    length = sum(part > 0 for part in lam)
+    width = lam[0] if lam else 0
+    if length <= width:
+        h = partial(_symmetric, mode, 1)
+        size = range(length)
+        rows = [[h(lam[i] - i + j) - h(lam[i] - i - j - 2) for j in size] for i in size]
+    else:
+        e = partial(_symmetric, mode, -1)
+        shifts = [sum(part > i for part in lam) - i for i in range(width)]  # lam'_i - i
+        rows = [[e(c + j) + e(c - j) if j else e(c) for j in range(width)] for c in shifts]
+    poly = _determinant(rows) if rows else TracePoly.constant(1, mode)
     eigenvalue = _casimir(mode.n, lam)
     if lap(poly) != poly * eigenvalue:
         raise ArithmeticError(f"character eigen-equation fails at {lam} in {mode}")
@@ -718,7 +679,7 @@ def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TraceP
 
 def _determinant(rows: list[list[TracePoly]]) -> TracePoly:
     """Determinant by Laplace expansion along the first row: r! products of
-    r entries for an r x r matrix, r = l(lam) here."""
+    r entries for an r x r matrix, r = min(l(lam), lam_1) here."""
     if len(rows) == 1:
         return rows[0][0]
     minors = ([row[:j] + row[j + 1:] for row in rows[1:]] for j in range(len(rows)))
@@ -780,7 +741,8 @@ def _label_character(mode: GroupMode, label) -> Character:
 
     Built and verified once per label; the certificate of
     :func:`_certified_blocks` checks it against every flag.  From SO(5) on
-    the label is the highest weight lam and the character is o_lam.
+    the label is the highest weight lam and the character is o_lam; at a
+    fixed N in general mode it is the partition lam of the universal o_lam.
     """
     if mode == SO3:
         return character_so3(label)
@@ -810,10 +772,9 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
 def _in_kernel(matrix: FlagMatrix, eigenvalue: Fraction, vec: list[Fraction]) -> bool:
     """Whether (M - eigenvalue I) vec = 0 exactly, in integer arithmetic."""
     ints = _cleared(vec)[1]
-    support = [j for j, v in enumerate(ints) if v]
     num, den = eigenvalue.numerator, eigenvalue.denominator
     return all(
-        den * sum(row[j] * ints[j] for j in support) == num * scale * ints[i]
+        den * sum(v * ints[j] for j, v in row.items()) == num * scale * ints[i]
         for i, (scale, row) in enumerate(matrix._integer_rows)
     )
 

@@ -21,9 +21,11 @@ that the spectra were deflated from before the block nullity check, the
 eigenspace solve by one Fraction RREF of a leading principal submatrix that
 block back-substitution and then the character certificate replaced, and
 the full r x r Koike-Terada determinant that the leading l(lam) minor
-replaced.  The per-group rules that the rank rule
-r = N // 2 replaced -- the SO(3)/SO(4) block candidates, the ``so4`` basis
-order and the ``spectrum_closed`` enumerations -- are frozen as well, and so is
+replaced.  The universal character's h-form over h_k summed by cycle type
+is the reference for the Newton-built determinants of fixed-N general
+mode.  The per-group rules that the rank rule r = N // 2 replaced -- the
+SO(3)/SO(4) block candidates, the ``so4`` basis order and the
+``spectrum_closed`` enumerations -- are frozen as well, and so is
 the recursive generator chain that enumerated partitions before the
 in-place next-partition step.  All of them serve as exact references.
 ``TracePoly.reduce`` as it stood before it read cached reduced monomials --
@@ -560,6 +562,37 @@ def orthogonal_character_full(mode, lam: tuple) -> TracePoly:
         for i in size
     ]
     return _determinant(rows)
+
+
+def complete_by_cycle_types(mode, k: int) -> TracePoly:
+    """h_k = sum over mu |- k of p_mu / z_mu, z_mu = prod_i i^{m_i} m_i! (m_i the
+    number of parts i): the complete symmetric function in free power sums."""
+    if k < 0:
+        return TracePoly.zero(mode)
+    terms = {}
+    for mu in descending_recursive(k, k):
+        z = 1
+        for part in set(mu):
+            count = mu.count(part)
+            z *= part**count * math.factorial(count)
+        terms[Partition.of(*mu)] = F(1, z)
+    return TracePoly(terms, mode)
+
+
+def universal_character_h_form(mode, lam: tuple) -> TracePoly:
+    """The universal o_lam in general mode as the l(lam)-row Koike-Terada
+    h-form, each h_k summed over cycle types (1 for the empty lam)."""
+    from sonlap.flagmatrix import _determinant
+
+    size = range(len(lam))
+    rows = [
+        [
+            complete_by_cycle_types(mode, lam[i] - i + j) - complete_by_cycle_types(mode, lam[i] - i - j - 2)
+            for j in size
+        ]
+        for i in size
+    ]
+    return _determinant(rows) if rows else TracePoly.constant(1, mode)
 
 
 # ---------------------------------------------------------------------------

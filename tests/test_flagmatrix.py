@@ -51,6 +51,7 @@ from refdata import (
     so4_character_chebyshev,
     so4_monomial_partition,
     spectrum_closed_per_group,
+    universal_character_h_form,
 )
 
 F = Fraction
@@ -438,11 +439,23 @@ def test_general_matrix_eigenspaces():
 
 
 def test_general_matrix_at_fixed_n():
+    """At a fixed N the spanning set is certified like a reduced flag: each
+    multiplicity is the dimension of the eigenspace one Fraction RREF of the
+    whole matrix gives, and the labels of the weight-w block are the lam |- w,
+    each matched with the universal character o_lam."""
     matrix = build_matrix(general_at(5), "general", 2)
     col = [row[2] for row in matrix.entries]
     assert col == [F(1), F(0), F(-4), F(-1)]
-    with pytest.raises(ValueError):
-        eigenvalues_exact(matrix)
+    for k in range(6):
+        matrix = build_matrix(general_at(5), "general", k)
+        entries = eigenvalues_exact(matrix)
+        for entry in entries:
+            assert entry.geometric_multiplicity == len(leading_kernel_reference(matrix, entry.eigenvalue))
+        labels = sorted(label for entry in entries for label in entry.labels)
+        assert labels == sorted(p.parts for p in enumerate_upto(k))
+        for entry, character in match_characters(matrix):
+            assert character.group == "general" and character.eigenvalue == entry.eigenvalue
+            assert flagmatrix._casimir(5, character.label) == entry.eigenvalue
 
 
 # ---------------------------------------------------------------------------
@@ -640,10 +653,37 @@ def test_orthogonal_character_determinant_keeps_the_small_ranks():
     assert flagmatrix._orthogonal_character(so(7), (1, 1, 0))[0] == (p1 * p1 - p2) * F(1, 2)
 
 
+@pytest.mark.parametrize(
+    "mode, lam, size",
+    [
+        (SO3, (0,), 0), (SO3, (1,), 1), (SO3, (5,), 1),
+        (SO4, (1, 1), 1), (SO4, (1, 0), 1), (SO4, (2, 1), 2), (SO4, (2, 2), 2), (SO4, (4, 3), 2),
+        (so(8), (1, 1, 1, 1), 1), (so(8), (2, 2, 1, 0), 2), (so(8), (3, 1, 1, 0), 3),
+        (general_at(4), (), 0), (general_at(4), (1,) * 6, 1), (general_at(4), (2, 2, 2), 2),
+        (general_at(4), (3, 3, 3), 3), (general_at(4), (4, 1), 2),
+    ],
+)
+def test_orthogonal_character_builds_the_smaller_determinant(monkeypatch, mode, lam, size):
+    """The l(lam)-row h-form or the lam_1-row e-form, whichever is smaller, the
+    h-form on a tie: of the reduced labels up to SO(4) only (1, 1), the SO(4)
+    spin pair (1, 0), takes the e-form.  The empty lam needs no determinant."""
+    sizes = []
+    determinant = flagmatrix._determinant
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return determinant(rows)
+
+    monkeypatch.setattr(flagmatrix, "_determinant", recording)
+    flagmatrix._orthogonal_character(mode, lam)
+    assert sizes[:1] == ([size] if size else [])
+
+
 def test_orthogonal_character_leading_minor_equals_the_full_determinant():
-    """The l(lam) x l(lam) minor gives the r x r determinant, term order
-    included, for every lam |- w <= 8 with at most r parts in SO(5)-SO(10)."""
-    labels = 0
+    """The chosen form gives the r x r determinant for every lam |- w <= 8
+    with at most r parts in SO(5)-SO(10): the l(lam)-row h-form term order
+    included, the lam_1-row e-form (chosen where lam_1 < l(lam)) as a poly."""
+    labels, e_forms = 0, 0
     for n in range(5, 11):
         mode = so(n)
         for weight in range(9):
@@ -651,9 +691,26 @@ def test_orthogonal_character_leading_minor_equals_the_full_determinant():
                 poly = flagmatrix._orthogonal_character(mode, lam)[0]
                 full = orthogonal_character_full(mode, lam)
                 assert poly == full, (n, lam)
-                assert list(poly._terms.items()) == list(full._terms.items()), (n, lam)
+                if lam[0] < sum(part > 0 for part in lam):
+                    e_forms += 1
+                else:
+                    assert list(poly._terms.items()) == list(full._terms.items()), (n, lam)
                 labels += 1
     assert labels == 273
+    assert e_forms == 60
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_universal_character_equals_its_h_form_in_general_mode(n):
+    """In fixed-N general mode the chosen determinant over Newton's h_k or
+    e_k equals the l(lam)-row h-form over h_k summed by cycle type, for every
+    lam with |lam| <= 6, and its eigenvalue is the Casimir value at N."""
+    mode = general_at(n)
+    for p in enumerate_upto(6):
+        lam = p.parts
+        poly, eigenvalue = flagmatrix._orthogonal_character(mode, lam)
+        assert poly == universal_character_h_form(mode, lam), lam
+        assert eigenvalue == flagmatrix._casimir(n, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -1022,11 +1079,13 @@ def test_back_substitution_equals_the_leading_submatrix_solve(mode, basis_id, ks
         assert len(eigenspace_exact(matrix, F(-18))) == 2
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_back_substitution_equals_the_leading_submatrix_solve_in_general_mode(n):
-    """Fixed-N spanning-set matrices start at their last block.  Every Casimir
-    value of a partition of weight <= k is tried; together their eigenspaces
-    fill the space, and a value that is no eigenvalue is refused by both."""
+    """The certified universal-character spans of a fixed-N spanning-set
+    matrix, put in normal form, are the primitive basis one RREF of the whole
+    matrix gives.  Every Casimir value of a partition of weight <= k is tried;
+    together their eigenspaces fill the space, and a value that is no
+    eigenvalue is refused by both."""
     for k in range(6):
         matrix = build_matrix(general_at(n), "general", k)
         found = 0
