@@ -47,11 +47,12 @@ MAX_DEGREE = 30
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
 # 2-core machine.  Every suite runs its samples in chunks, one stacked draw
 # and one stacked pass per family per chunk (see ``numeric``); a chunk holds
-# max(1, 4096 // e) samples, e the floats one sample takes in the suite's
-# largest stacked array, so from n = 9 on an identities chunk is one sample,
-# and so is a laplacian or gegenbauer chunk at n = 60.  The laplacian suite
-# walks every partition of degree <= --k: 0.22-0.37 s at k=12, 0.33-0.58 s
-# at 16 (a library call).  The identities suite's n^2 x n^2 matrices and its
+# max(1, 16384 // e) samples, e the floats one sample takes in the suite's
+# largest stacked array, so from n = 10 on an identities chunk is one sample
+# (two at n = 9), and a laplacian k=0 or gegenbauer chunk at n = 60 holds
+# four (a laplacian k=12 chunk one).  The laplacian suite walks every
+# partition of degree <= --k: 0.22-0.37 s at k=12, 0.33-0.58 s at 16 (a
+# library call).  The identities suite's n^2 x n^2 matrices and its
 # stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and 126 MB
 # at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses
 # it).  The gegenbauer --k is a degree.
@@ -62,19 +63,20 @@ MAX_DEGREE = 30
 # cheapest suite, laplacian n=3 k=0, takes 0.21-0.33 s over 1000 samples.
 # A laplacian chunk builds U's powers, their traces and the power tables
 # once for all its partitions, and each sample checks every partition of
-# degree <= --k from index plans made once per call, so that suite's time
+# degree <= --k from index plans (the monomial plans built once per group
+# of partitions and kept, the image plan once per call), so that suite's time
 # grows as samples x partitions.  The product is bounded at the cost of
-# n=60: 4 samples at k=12 (1088) take 0.23-0.38 s and 1000 samples at k=0
-# 0.58-1.04 s; gegenbauer n=60 k=30, one recurrence per one-sample chunk,
-# takes 0.87-1.68 s over 1000 samples (ranges over 7 runs, import included,
+# n=60: 4 samples at k=12 (1088) take 0.21-0.22 s and 1000 samples at k=0
+# 0.46-0.49 s; gegenbauer n=60 k=30, one recurrence per four-sample chunk,
+# takes 0.57-0.73 s over 1000 samples (ranges over 7 runs, import included,
 # on a shared host whose runs spread widely).
 # An identities sample costs about n^4 from n=20 on: 0.24 s at n=30, 0.3 us
 # per n^4 (in process).  Its samples x n^4 is bounded at 2 samples at
-# MAX_IDENTITIES_N: 0.73-1.41 s (median 0.89 s), and 1.02-1.31 s at the
-# bound for n=10 (162 samples).  Below n=9 a chunk of samples shares the
-# fixed cost of a sample: 1000 samples at n=3 take 0.38-0.47 s, below the
-# other suites' worst accepted inputs, so the bound needs no per-sample
-# floor.
+# MAX_IDENTITIES_N: 0.62-0.73 s (median 0.65 s), 0.69-0.74 s at the bound
+# for n=10 (162 samples) and 0.72-0.76 s for n=9 (246 samples, two a
+# chunk).  Below n=10 a chunk of samples shares the fixed cost of a sample:
+# 1000 samples at n=3 take 0.24-0.25 s, below the other suites' worst
+# accepted inputs, so the bound needs no per-sample floor.
 MAX_LAPLACIAN_K = 12
 MAX_LAPLACIAN_WORK = 1100
 MAX_IDENTITIES_N = 30

@@ -48,22 +48,27 @@ whole stack at once.
 Sample i reads the i-th seeded stream whatever the chunk, and batched QR,
 determinants, products, traces and sums equal the per-matrix ones bit for
 bit, so each report equals that of a loop over the samples, one family at a
-time.  A chunk holds max(1, 4096 // e) samples, e the float entries one
+time.  A chunk holds max(1, 16384 // e) samples, e the float entries one
 sample takes in the suite's largest stacked array: n^4 for the identity
 suite, (top + 1) n^2 for the laplacian suite's power stacks and n^2 for the
-Gegenbauer suite, so a chunk's arrays stay near those of one sample at
-n = 8.  Powers of a float are taken in Python, one sample at a time: numpy's
+Gegenbauer suite.  So that array holds at most 16384 floats (128 KiB)
+unless one sample takes more, and from n = 10 on an identities chunk holds
+one sample, whose memory bounds the run's.  The identity suite forms one
+set of powers I, U, ..., U^10 per chunk, which the dense derivatives, the
+tangential gradients and the pairings all read.  Powers of a float are
+taken in Python, one sample at a time: numpy's
 ``array ** int`` differs from ``float ** int`` in the last bit for some
 inputs.  The laplacian suite builds one set of powers, traces and flattened
 power stacks per chunk, and one pair of tables per distinct largest part.
-Its per-monomial sums stay per sample, in Python floats, from index plans
-made once per call: :func:`_monomial_plan` gives every distinct rest
-product (the product of a monomial's other factor traces) a slot that a
-sample fills with one multiplication, and :func:`_trace_plan` floats each
-image's coefficients once.  Every float operation keeps the order of the
-per-term loop, and :func:`lap_numeric` and :func:`eval_tracepoly` wrap the
-same plans.  Sums over (S,) arrays per family would cost more numpy calls
-than they save at the one to four samples a chunk holds from n = 14 on.
+Its per-monomial sums stay per sample, in Python floats, from index plans:
+:func:`_monomial_plan`, built once per tuple of partitions and kept, gives
+every distinct rest product (the product of a monomial's other factor
+traces) a slot that a sample fills with one multiplication, and
+:func:`_trace_plan`, made once per call, floats each image's coefficients
+once.  Every float operation keeps the order of the per-term loop, and
+:func:`lap_numeric` and :func:`eval_tracepoly` wrap the same plans.  Sums
+over (S,) arrays per family would cost more numpy calls than they save at
+the one to four samples a chunk holds from n = 26 on, at k = 4 to 12.
 The Gegenbauer suite runs the three-term recurrence once per chunk over
 the (samples x families) array of entries and reads each family off at its
 own degree.  Each family's error is the exact maximum over the samples, so
@@ -78,7 +83,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
 import numpy as np
@@ -92,7 +97,7 @@ DEFAULT_SEED = 20230
 
 # float entries in one sample chunk's largest stacked array; see the module
 # docstring
-_STACK_ENTRIES = 4096
+_STACK_ENTRIES = 16384
 
 
 @dataclass
@@ -178,7 +183,8 @@ def euclid_derivatives(partition: Partition, sample: RotationSample) -> Derivati
     follow from the product rule, including the rank-one cross terms
     vec(grad p_i) vec(grad p_j)^t.
     """
-    value, grad, hess = _dense_derivatives(partition, sample.matrix)
+    pows, values = _powers_and_traces(partition, sample.matrix)
+    value, grad, hess = _dense_derivatives(partition, pows, values)
     return DerivativeBundle(float(value), grad, hess)
 
 
@@ -213,9 +219,10 @@ def _power_tables(flat: np.ndarray, flat_t: np.ndarray, top: int) -> tuple[list,
     return (head @ head.swapaxes(-2, -1)).tolist(), (head @ head_t.swapaxes(-2, -1)).tolist()
 
 
-def _monomial_plan(partitions: Iterable[Partition]) -> tuple:
+@lru_cache(maxsize=None)
+def _monomial_plan(partitions: tuple[Partition, ...]) -> tuple:
     """The index plan of :func:`_planned_traces` for monomials that share one
-    pair of power tables.
+    pair of power tables; built once per tuple of partitions, and immutable.
 
     A rest product, the product of a monomial's factor traces other than one
     or two of them, is the product of the traces of the remaining parts, in
@@ -228,7 +235,6 @@ def _monomial_plan(partitions: Iterable[Partition]) -> tuple:
     (m_i, slot of the rest without i, ((slot of the rest without i and j,
     m_j) for j != i, in order)).
     """
-    partitions = list(partitions)
     slots: dict[tuple[int, ...], int] = {(): 0}
     products: list[tuple[int, int]] = []
 
@@ -308,7 +314,7 @@ def _monomial_traces(
 ) -> tuple[float, float, float]:
     """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of a trace monomial, matrix-free;
     see :func:`_planned_traces`."""
-    return _planned_traces(_monomial_plan([partition]), frob, prod)[0]
+    return _planned_traces(_monomial_plan((partition,)), frob, prod)[0]
 
 
 def _group_laplacian(n: int, radial: float, tr_hess: float, tr_lam_hess: float) -> float:
@@ -362,7 +368,7 @@ def lap_numeric(target, sample: RotationSample) -> float:
         raise TypeError(f"cannot evaluate the Laplacian of {type(target).__name__}")
     top = _top_part(terms)
     tables = _power_tables(*_power_stacks(_powers(sample.matrix, top)), top)
-    traces = _planned_traces(_monomial_plan(terms), *tables)
+    traces = _planned_traces(_monomial_plan(tuple(terms)), *tables)
     return math.fsum(
         float(coeff) * _group_laplacian(sample.n, *monomial)
         for coeff, monomial in zip(terms.values(), traces)
@@ -598,7 +604,7 @@ def verify_laplacian(
     for f, p in enumerate(partitions):
         groups.setdefault(max(p.parts, default=0), []).append(f)
     grouped = [f for group in groups.values() for f in group]
-    plans = [_monomial_plan(partitions[f] for f in group) for group in groups.values()]
+    plans = [_monomial_plan(tuple(partitions[f] for f in group)) for group in groups.values()]
     image_plan = _trace_plan([images[f] for f in grouped])
     errs = np.zeros((2, len(partitions)))
     for chunk in _chunks(streams, (top + 1) * n * n):
@@ -786,17 +792,17 @@ def verify_identities(
         check("lambda-commutation", lam @ k_comm, _kron(u_t, u))
         check("lambda-commutation", k_comm @ lam, _kron(u, u_t))
 
+        pows = _powers(u, 10)  # gradient pairings reach p_{m+m'} with m, m' <= 5
+        traces = _traces(pows)
+
         for parts in _FD_PARTITIONS:
             partition = Partition.of(*parts)
-            _, grad, hess = _dense_derivatives(partition, u)
+            _, grad, hess = _dense_derivatives(partition, pows, [traces[m] for m in parts])
             _check_symmetric(hess)
             # one sweep: column 0 differentiates the value, the rest the gradient
             sweep = _central_differences(partial(_value_and_gradient_rows, partition), u, 1e-5)
             check("gradient-fd", sweep[..., 0].reshape(u.shape).swapaxes(-2, -1), grad)
             check("hessian-fd", sweep[..., 1:].swapaxes(-2, -1), hess)
-
-        pows = _powers(u, 10)  # gradient pairings reach p_{m+m'} with m, m' <= 5
-        traces = _traces(pows)
 
         def tangent(partition):
             values = [traces[m] for m in partition.parts]
@@ -869,21 +875,22 @@ def _value_and_gradient_rows(partition: Partition, stack: np.ndarray) -> np.ndar
 # kept while perfbench/tracer.py pins it (ROADMAP items 1-2)
 def euclid_derivatives_matrix(partition: Partition, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gradient, dense Hessian) of a trace monomial at any square matrix, unchecked."""
-    return _dense_derivatives(partition, u)[1:]
+    return _dense_derivatives(partition, *_powers_and_traces(partition, u))[1:]
 
 
-def _dense_derivatives(partition: Partition, u: np.ndarray) -> tuple:
-    """(value, gradient, dense Hessian) of a trace monomial from one set of
-    powers and factor traces, at a matrix or at each matrix of a stack
+def _dense_derivatives(partition: Partition, pows: list[np.ndarray], values: list) -> tuple:
+    """(value, gradient, dense Hessian) of a trace monomial from the powers
+    I, U, ..., U^top (top at least the largest part) and factor traces of
+    :func:`_powers_and_traces`, at a matrix or at each matrix of a stack
     (..., n, n).  K, a permutation, is applied as the row reindexing
     (K A)[b n + a] = A[a n + b]."""
-    pows, values = _powers_and_traces(partition, u)
-    n = u.shape[-1]
+    shape = pows[0].shape
+    n = shape[-1]
     parts = partition.parts
     perm = np.arange(n * n).reshape(n, n).T.ravel()
     # vec(m (U^t)^{m-1}) is the row-major flattening of m U^{m-1}
-    grads = [(m * pows[m - 1]).reshape(u.shape[:-2] + (n * n,)) for m in parts]
-    hess = np.zeros(u.shape[:-2] + (n * n, n * n))
+    grads = [(m * pows[m - 1]).reshape(shape[:-2] + (n * n,)) for m in parts]
+    hess = np.zeros(shape[:-2] + (n * n, n * n))
     for i, m in enumerate(parts):
         if m >= 2:
             acc = np.zeros_like(hess)

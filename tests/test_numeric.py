@@ -428,7 +428,7 @@ def test_planned_chunk_equals_the_per_matrix_evaluation():
         for top in range(7):
             group = [p for p in partitions if max(p.parts, default=0) == top]
             frob, prod = _power_tables(flat, flat_t, top)
-            got = numeric._planned_traces(numeric._monomial_plan(group), frob[s], prod[s])
+            got = numeric._planned_traces(numeric._monomial_plan(tuple(group)), frob[s], prod[s])
             assert [numeric._group_laplacian(n, *t) for t in got] == [
                 lap_numeric(p, sample) for p in group
             ]
@@ -445,7 +445,7 @@ def test_plans_equal_the_former_per_term_sums(n):
     rotations = haar._haar_stack(n, list(numeric._sample_streams(n, 4)))
     for u in list(rotations) + [rng.standard_normal((n, n)) for _ in range(4)]:
         frob, prod = _power_tables(*_power_stacks(_powers(u, 8)), 8)
-        got = numeric._planned_traces(numeric._monomial_plan(partitions), frob, prod)
+        got = numeric._planned_traces(numeric._monomial_plan(tuple(partitions)), frob, prod)
         assert got == [monomial_traces_reference(p, frob, prod) for p in partitions]
         traces = [float(np.trace(p)) for p in _powers(u, 8)]
         assert numeric._planned_values(numeric._trace_plan(polys), traces) == [
@@ -895,14 +895,28 @@ def _chunk_corners(entries_per_sample):
     return [1, per_chunk + 1 + per_chunk // 2]
 
 
-@pytest.mark.parametrize("n", [3, 4, 8, 9])
+@pytest.mark.parametrize("n", [3, 4, 8, 9, 10])
 def test_identities_match_the_frozen_suite_across_chunks(n):
-    """At n = 8 and 9 a chunk holds one sample; below, a partial last chunk
+    """At n = 10 a chunk holds one sample; below, a partial last chunk
     follows a full one."""
     for samples in _chunk_corners(n**4):
         assert verify_identities(n, samples=samples, seed=9) == verify_identities_reference(
             n, samples=samples, seed=9
         ), samples
+
+
+def test_laplacian_plans_are_built_once_per_group_of_partitions():
+    """The monomial plans depend on the partitions only: a second call with
+    the same partitions, at the same n or another, builds none, and its
+    reports are unchanged."""
+    partitions = enumerate_upto(4)
+    numeric._monomial_plan.cache_clear()
+    first = verify_laplacian(5, partitions, samples=3, seed=2)
+    assert numeric._monomial_plan.cache_info().misses == 5  # largest parts 0, ..., 4
+    assert verify_laplacian(5, partitions, samples=3, seed=2) == first
+    verify_laplacian(7, partitions, samples=2, seed=2)
+    assert numeric._monomial_plan.cache_info().misses == 5
+    assert first == [verify_partition_reference(5, p, samples=3, seed=2) for p in partitions]
 
 
 @pytest.mark.parametrize("n", [3, 7, 25])
@@ -957,9 +971,9 @@ def test_a_nan_family_fails_the_cli(monkeypatch, capsys):
 
 @pytest.mark.parametrize("n, samples, bound_mb", [(10, 162, 1.5), (30, 2, 95)])
 def test_identity_chunks_stay_within_the_per_sample_memory(n, samples, bound_mb):
-    """A chunk of samples holds about the arrays of one sample at n = 8, so a
-    run's traced peak stays near that of one sample at a time (1.1 MB and
-    87 MB at these corners of the samples x n^4 bound)."""
+    """From n = 10 on a chunk holds one sample, so a run's traced peak is
+    that of one sample at a time (1.1 MB and 87 MB at these corners of the
+    samples x n^4 bound)."""
     tracemalloc.start()
     try:
         verify_identities(n, samples=samples)
@@ -967,6 +981,20 @@ def test_identity_chunks_stay_within_the_per_sample_memory(n, samples, bound_mb)
     finally:
         tracemalloc.stop()
     assert peak < bound_mb * 2**20
+
+
+@pytest.mark.parametrize("n", range(5, 10))
+def test_identity_chunks_below_n_10_stay_within_2_mb(n):
+    """Below n = 10 a chunk holds several samples, up to 16384 floats in its
+    largest stacked array, and the traced peak stays under 2 MB (1.4 to
+    1.7 MB at 100 samples)."""
+    tracemalloc.start()
+    try:
+        verify_identities(n, samples=100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [3, 6, 20])
