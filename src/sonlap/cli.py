@@ -37,11 +37,12 @@ _BASES = {"bprime": SO3, "btrace": SO3, "so4": SO4}
 # Largest degree a command accepts: of the ``lap`` partition, the ``matrix``
 # and ``characters`` order k (2j for an SO(4) spin), and the ``spectrum``
 # bound.  At 30 the slowest accepted input, ``characters --mode so4 --j1 15
-# --j2 15``, takes about 0.045 s in a fresh process once the package is
-# imported, and the import of the package and numpy 0.2-0.3 s (medians of
-# 10, Python 3.11 on a 2-core Intel Xeon host); ``characters --mode so3 --k
-# 30``, ``matrix`` at k = 30 and ``lap`` at degree 30 take at most 0.04 s
-# after the import.  The exact arithmetic grows steeply with the degree.
+# --j2 15``, takes 0.026 s once the package is imported, and ``lap --mode
+# so4 --partition 30`` and ``matrix --mode so4 --k 30`` 0.024-0.025 s
+# (medians of 10, Python 3.11 on a 2-core Intel Xeon host).  In a fresh
+# process every input at the bound takes 0.15-0.20 s, most of it the
+# interpreter's start and the import of the package and numpy (0.10-0.11 s).
+# The exact arithmetic grows steeply with the degree.
 MAX_DEGREE = 30
 
 # ``verify`` bounds, measured in a fresh process with ``--samples 1`` on a
@@ -143,6 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver_p.add_argument("--samples", type=int, default=20)
     ver_p.add_argument("--seed", type=int, default=None)
     ver_p.add_argument("--tol", type=float, default=None)
+    parser.verbs = sub.choices  # verb -> its subparser, for _parse_args
     return parser
 
 
@@ -159,7 +161,7 @@ def _cmd_lap(args) -> int:
         reduced = TracePoly.monomial(part, 1).substitute_n(mode.n).reduce(mode)
         result = lap(reduced)
     print(result.pretty())
-    print(json.dumps(result.to_json_obj(), sort_keys=True))
+    print(result.to_json_text())
     return 0
 
 
@@ -301,9 +303,28 @@ _DISPATCH = {
 }
 
 
+def _parse_args(argv):
+    """``_build_parser().parse_args(argv)``, with the same result, output and
+    exit, but a call that names a verb first is parsed by that verb's
+    subparser alone, skipping the top-level pass.
+
+    Arguments the subparser leaves over are re-parsed by the top-level
+    parser, which refuses them with its own usage line, as it always has;
+    every other argv (none, an unknown verb, a top-level flag) goes to it
+    directly.
+    """
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb_parser = parser.verbs.get(argv[0]) if argv else None
+    if verb_parser is None:
+        return parser.parse_args(argv)
+    args, extras = verb_parser.parse_known_args(argv[1:], argparse.Namespace(verb=argv[0]))
+    return parser.parse_args(argv) if extras else args
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

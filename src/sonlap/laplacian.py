@@ -239,7 +239,8 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     ``part`` must be a monomial of that mode: in ``so(N)`` its parts are at
     most N // 2, and its column is the cached :func:`_reduced_column`, read
     for SO(3) and SO(4) through their named caches.  General mode takes the
-    general image, with the dimension substituted at a fixed N.
+    general image, with the dimension substituted at a fixed N once per
+    partition and N (:func:`_general_column`).
     """
     # the so3/so4 branches stay while perfbench/tracer.py pins their caches (ROADMAP items 1-2)
     if mode.tag == "so3":
@@ -249,8 +250,13 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
         return so4_lap_monomial(len(part) - twos, twos)
     if mode.rank is not None:
         return _reduced_column(part, mode)
-    image = lap_partition(part)
-    return image if mode.symbolic else image.substitute_n(mode.n)
+    return lap_partition(part) if mode.symbolic else _general_column(part, mode.n)
+
+
+@lru_cache(maxsize=None)
+def _general_column(part: Partition, n: int) -> TracePoly:
+    """Laplacian of ``p_part`` in ``general_at(n)``: the general image at N = n."""
+    return lap_partition(part).substitute_n(n)
 
 
 @lru_cache(maxsize=None)

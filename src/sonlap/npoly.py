@@ -13,9 +13,9 @@ exponents >= 0 mapped to nonzero :class:`Fraction` values) and is only for
 package code whose output is canonical by construction.
 
 Because it is immutable, an :class:`NPoly` keeps its printed text (of itself,
-of its negation and as a JSON exponent map) once it has been rendered: a
-coefficient shared by many printed terms, such as the interned general-mode
-Laplacian coefficients, is rendered once per process.
+of its negation, and as a JSON exponent map and its JSON text) once it has
+been rendered: a coefficient shared by many printed terms, such as the
+interned general-mode Laplacian coefficients, is rendered once per process.
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ class NPoly:
     Immutable; its printed forms are rendered on first use and kept.
     """
 
-    # _texts and _json hold the printed forms, None until first rendered
-    __slots__ = ("_coeffs", "_texts", "_json")
+    # _texts, _json and _json_text hold the printed forms, None until first rendered
+    __slots__ = ("_coeffs", "_texts", "_json", "_json_text")
 
     def __init__(self, value=0):
-        self._texts = self._json = None
+        self._texts = self._json = self._json_text = None
         if isinstance(value, NPoly):
             self._coeffs = dict(value._coeffs)
         elif isinstance(value, dict):
@@ -74,7 +74,7 @@ class NPoly:
         """Wrap a canonical ``coeffs`` dict without copying or checking it."""
         obj = object.__new__(cls)
         obj._coeffs = coeffs
-        obj._texts = obj._json = None
+        obj._texts = obj._json = obj._json_text = None
         return obj
 
     @classmethod
@@ -197,6 +197,15 @@ class NPoly:
         if self._json is None:
             self._json = tuple((str(e), str(c)) for e, c in sorted(self._coeffs.items()))
         return dict(self._json)
+
+    def _json_dumps(self) -> str:
+        """``json.dumps(self._json_map(), sort_keys=True)``: the exponent keys
+        in string order (``"10"`` before ``"2"``); rendered on first use and
+        kept."""
+        if self._json_text is None:
+            items = sorted((str(e), str(c)) for e, c in self._coeffs.items())
+            self._json_text = "{" + ", ".join(f'"{e}": "{c}"' for e, c in items) + "}"
+        return self._json_text
 
     def _render(self, negate: bool) -> str:
         """:meth:`_signed_str` uncached; the signs and magnitudes are read off

@@ -12,6 +12,7 @@ parts are canonical by construction.  Every constructor stores the hash once,
 with the value the dataclass would compute, ``hash((parts,))``, so dict and
 set lookups keyed by partitions do not rebuild it, and the degree, the sum of
 the parts, so the sort keys of every printed term read it without a sum.
+The JSON list of the parts is rendered on first use and kept on the object.
 """
 
 from __future__ import annotations
@@ -92,6 +93,14 @@ class Partition:
     def sort_key(self) -> tuple:
         """Degree ascending, then lexicographically descending parts."""
         return (self.degree, tuple(map(operator.neg, self.parts)))
+
+    def _json_list(self) -> str:
+        """``json.dumps(list(self.parts))``, rendered on first use and kept."""
+        text = self.__dict__.get("_json")
+        if text is None:
+            text = "[" + ", ".join(map(str, self.parts)) + "]"
+            object.__setattr__(self, "_json", text)
+        return text
 
     def serialize(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"

@@ -465,6 +465,15 @@ class TracePoly:
             out.append({"partition": list(part.parts), "coeff": cmap})
         return out
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), sort_keys=True)``, joined from the
+        text each :class:`Partition` and :class:`NPoly` keeps of itself."""
+        records = []
+        for part, coeff in self.sorted_terms():
+            cmap = coeff._json_dumps() if isinstance(coeff, NPoly) else f'{{"0": "{coeff}"}}'
+            records.append(f'{{"coeff": {cmap}, "partition": {part._json_list()}}}')
+        return "[" + ", ".join(records) + "]"
+
     def __str__(self) -> str:
         return self.pretty()
 

@@ -225,6 +225,69 @@ def test_reused_parser_matches_fresh_parser(capsys):
     assert reused == fresh
 
 
+_PARSE_TABLE = [
+    # a valid call of every verb, with a long flag and with its abbreviation
+    ["lap", "--mode", "so3", "--partition", "2,1"],
+    ["lap", "--mode", "generaln", "--part", "2,1"],
+    ["lap", "--mo=so4", "--part", "3"],
+    ["matrix", "--mode", "so3", "--k", "3", "--format", "json"],
+    ["matrix", "--mode", "so4", "--k", "2", "--form", "csv"],
+    ["spectrum", "--target", "so3", "--bound", "3"],
+    ["spectrum", "--tar", "sphere", "--n", "5", "--bo", "2", "--format", "json"],
+    ["characters", "--mode", "so3", "--k", "4"],
+    ["characters", "--mode", "so4", "--j1", "1/2", "--j", "1/2"],
+    ["characters", "--mode", "so4", "--j1", "1/2", "--j2", "3/2", "--form", "json"],
+    ["verify", "--suite", "identities", "--n", "3", "--samples", "1", "--seed", "5"],
+    ["verify", "--su", "gegenbauer", "--n", "3", "--k", "1", "--sa", "1", "--se", "5"],
+    # help, top-level and of every verb
+    ["-h"],
+    ["--help"],
+    ["lap", "-h"],
+    ["matrix", "-h"],
+    ["spectrum", "--help"],
+    ["characters", "-h"],
+    ["verify", "-h"],
+    ["lap", "--mode", "so3", "-h", "--partition", "1"],
+    # missing required flags, invalid choices and values, ambiguous abbreviations
+    ["lap", "--mode", "so3"],
+    ["lap", "--partition", "1"],
+    ["matrix", "--mode", "so3"],
+    ["lap", "--mode", "bogus", "--partition", "1"],
+    ["matrix", "--mode", "so3", "--k", "three"],
+    ["verify", "--s", "3"],
+    ["spectrum", "--target"],
+    # leftover arguments, unknown verbs and flags
+    ["lap", "--mode", "so3", "--partition", "1", "extra"],
+    ["lap", "--mode", "so3", "--partition", "1", "--bogus"],
+    ["matrix", "--mode", "so3", "--k", "2", "lap"],
+    ["lap", "--", "--mode", "so3", "--partition", "1"],
+    ["nonsense"],
+    ["nonsense", "--mode", "so3"],
+    ["--mode", "so3"],
+    ["-h", "lap"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_TABLE, ids=" ".join)
+def test_verb_parser_matches_the_top_level_parser(capsys, monkeypatch, argv):
+    """``main`` gives the exit code, stdout and stderr it gives when every
+    argv goes through the top-level parser, for valid calls, help, usage
+    errors and leftovers."""
+    got = run(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv", [["lap", "--mode", "so3", "--part", "2"], ["lap", "extra"], []], ids=" ".join)
+def test_verb_parser_reads_sys_argv_when_argv_is_none(capsys, monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["sonlap", *argv])
+    got = main(), *capsys.readouterr()
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+    assert got == (main(), *capsys.readouterr())
+    assert got == (run(capsys, *argv))
+
+
 def test_parser_not_built_at_import():
     src = os.path.dirname(os.path.dirname(sonlap.__file__))
     probe = "import sonlap.cli as c; print(c._build_parser.cache_info().currsize)"

@@ -264,6 +264,8 @@ def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, 
             return image
 
         monkeypatch.setattr(laplacian, "lap_partition", patched)
+        # fixed-N images are cached per (partition, N): read the patched ones uncached
+        monkeypatch.setattr(laplacian, "_general_column", laplacian._general_column.__wrapped__)
     else:
         original = laplacian.so4_lap_monomial
 

@@ -282,7 +282,7 @@ def test_lap_partition_terms_are_canonical_and_never_mutated(partition):
 def test_reduced_column_is_cached_from_so5_on():
     """In so(N), N >= 5, each monomial's column is built once and equals the
     reduced general image for every flag element up to order 8; general mode
-    at a fixed N stays uncached."""
+    at a fixed N is cached per N (see the fixed-N cache test)."""
     for n in range(5, 9):
         mode = so(n)
         for part in basis_for(mode, f"so{n}", 8).elements:
@@ -290,7 +290,25 @@ def test_reduced_column_is_cached_from_so5_on():
             assert lap_monomial(part, mode) is column
             assert column == reduced_column_via_general(part, mode), (n, part)
     part = Partition.of(2, 2, 1)
-    assert lap_monomial(part, general_at(5)) is not lap_monomial(part, general_at(5))
+    assert lap_monomial(part, general_at(5)) is lap_monomial(part, general_at(5))
+    assert lap_monomial(part, general_at(5)) is not lap_monomial(part, general_at(4))
+
+
+def test_fixed_n_general_images_are_cached_per_partition_and_n():
+    """In general mode at a fixed N each monomial's image is built once per
+    N and equals the general image substituted afresh; the images at N = 4
+    and N = 5 never share an entry."""
+    for part in enumerate_upto(8):
+        at4, at5 = lap_monomial(part, general_at(4)), lap_monomial(part, general_at(5))
+        assert lap_monomial(part, general_at(4)) is at4 and lap_monomial(part, general_at(5)) is at5
+        assert at4 == lap_partition(part).substitute_n(4), part
+        assert at5 == lap_partition(part).substitute_n(5), part
+        assert (at4.mode, at5.mode) == (general_at(4), general_at(5))
+        assert at4 is not at5 and at4._terms is not at5._terms
+    # p_1's image -(N-1)/2 p_1 differs between N = 4 and N = 5
+    p1 = Partition.of(1)
+    assert lap_monomial(p1, general_at(4)).terms == {p1: F(-3, 2)}
+    assert lap_monomial(p1, general_at(5)).terms == {p1: F(-2)}
 
 
 def test_memo_cache_is_transparent():

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import re
@@ -34,6 +35,7 @@ from sonlap import (
     Partition,
     TracePoly,
     basis_for,
+    character_so3,
     coordinates,
     elementary,
     enumerate_upto,
@@ -806,6 +808,38 @@ def test_render_caches_change_no_bytes():
     for poly in symbolic:
         for coeff in poly.terms.values():
             assert str(coeff) == npoly_str_reference(coeff)
+
+
+def test_json_text_equals_the_sorted_json_dump():
+    """``to_json_text`` prints the bytes of ``json.dumps(to_json_obj(),
+    sort_keys=True)``, and of the uncached reference, on a first and a
+    second render: for every ``lap`` image of the CLI (generaln up to degree
+    12, so3 and so4 up to 10), every SO(3) character up to k = 30, and edge
+    cases."""
+    # exponents 0..11: the keys "10" and "11" sort before "2" as strings
+    twelve = TracePoly({Partition.of(2, 1): NPoly({e: F(e - 5, 3) for e in range(12)})}, GENERAL)
+    polys = [lap_partition(p) for p in enumerate_upto(12)]
+    for mode in (SO3, SO4):
+        polys += [lap(TracePoly.monomial(p, 1).substitute_n(mode.n).reduce(mode))
+                  for p in enumerate_upto(10)]
+    polys += [character_so3(k).poly for k in range(31)]
+    polys += [
+        TracePoly.zero(GENERAL),
+        TracePoly.zero(SO3),
+        twelve,
+        # negative fractional coefficients, symbolic and numeric
+        TracePoly({Partition.of(3): NPoly({0: F(-3, 2), 1: F(-7, 4)}), Partition(): F(-1, 6) * N},
+                  GENERAL),
+        TracePoly({Partition.of(2, 2): F(-5, 7), Partition.of(1): F(-1, 2), Partition(): -3}, SO4),
+        lap_partition(Partition.of(4, 2, 1)).substitute_n(5),
+        lap_monomial(Partition.of(3, 3, 1), general_at(5)),
+    ]
+    for poly in polys:
+        expected = json.dumps(poly.to_json_obj(), sort_keys=True)
+        assert poly.to_json_text() == expected
+        assert poly.to_json_text() == expected == json.dumps(json_reference(poly), sort_keys=True)
+    assert TracePoly.zero(GENERAL).to_json_text() == "[]"
+    assert '{"0": "-5/3", "1": "-4/3", "10": "5/3", "11": "2", "2": "-1"' in twelve.to_json_text()
 
 
 @pytest.mark.parametrize("mode", [GENERAL, SO3, SO4, so(6)], ids=str)
