@@ -52,14 +52,16 @@ MAX_DEGREE = 30
 # largest stacked array, so from n = 10 on an identities chunk is one sample
 # (two at n = 9), and a laplacian k=0 or gegenbauer chunk at n = 60 holds
 # four (a laplacian k=12 chunk one).  The laplacian suite walks every
-# partition of degree <= --k: 0.22-0.37 s at k=12, 0.33-0.58 s at 16 (a
+# partition of degree <= --k: at k=12 a median 0.44 s (0.34-0.71 s) at n=3,
+# over 20 fresh processes on a shared host, and 0.33-0.58 s at 16 (a
 # library call).  The identities suite's n^2 x n^2 matrices and its
 # stacks of n^2 displaced n x n points grow as n^4: 0.86-1.02 s and 126 MB
 # at n=30, 1.75-1.91 s and 315 MB at n=40 (a library call; the CLI refuses
 # it).  The gegenbauer --k is a degree.
 # The other two suites draw one n x n rotation per sample for all their
-# families: laplacian k=12 takes 0.22-0.36 s at n=60, and a library call
-# 0.23-0.38 s at n=100 and 0.25-0.37 s at n=200.  Each sample's random
+# families: laplacian k=12 takes a median 0.49 s (0.33-0.71 s) at n=60,
+# and a library call a median 0.38 s (0.26-0.51 s) at n=100 and 0.47 s
+# (0.31-0.75 s) at n=200.  Each sample's random
 # stream is made as it is drawn, so the sample bound is one of time: the
 # cheapest suite, laplacian n=3 k=0, takes 0.21-0.33 s over 1000 samples.
 # A laplacian chunk builds U's powers, their traces and the power tables

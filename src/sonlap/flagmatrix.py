@@ -50,8 +50,7 @@ from .tracepoly import (
     SO4,
     GroupMode,
     TracePoly,
-    _newton_step,
-    elementary,
+    _symmetric,
     general_at,
     monomial_label,
     so,
@@ -207,21 +206,14 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 # the matrix
 
 
-@dataclass
-class _FlagStore:
-    """Certified blocks of one flag, valid for every order built from it.
-
-    ``blocks[weight]``: {eigenvalue: [(label, coordinates)]} of a certified
-    weight block, each label's character coordinates cut at the block end.
-    """
-
-    blocks: dict = field(default_factory=dict)
-
-
 @lru_cache(maxsize=None)
-def _flag(mode: GroupMode, basis_id: str) -> _FlagStore:
-    """The one store shared by every matrix :func:`build_matrix` makes for a flag."""
-    return _FlagStore()
+def _flag(mode: GroupMode, basis_id: str) -> dict:
+    """The one store of certified blocks shared by every matrix
+    :func:`build_matrix` makes for a flag, valid for every order built from
+    it: ``store[weight]`` is {eigenvalue: [(label, coordinates)]} of a
+    certified weight block, each label's character coordinates cut at the
+    block end."""
+    return {}
 
 
 def _zero(mode: GroupMode):
@@ -295,16 +287,16 @@ class FlagMatrix:
     not exact: numeric modes take ``int`` and ``Fraction``, symbolic mode
     takes ``NPoly``.
 
-    Certified blocks are kept in ``flag``, shared by every order of one flag
-    that :func:`build_matrix` makes: each order-k matrix is the leading
-    principal submatrix of the higher ones, so a block certified for one
-    order is certified for all.  A hand-built matrix gets a fresh store, so
+    Certified blocks are kept in ``flag``, the store of :func:`_flag`, shared
+    by every order of one flag that :func:`build_matrix` makes: each order-k
+    matrix is the leading principal submatrix of the higher ones, so a block
+    certified for one order is certified for all.  A hand-built matrix gets a fresh store, so
     a perturbed copy never sees another matrix's results.
     """
 
     basis: FlagBasis
     entries: tuple[Sequence, ...]  # rows of Fraction (numeric) or NPoly (symbolic)
-    flag: _FlagStore = field(default_factory=_FlagStore, compare=False, repr=False)
+    flag: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         dim = self.basis.dim
@@ -531,7 +523,7 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
         raise ValueError("the symbolic general flag has no certified spectrum; fix N first")
     found: dict[Fraction, list[tuple[object, list[Fraction]]]] = {}
     for start, end, weight in matrix.basis.block_ranges():
-        block = matrix.flag.blocks.get(weight)
+        block = matrix.flag.get(weight)
         if block is None:
             block = {}
             for eig, label in _closed_candidates(mode, weight):
@@ -548,7 +540,7 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
                     raise ArithmeticError(
                         f"weight-{weight} block: the characters of {labels} at {eig} are dependent"
                     )
-            matrix.flag.blocks[weight] = block
+            matrix.flag[weight] = block
         for eig, pairs in block.items():
             found.setdefault(eig, []).extend(pairs)
     return found
@@ -601,41 +593,6 @@ class Character:
     eigenvalue: Fraction
     poly: TracePoly
     alt: TracePoly | None = None  # SO(3): the plain trace-sum form
-
-
-@lru_cache(maxsize=None)
-def _complete(mode: GroupMode, k: int) -> TracePoly:
-    """Complete symmetric function h_k of a rotation's eigenvalues in ``mode``.
-
-    h_k = sum_{i=1}^{min(k, N)} (-1)^{i-1} e_i h_{k-i}, the Newton step of
-    the p_m tables, with h_0 = 1 and h_k = 0 for k < 0.
-    """
-    if k <= 0:
-        return TracePoly.constant(int(k == 0), mode)
-    return _newton_step(mode, k, lambda j: _complete(mode, j))
-
-
-@lru_cache(maxsize=None)
-def _symmetric(mode: GroupMode, sign: int, k: int) -> TracePoly:
-    """The complete h_k (``sign`` 1) or elementary e_k (``sign`` -1) symmetric
-    function in ``mode``: 1 at k = 0, zero for k < 0.
-
-    A reduced mode reads its tables, :func:`_complete` and ``elementary``,
-    with e_k = 0 past N.  General mode keeps p_1, p_2, ... free, so Newton's
-    identities k x_k = sum_{i=1}^k sign^(i-1) p_i x_{k-i} run with no cap at
-    N: these are the h_k and e_k of the universal characters.
-    """
-    if mode.rank is not None and sign == 1:
-        return _complete(mode, k)
-    if k <= 0:
-        return TracePoly.constant(int(k == 0), mode)
-    if mode.rank is not None:
-        e = elementary(mode)
-        return e[k] if k < len(e) else TracePoly.zero(mode)
-    terms = (
-        TracePoly.power_sum(i, mode) * _symmetric(mode, sign, k - i) * sign ** (i - 1) for i in range(1, k + 1)
-    )
-    return TracePoly.sum(terms, mode) * Fraction(1, k)
 
 
 def _orthogonal_character(mode: GroupMode, lam: tuple[int, ...]) -> tuple[TracePoly, Fraction]:

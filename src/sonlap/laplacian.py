@@ -22,12 +22,14 @@ what makes the flag of spaces invariant and the restricted operator block
 triangular.  At lam = (1^q) it gives the closed form, now a test reference,
 ``D p_1^q = -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2``.
 
-The reduced mode so(N) of every N >= 3 reads the same rule.  Its pieces,
-D p_m and <grad p_m, grad p_m'> for m, m' <= r = N // 2, are substituted at
-N and reduced onto p_1, ..., p_r once per mode; a column is the sum of the
-pieces' terms, each merged with the parts of p_rest and scaled by the rule's
-integer, so no column multiplies polynomials or reduces.  The SO(3) and
-SO(4) Laplacians of p_1^j and p_1^l p_2^m are this rule at r = 1 and 2.
+Every numeric mode, the reduced so(N) of every N >= 3 and the fixed-N
+general_at(n), reads the same rule.  Its pieces, D p_m and
+<grad p_m, grad p_m'>, are substituted at N once per mode, and in so(N),
+where m, m' <= r = N // 2, reduced onto p_1, ..., p_r; a column is the sum
+of the pieces' terms, each merged with the parts of p_rest and scaled by
+the rule's integer, so no column multiplies polynomials or reduces.  The
+SO(3) and SO(4) Laplacians of p_1^j and p_1^l p_2^m are this rule at r = 1
+and 2.
 Only the SO(3) trace-basis column keeps a formula of its own:
 ``D p_m = m(m-1)/2 p_0 - m sum_{j<m} p_j - m(m+1)/2 p_m``.
 """
@@ -205,7 +207,7 @@ def so3_lap_power(j: int) -> TracePoly:
     """Laplacian of p_1^j on SO(3), in powers of p_1: the reduced rule's column."""
     if j < 0:
         raise ValueError("exponent must be nonnegative")
-    return _reduced_column(_ones(j), SO3)
+    return _numeric_column(_ones(j), SO3)
 
 
 def so3_lap_pm_btrace(m: int) -> dict[int, Fraction]:
@@ -230,17 +232,16 @@ def so4_lap_monomial(l: int, m: int) -> TracePoly:
     """Laplacian of p_1^l p_2^m on SO(4), in p_1 and p_2: the reduced rule's column."""
     if l < 0 or m < 0:
         raise ValueError("exponents must be nonnegative")
-    return _reduced_column(Partition._trusted((2,) * m + (1,) * l), SO4)
+    return _numeric_column(Partition._trusted((2,) * m + (1,) * l), SO4)
 
 
 def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     """Laplacian of the trace monomial ``p_part`` in ``mode``.
 
     ``part`` must be a monomial of that mode: in ``so(N)`` its parts are at
-    most N // 2, and its column is the cached :func:`_reduced_column`, read
-    for SO(3) and SO(4) through their named caches.  General mode takes the
-    general image, with the dimension substituted at a fixed N once per
-    partition and N (:func:`_general_column`).
+    most N // 2.  Symbolic general mode takes :func:`lap_partition`; every
+    numeric mode takes the cached :func:`_numeric_column`, read for SO(3)
+    and SO(4) through their named caches.
     """
     # the so3/so4 branches stay while perfbench/tracer.py pins their caches (ROADMAP items 1-2)
     if mode.tag == "so3":
@@ -248,32 +249,27 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
     if mode.tag == "so4":
         twos = part.parts.count(2)
         return so4_lap_monomial(len(part) - twos, twos)
-    if mode.rank is not None:
-        return _reduced_column(part, mode)
-    return lap_partition(part) if mode.symbolic else _general_column(part, mode.n)
+    return lap_partition(part) if mode.symbolic else _numeric_column(part, mode)
 
 
 @lru_cache(maxsize=None)
-def _general_column(part: Partition, n: int) -> TracePoly:
-    """Laplacian of ``p_part`` in ``general_at(n)``: the general image at N = n."""
-    return lap_partition(part).substitute_n(n)
-
-
-@lru_cache(maxsize=None)
-def _reduced_piece(mode: GroupMode, factors: tuple[int, ...]):
+def _numeric_piece(mode: GroupMode, factors: tuple[int, ...]):
     """The :func:`_piece` of ``factors`` at N = n, reduced onto the generators
-    of ``mode``, cleared: a common denominator and (parts, numerator) pairs."""
-    d, ints = _cleared(_piece(factors).substitute_n(mode.n).reduce(mode))
+    of ``mode`` when it is a reduced mode, cleared: a common denominator and
+    (parts, numerator) pairs."""
+    piece = _piece(factors).substitute_n(mode.n)
+    d, ints = _cleared(piece if mode.rank is None else piece.reduce(mode))
     return d, tuple((part.parts, n) for part, n in ints.items())
 
 
 @lru_cache(maxsize=None)
-def _reduced_column(part: Partition, mode: GroupMode) -> TracePoly:
-    """Laplacian of ``p_part`` in ``so(N)``: the product rule over the reduced
-    pieces, each term's parts merged with those of p_rest and its numerator
-    scaled, summed in integers over one common denominator in one dict."""
+def _numeric_column(part: Partition, mode: GroupMode) -> TracePoly:
+    """Laplacian of ``p_part`` in a numeric mode, ``so(N)`` or ``general_at(n)``:
+    the product rule over the numeric pieces, each term's parts merged with
+    those of p_rest and its numerator scaled, summed in integers over one
+    common denominator in one dict."""
     pieces = [
-        (rest, scale, *_reduced_piece(mode, factors))
+        (rest, scale, *_numeric_piece(mode, factors))
         for rest, factors, scale in _product_rule(part.parts)
     ]
     d = lcm(*[piece_d for _, _, piece_d, _ in pieces])

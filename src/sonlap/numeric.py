@@ -309,14 +309,6 @@ def _planned_traces(plan: tuple, frob: list[list[float]], prod: list[list[float]
     return out
 
 
-def _monomial_traces(
-    partition: Partition, frob: list[list[float]], prod: list[list[float]]
-) -> tuple[float, float, float]:
-    """(tr(U^t grad), tr Hess, tr(Lambda(U) Hess)) of a trace monomial, matrix-free;
-    see :func:`_planned_traces`."""
-    return _planned_traces(_monomial_plan((partition,)), frob, prod)[0]
-
-
 def _group_laplacian(n: int, radial: float, tr_hess: float, tr_lam_hess: float) -> float:
     """The ambient formula from tr(U^t grad f), tr(Hess f) and tr(Lambda Hess f)."""
     return 0.5 * tr_hess - 0.5 * (n - 1) * radial - 0.5 * tr_lam_hess
@@ -388,12 +380,6 @@ def eval_tracepoly(poly: TracePoly, sample) -> float:
     n = u.shape[0]
     _check_concrete(poly, n, f"matrix is {n}x{n}")
     traces = [float(np.trace(p)) for p in _powers(u, _top_part(poly.terms))]
-    return _eval_traces(poly, traces)
-
-
-def _eval_traces(poly: TracePoly, traces: list[float]) -> float:
-    """:func:`eval_tracepoly` from the traces p_0, ..., p_top of U's powers,
-    top at least the polynomial's largest part; its mode is not checked."""
     return _planned_values(_trace_plan([poly]), traces)[0]
 
 
@@ -412,7 +398,8 @@ def _trace_plan(polys: list[TracePoly]) -> tuple:
 
 
 def _planned_values(plan: tuple, traces: list[float]) -> list[float]:
-    """:func:`_eval_traces` of each polynomial of the :func:`_trace_plan`."""
+    """:func:`eval_tracepoly` of each polynomial of the :func:`_trace_plan`,
+    from the traces p_0, ..., p_top of U's powers; no mode is checked."""
     floats, spans, exact_terms = plan
     trace = traces.__getitem__
     values = [math.prod(map(trace, parts), start=c) for c, parts in floats]

@@ -13,7 +13,10 @@ Cayley-Hamilton step, every p_m are polynomials in p_1, ..., p_r, r = N // 2,
 for every N.  ``TracePoly.reduce`` performs that rewrite onto the p_mu with
 parts <= r in the reduced mode ``so(N)`` of every N >= 3, of which ``SO3``
 and ``SO4`` are instances; general mode treats the monomials as free
-generators.
+generators.  Newton's identities live in one place: the cached table
+:func:`_symmetric` of the complete h_k and elementary e_k of every mode,
+in the free p_i in general mode and in p_1, ..., p_r in ``so(N)``, which
+:func:`elementary`, the p_m tables and the characters all read.
 
 With numeric coefficients (``so(N)`` and ``general_at(n)``) the arithmetic
 is fraction-free.  Each poly's cleared form, the least common denominator d
@@ -531,21 +534,37 @@ def _coeff_chunk(coeff, label: str | None) -> tuple[str, str]:
 
 @lru_cache(maxsize=None)
 def elementary(mode: GroupMode) -> tuple[TracePoly, ...]:
-    """e_0, ..., e_N of a rotation's eigenvalues, in the generators of ``mode``.
-
-    With r = N // 2, Newton's identities k e_k = sum_{i=1}^k (-1)^{i-1}
-    e_{k-i} p_i give e_1, ..., e_r in p_1, ..., p_r; the eigenvalues come in
-    inverse pairs and det U = 1, so e_{N-i} = e_i gives the rest.
-    """
-    r = mode.rank
-    if r is None:
+    """e_0, ..., e_N of a rotation's eigenvalues, in the generators of the
+    reduced ``mode``: the :func:`_symmetric` e_k."""
+    if mode.rank is None:
         raise ValueError("elementary symmetric functions need a reduced mode so<N>")
-    n = mode.n
-    e = [TracePoly.constant(1, mode)]
-    for k in range(1, r + 1):
-        terms = (e[k - i] * TracePoly.power_sum(i, mode) * (-1) ** (i - 1) for i in range(1, k + 1))
-        e.append(sum(terms, TracePoly.zero(mode)) * Fraction(1, k))
-    return tuple(e + [e[n - i] for i in range(r + 1, n + 1)])
+    return tuple(_symmetric(mode, -1, k) for k in range(mode.n + 1))
+
+
+@lru_cache(maxsize=None)
+def _symmetric(mode: GroupMode, sign: int, k: int) -> TracePoly:
+    """The complete h_k (``sign`` 1) or elementary e_k (``sign`` -1) symmetric
+    function of a rotation's eigenvalues in ``mode``: 1 at k = 0, zero for
+    k < 0.  The one table of both, for every mode.
+
+    Newton's identities k x_k = sum_{i=1}^k sign^(i-1) p_i x_{k-i} give x_k
+    in general mode, where p_1, p_2, ... are free and run with no cap at N
+    (the h_k and e_k of the universal characters), and e_1, ..., e_r in a
+    reduced mode, r = N // 2.  There the eigenvalues come in inverse pairs
+    and det U = 1, so e_k = e_{N-k} past r and e_k = 0 past N, and h_k is
+    one :func:`_newton_step` over the lower h.
+    """
+    if k <= 0:
+        return TracePoly.constant(int(k == 0), mode)
+    if mode.rank is not None:
+        if sign == 1:
+            return _newton_step(mode, k, lambda j: _symmetric(mode, 1, j))
+        if k > mode.rank:
+            return _symmetric(mode, -1, mode.n - k) if k <= mode.n else TracePoly.zero(mode)
+    terms = (
+        TracePoly.power_sum(i, mode) * _symmetric(mode, sign, k - i) * sign ** (i - 1) for i in range(1, k + 1)
+    )
+    return TracePoly.sum(terms, mode) * Fraction(1, k)
 
 
 def _newton_step(mode: GroupMode, m: int, lower) -> TracePoly:

@@ -554,11 +554,12 @@ def leading_kernel_reference(matrix, eigenvalue: F) -> list:
 def orthogonal_character_full(mode, lam: tuple) -> TracePoly:
     """Koike-Terada o_lam as the full r x r determinant, r = N // 2, zeros of
     ``lam`` included: the form before the cut to the leading l(lam) minor."""
-    from sonlap.flagmatrix import _complete, _determinant
+    from sonlap.flagmatrix import _determinant
+    from sonlap.tracepoly import _symmetric
 
     size = range(len(lam))
     rows = [
-        [_complete(mode, lam[i] - i + j) - _complete(mode, lam[i] - i - j - 2) for j in size]
+        [_symmetric(mode, 1, lam[i] - i + j) - _symmetric(mode, 1, lam[i] - i - j - 2) for j in size]
         for i in size
     ]
     return _determinant(rows)

@@ -30,7 +30,7 @@ from sonlap import (
     so3_pm_in_p1,
     spectrum_closed,
 )
-from sonlap import flagmatrix, laplacian
+from sonlap import flagmatrix, laplacian, tracepoly
 from sonlap.partitions import enumerate_upto
 from refdata import (
     SO4_CHARACTER_TABLE,
@@ -249,34 +249,20 @@ def _row_major_violation(entries, basis):
     ],
 )
 def test_block_triangularity_violation_is_reported(monkeypatch, mode, basis_id, injections, expected):
-    """Out-of-flag terms injected into the closed forms (column -> row) raise
+    """Out-of-flag terms injected into the columns `lap_monomial` gives (column -> row) raise
     at the entry the row-major scan below each block meets first."""
     k = 4
     basis = basis_for(mode, basis_id, k)
     extra = {basis.elements[j]: basis.elements[i] for j, i in injections.items()}
-    if basis_id == "general":
-        original = laplacian.lap_partition
+    original = flagmatrix.lap_monomial
 
-        def patched(part):
-            image = original(part)
-            if part in extra:
-                image = image + TracePoly.monomial(extra[part], 1, GENERAL)
-            return image
+    def patched(part, mode):
+        image = original(part, mode)
+        if part in extra:
+            image = image + TracePoly.monomial(extra[part], 1, mode)
+        return image
 
-        monkeypatch.setattr(laplacian, "lap_partition", patched)
-        # fixed-N images are cached per (partition, N): read the patched ones uncached
-        monkeypatch.setattr(laplacian, "_general_column", laplacian._general_column.__wrapped__)
-    else:
-        original = laplacian.so4_lap_monomial
-
-        def patched(l, m):
-            image = original(l, m)
-            part = so4_monomial_partition(l, m)
-            if part in extra:
-                image = image + TracePoly.monomial(extra[part], 1, SO4)
-            return image
-
-        monkeypatch.setattr(laplacian, "so4_lap_monomial", patched)
+    monkeypatch.setattr(flagmatrix, "lap_monomial", patched)
     with pytest.raises(ArithmeticError, match=rf"at entry \({expected[0]},{expected[1]}\);"):
         build_matrix(mode, basis_id, k)
     monkeypatch.undo()
@@ -617,7 +603,7 @@ def test_characters_sharing_a_value_must_be_independent_on_their_block(monkeypat
         match=r"^weight-6 block: the characters of \[\(4, 1, 1\), \(3, 3, 0\)\] at -18 are dependent$",
     ):
         eigenvalues_exact(matrix)
-    assert 6 not in matrix.flag.blocks
+    assert 6 not in matrix.flag
     flagmatrix._flag.cache_clear()
 
 
@@ -638,15 +624,37 @@ def test_son_flag_spectrum_and_characters(n, k, count):
         assert character.eigenvalue == entry.eigenvalue
 
 
+def test_universal_symmetric_functions_and_characters_specialise_to_every_so_n():
+    """Reducing the free-p_m h_k, e_k and o_lam of general_at(N) onto so(N)
+    gives the reduced tables' h_k and e_k and the reduced determinant's o_lam,
+    zeros of ``lam`` included: 176 h/e and 112 character cases."""
+    for n in range(3, 11):
+        for sign in (1, -1):
+            for k in range(11):
+                universal = tracepoly._symmetric(general_at(n), sign, k)
+                assert universal.reduce(so(n)) == tracepoly._symmetric(so(n), sign, k), (n, sign, k)
+    for n in range(3, 9):
+        rank = n // 2
+        for part in enumerate_upto(6):
+            if len(part) > rank:
+                continue
+            universal, _ = flagmatrix._orthogonal_character(general_at(n), part.parts)
+            lam = part.parts + (0,) * (rank - len(part))
+            assert universal.reduce(so(n)) == flagmatrix._orthogonal_character(so(n), lam)[0], (n, lam)
+
+
 def test_orthogonal_character_determinant_keeps_the_small_ranks():
     """The r x r determinant gives the SO(3) and SO(4) characters the 1 x 1 and
     2 x 2 cases gave, and at SO(7) o_(1,0,0) is p_1, o_(1,1,0) is e_2."""
     for k in range(8):
-        rows = [[flagmatrix._complete(SO3, k) - flagmatrix._complete(SO3, k - 2)]]
+        rows = [[tracepoly._symmetric(SO3, 1, k) - tracepoly._symmetric(SO3, 1, k - 2)]]
         assert flagmatrix._orthogonal_character(SO3, (k,))[0] == rows[0][0]
     for lam in ((0, 0), (2, 1), (3, 3), (4, 0)):
-        h = [[flagmatrix._complete(SO4, lam[i] - i + j) - flagmatrix._complete(SO4, lam[i] - i - j - 2)
-              for j in range(2)] for i in range(2)]
+        h = [
+            [tracepoly._symmetric(SO4, 1, lam[i] - i + j) - tracepoly._symmetric(SO4, 1, lam[i] - i - j - 2)
+             for j in range(2)]
+            for i in range(2)
+        ]
         expected = h[0][0] * h[1][1] - h[0][1] * h[1][0]
         assert flagmatrix._orthogonal_character(SO4, lam)[0] == expected
     p1 = TracePoly.power_sum(1, so(7))
@@ -898,7 +906,7 @@ def test_match_characters_rejects_a_character_outside_its_eigenspace(monkeypatch
         ArithmeticError, match="^weight-0 block: the character of 0 escaped the eigenspace of 0$"
     ):
         match_characters(matrix)
-    assert not matrix.flag.blocks
+    assert not matrix.flag
 
 
 def test_characters_are_built_once_per_label(monkeypatch):
@@ -1209,7 +1217,7 @@ def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
         match_characters(matrix)
     candidates = [flagmatrix._closed_candidates(mode, w) for w in range(top + 1)]
     assert len(checks) == sum(map(len, candidates)) == len(labels)
-    assert sorted(matrices[0].flag.blocks) == list(range(top + 1))
+    assert sorted(matrices[0].flag) == list(range(top + 1))
     assert len(located) == len(labels) == len({id(poly) for poly in located})
     # one rank check per distinct value of each block, and one elimination per eigenspace query
     assert len(ranks) == sum(len({eig for eig, _ in block}) for block in candidates) + queries
@@ -1228,16 +1236,16 @@ def test_flag_store_hands_out_copies_and_keeps_hand_built_matrices_apart():
     first[1].append(F(1))
     first.append([F(1)] * small.dim)
     assert eigenspace_exact(small, F(-12)) == expected
-    assert sorted(small.flag.blocks) == list(range(7))
+    assert sorted(small.flag) == list(range(7))
     pad = [F(0)] * (large.dim - small.dim)
     assert eigenspace_exact(large, F(-12)) == [v + pad for v in expected]
-    assert sorted(small.flag.blocks) == list(range(9))
+    assert sorted(small.flag) == list(range(9))
     copy = flagmatrix.FlagMatrix(small.basis, small.entries)
     assert copy == small and copy.flag is not small.flag
-    assert not copy.flag.blocks
+    assert not copy.flag
     assert eigenspace_exact(copy, F(-12)) == expected
-    assert sorted(copy.flag.blocks) == list(range(7))
-    assert sorted(small.flag.blocks) == list(range(9))
+    assert sorted(copy.flag) == list(range(7))
+    assert sorted(small.flag) == list(range(9))
 
 
 @pytest.mark.parametrize("mode, basis_id, k", [(SO4, "so4", 8), (SO3, "btrace", 16)])

@@ -37,11 +37,13 @@ from sonlap.cli import main
 from sonlap.numeric import (
     DEFAULT_SEED,
     RotationSample,
-    _eval_traces,
-    _monomial_traces,
+    _monomial_plan,
+    _planned_traces,
+    _planned_values,
     _power_stacks,
     _power_tables,
     _powers,
+    _trace_plan,
     euclid_derivatives_matrix,
     laplace_beltrami_value,
 )
@@ -399,7 +401,7 @@ def test_traces_evaluation_keeps_the_exact_fallback():
     ]
     exact = exact_value(poly, sample)
     assert abs(math.fsum(values) - exact) > 1e-9
-    assert _eval_traces(poly, traces) == exact
+    assert _planned_values(_trace_plan([poly]), traces)[0] == exact
 
 
 def test_planned_chunk_equals_the_per_matrix_evaluation():
@@ -509,7 +511,7 @@ def test_closed_form_traces_match_dense_hessian(n, orthogonal):
     tables = _power_tables(*_power_stacks(_powers(u, 5)), 5)
     for partition in enumerate_upto(5):
         grad, hess = euclid_derivatives_matrix(partition, u)
-        radial, tr_hess, tr_lam_hess = _monomial_traces(partition, *tables)
+        radial, tr_hess, tr_lam_hess = _planned_traces(_monomial_plan((partition,)), *tables)[0]
         for got, ref in (
             (radial, float(np.sum(u * grad))),
             (tr_hess, float(np.trace(hess))),
