@@ -50,6 +50,7 @@ from .tracepoly import (
     SO4,
     GroupMode,
     TracePoly,
+    _dimension,
     _symmetric,
     general_at,
     monomial_label,
@@ -479,6 +480,7 @@ def spectrum_closed(target: str, bound: int, n: int | None = None) -> list[Spect
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    n = None if n is None else _dimension(n)
     found: dict[Fraction, list] = {}
     if target == "sphere":
         if n is None or n < 2:

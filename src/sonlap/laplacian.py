@@ -15,16 +15,20 @@ multiplicity a,
               + sum_{m, a>=2} a(a-1) p_{lam-{m,m}} <grad p_m, grad p_m>
               + sum_{m>m'} 2ab p_{lam-{m,m'}} <grad p_m, grad p_m'>.
 
-Every coefficient is affine in N with values in (1/2)Z, so the terms are
-summed as pairs of doubled integers and no intermediate trace polynomials
-are multiplied.  No output term ever exceeds the input degree, which is
+Every coefficient is affine in N with values in (1/2)Z, so the base
+formulas are one table of doubled integer pairs (2 c_0, 2 c_1), one entry
+per piece (:func:`_doubled_piece`), the terms are summed as such pairs and
+no intermediate trace polynomials are multiplied.  The symbolic
+:func:`lap_pm` and :func:`grad_inner_pm` are that table printed as
+polynomials.  No output term ever exceeds the input degree, which is
 what makes the flag of spaces invariant and the restricted operator block
 triangular.  At lam = (1^q) it gives the closed form, now a test reference,
 ``D p_1^q = -((N-1) q p_1^q + q(q-1)(p_2 - N) p_1^{q-2}) / 2``.
 
 Every numeric mode, the reduced so(N) of every N >= 3 and the fixed-N
 general_at(n), reads the same rule.  Its pieces, D p_m and
-<grad p_m, grad p_m'>, are substituted at N once per mode, and in so(N),
+<grad p_m, grad p_m'>, are evaluated from the table at N = n once per mode,
+as (2 c_0 + 2 c_1 n) / 2 in integers, and in so(N),
 where m, m' <= r = N // 2, reduced onto p_1, ..., p_r; a column is the sum
 of the pieces' terms, each merged with the parts of p_rest and scaled by
 the rule's integer, so no column multiplies polynomials or reduces.  The
@@ -49,13 +53,11 @@ from .tracepoly import (
     SO4,
     GroupMode,
     TracePoly,
-    _accumulate,
     _cleared,
     _combination,
     _from_ints,
+    general_at,
 )
-
-_N = NPoly.var()
 
 
 def _ones(count: int) -> Partition:
@@ -63,26 +65,40 @@ def _ones(count: int) -> Partition:
 
 
 @lru_cache(maxsize=None)
+def _doubled_piece(factors: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int, int], ...]:
+    """The terms c_0 + c_1 N times p_parts of D p_m for ``(m,)`` and of
+    <grad p_m, grad p_m'> for ``(m, m')``, m >= m' >= 1, as (parts, 2 c_0,
+    2 c_1): the module docstring's formulas, read off in doubled integers.
+
+    The one table of both pieces: :func:`lap_partition`, the numeric pieces
+    and :func:`lap_pm` and :func:`grad_inner_pm` all read it.
+    """
+    if len(factors) == 2:
+        m, mp = factors
+        mm = m * mp
+        return (((), 0, mm) if m == mp else ((m - mp,), mm, 0), ((m + mp,), -mm, 0))
+    (m,) = factors
+    # p_0 = N, then p_m with the i = 0 summand, p_{m-2i} for i >= 1, and each
+    # product p_j p_{m-j} once: twice over j < m - j, once at j = m - j
+    terms = [((), 0, m)] if m % 2 == 0 else []
+    terms.append(((m,), m, -m))
+    terms += [((m - 2 * i,), 2 * m, 0) for i in range(1, (m - 1) // 2 + 1)]
+    terms += [((m - j, j), -m if 2 * j == m else -2 * m, 0) for j in range(1, m // 2 + 1)]
+    return tuple(terms)
+
+
+def _rendered(terms) -> TracePoly:
+    """The symbolic poly of doubled table ``terms``, on interned parts and coefficients."""
+    return TracePoly._raw({_interned_part(parts): _interned_coeff(c0, c1) for parts, c0, c1 in terms}, GENERAL)
+
+
+# cached while perfbench/tracer.py reads its cache (ROADMAP items 1-2)
+@lru_cache(maxsize=None)
 def lap_pm(m: int) -> TracePoly:
     """Laplacian of the power-sum trace p_m, dimension kept symbolic."""
     if m < 0:
         raise ValueError("power index must be nonnegative")
-    if m == 0:
-        return TracePoly.zero(GENERAL)
-    if m == 1:
-        return TracePoly.monomial(Partition((1,)), (_N - 1) * Fraction(-1, 2), GENERAL)
-    terms: dict[Partition, NPoly] = {}
-
-    def add(part: Partition, coeff) -> None:
-        terms[part] = terms.get(part, NPoly(0)) + coeff
-
-    add(EMPTY, _N * Fraction(m * (1 + (-1) ** m), 4))
-    for i in range((m - 1) // 2 + 1):
-        add(Partition((m - 2 * i,)), NPoly(m))
-    add(Partition((m,)), (_N + 1) * Fraction(-m, 2))
-    for j in range(1, m):
-        add(Partition.of(j, m - j), NPoly(Fraction(-m, 2)))
-    return TracePoly(terms, GENERAL)
+    return _rendered(_doubled_piece((m,)) if m else ())
 
 
 # kept while perfbench/tracer.py pins it and its cache (ROADMAP items 1-2)
@@ -100,39 +116,7 @@ def grad_inner_pm(m: int, mp: int) -> TracePoly:
         raise ValueError("indices must be nonnegative")
     if m < mp:
         m, mp = mp, m
-    if mp == 0:
-        return TracePoly.zero(GENERAL)
-    half = Fraction(m * mp, 2)
-    terms: dict[Partition, NPoly] = {}
-    if m == mp:
-        terms[EMPTY] = _N * half
-    else:
-        terms[Partition((m - mp,))] = NPoly(half)
-    terms[Partition((m + mp,))] = NPoly(-half)
-    return TracePoly(terms, GENERAL)
-
-
-def _doubled(poly: TracePoly) -> tuple[tuple[tuple[int, ...], int, int], ...]:
-    """Terms c_0 + c_1 N times p_parts of a symbolic closed form, as
-    (parts, 2 c_0, 2 c_1)."""
-    out = []
-    for part, coeff in poly.terms.items():
-        c = coeff.coeffs
-        c0, c1 = 2 * c.pop(0, Fraction(0)), 2 * c.pop(1, Fraction(0))
-        if c or c0.denominator != 1 or c1.denominator != 1:
-            raise ArithmeticError(f"coefficient {coeff} of {part} is not affine in N over (1/2)Z")
-        out.append((part.parts, int(c0), int(c1)))
-    return tuple(out)
-
-
-def _piece(factors: tuple[int, ...]) -> TracePoly:
-    """D p_m for ``(m,)``, <grad p_m, grad p_m'> for ``(m, m')``."""
-    return lap_pm(*factors) if len(factors) == 1 else grad_inner_pm(*factors)
-
-
-@lru_cache(maxsize=None)
-def _doubled_piece(factors: tuple[int, ...]):
-    return _doubled(_piece(factors))
+    return _rendered(_doubled_piece((m, mp)) if mp else ())
 
 
 def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
@@ -145,8 +129,9 @@ def _without(parts: tuple[int, ...], *values: int) -> tuple[int, ...]:
 
 def _product_rule(parts: tuple[int, ...]):
     """The product rule grouped by multiplicity, as in the module docstring:
-    D p_parts is the sum of ``scale`` p_rest times the :func:`_piece` of
-    ``factors`` over the yielded ``(rest, factors, scale)``."""
+    D p_parts is the sum of ``scale`` p_rest times the piece
+    :func:`_doubled_piece` of ``factors`` over the yielded ``(rest, factors,
+    scale)``."""
     mult = Counter(parts)  # distinct parts in descending order
     values = tuple(mult)
     for i, m in enumerate(values):
@@ -254,10 +239,12 @@ def lap_monomial(part: Partition, mode: GroupMode) -> TracePoly:
 
 @lru_cache(maxsize=None)
 def _numeric_piece(mode: GroupMode, factors: tuple[int, ...]):
-    """The :func:`_piece` of ``factors`` at N = n, reduced onto the generators
-    of ``mode`` when it is a reduced mode, cleared: a common denominator and
+    """The :func:`_doubled_piece` of ``factors`` at N = n, each term's
+    (2 c_0 + 2 c_1 n) / 2 summed in integers, reduced onto the generators of
+    ``mode`` when it is a reduced mode, cleared: a common denominator and
     (parts, numerator) pairs."""
-    piece = _piece(factors).substitute_n(mode.n)
+    doubled = {_interned_part(parts): c0 + c1 * mode.n for parts, c0, c1 in _doubled_piece(factors)}
+    piece = _from_ints(doubled, 2, general_at(mode.n))
     d, ints = _cleared(piece if mode.rank is None else piece.reduce(mode))
     return d, tuple((part.parts, n) for part, n in ints.items())
 
@@ -287,14 +274,10 @@ def lap(a: TracePoly) -> TracePoly:
 
     Extends :func:`lap_monomial` by linearity, so in a reduced mode the
     result stays in the reduced generators.  Each monomial's image is added
-    in, scaled by its coefficient: with numeric coefficients as one
-    :func:`_combination`, with symbolic ones straight into one dict.
+    in, scaled by its coefficient, as one :func:`_combination` over the
+    cleared form: integer numerators over one denominator in a numeric mode,
+    the :class:`NPoly` coefficients themselves in the symbolic one.
     """
-    if not a.mode.symbolic:
-        d, ints = _cleared(a)
-        images = ((n, lap_monomial(part, a.mode)) for part, n in ints.items())
-        return _combination(images, a.mode, d)
-    out: dict[Partition, NPoly] = {}
-    for part, coeff in a._terms.items():
-        _accumulate(out, lap_monomial(part, a.mode)._terms, coeff)
-    return TracePoly._raw(out, a.mode)
+    d, ints = _cleared(a)
+    images = ((n, lap_monomial(part, a.mode)) for part, n in ints.items())
+    return _combination(images, a.mode, d)

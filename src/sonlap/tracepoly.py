@@ -27,13 +27,15 @@ one common denominator (:func:`_combination`, ``TracePoly.__mul__``) and
 divide out the gcd once at the end (:func:`_from_ints`), so no intermediate
 :class:`Fraction` and no per-operation gcd is made.  A result holds its
 cleared form alone until its terms are read; then each coefficient becomes
-one canonical :class:`Fraction`, as every numeric coefficient is.  Symbolic
-coefficients (:class:`NPoly`) are summed term by term, by
-:func:`_accumulate`.
+one canonical :class:`Fraction`, as every numeric coefficient is.  The same
+:func:`_combination` sums symbolic polys: their cleared form is the
+:class:`NPoly` terms themselves over 1, never kept, and the scaled terms are
+summed term by term by :func:`_accumulate`.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,8 @@ class GroupMode:
     n: int | None = None  # None only for symbolic general mode
 
     def __post_init__(self) -> None:
+        if self.n is not None and (isinstance(self.n, bool) or not isinstance(self.n, int)):
+            raise ValueError(f"dimension {self.n!r} is not an int")
         if self.tag == "general":
             if self.n is not None and self.n < 2:
                 raise ValueError("dimension must be at least 2")
@@ -79,8 +83,18 @@ class GroupMode:
         return f"SO({self.n})"
 
 
+def _dimension(n) -> int:
+    """The dimension ``n`` as an int, by ``operator.index``: a float or
+    :class:`Fraction` is refused with a ValueError, never truncated."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ValueError(f"dimension {n!r} is not an integer") from None
+
+
 def so(n: int) -> GroupMode:
     """The reduced mode of SO(n), n >= 3: trace polynomials in p_1, ..., p_{n // 2}."""
+    n = _dimension(n)
     return GroupMode(f"so{n}", n)
 
 
@@ -90,8 +104,9 @@ SO4 = so(4)
 
 
 def general_at(n: int) -> GroupMode:
-    """General (unreduced) mode with the dimension fixed to ``n``."""
-    return GroupMode("general", int(n))
+    """General (unreduced) mode with the dimension fixed to the integer ``n``
+    (see :func:`_dimension`)."""
+    return GroupMode("general", _dimension(n))
 
 
 def _coerce_coeff(value, mode: GroupMode):
@@ -110,8 +125,9 @@ def _accumulate(out: dict, terms: dict, scale=1) -> None:
     """Add ``scale`` times ``terms`` into ``out`` in place; a sum that cancels
     leaves no entry.
 
-    ``scale`` is a nonzero coefficient of the same type as those of
-    ``terms``, so every scaled coefficient is nonzero and of that type.  Only
+    ``scale`` is nonzero, and times a coefficient of ``terms`` gives a
+    nonzero coefficient of that type: an int, :class:`Fraction` or
+    :class:`NPoly` for symbolic terms, a :class:`Fraction` for numeric ones.  Only
     ``out`` is written: ``terms`` may be a cached image, and at scale 1 its
     immutable coefficient objects are shared, not copied.
     """
@@ -128,15 +144,19 @@ def _accumulate(out: dict, terms: dict, scale=1) -> None:
 
 def _cleared(poly: "TracePoly") -> tuple[int, dict]:
     """``(d, {part: n})`` with ``poly = sum n/d p_part`` and d the least
-    common denominator of the numeric coefficients of ``poly``.
+    common denominator of the numeric coefficients of ``poly``; for a
+    symbolic poly ``(1, terms)``, its :class:`NPoly` coefficients as they are.
 
-    Computed on first use, or by :func:`_from_ints` at construction, and kept
-    on ``poly``: no code writes a :class:`TracePoly`'s terms after
-    construction, so the form never goes stale, and a cached table entry is
-    cleared once however often it is read.
+    A numeric form is computed on first use, or by :func:`_from_ints` at
+    construction, and kept on ``poly``: no code writes a :class:`TracePoly`'s
+    terms after construction, so the form never goes stale, and a cached
+    table entry is cleared once however often it is read.  A symbolic poly
+    keeps none.
     """
     form = poly._cleared_form
     if form is None:
+        if poly.mode.symbolic:
+            return 1, poly._terms
         ratios = [(part, coeff.as_integer_ratio()) for part, coeff in poly._terms.items()]
         d = lcm(*[den for _, (_, den) in ratios])
         form = poly._cleared_form = (d, {part: num * (d // den) for part, (num, den) in ratios})
@@ -163,17 +183,25 @@ def _from_ints(acc: dict, d: int, mode: GroupMode) -> "TracePoly":
 
 def _combination(pairs, mode: GroupMode, den: int = 1) -> "TracePoly":
     """The sum of ``scale * poly`` over ``(scale, poly)`` pairs, divided by
-    ``den``; every poly is in the numeric ``mode`` and every ``scale`` is a
-    nonzero int or :class:`Fraction`.
+    ``den``; every poly is in ``mode`` and every ``scale`` is nonzero.  The
+    one kernel that sums polys, in either coefficient ring.
 
-    The sums run in integers over one common denominator, the lcm of the
-    scaled denominators.  A lone poly at scale 1 is wrapped again instead:
-    its terms and cleared form are never written, so the two share them.
+    In a numeric mode every ``scale`` is an int or :class:`Fraction`, and the
+    sums run in integers over one common denominator, the lcm of the scaled
+    denominators.  In the symbolic mode ``den`` is 1, a ``scale`` may also be
+    an :class:`NPoly`, and the scaled terms are summed by :func:`_accumulate`.
+    A lone poly at scale 1 is wrapped again instead: its terms and cleared
+    form are never written, so the two share them.
     """
     pairs = list(pairs)
     if den == 1 and len(pairs) == 1 and pairs[0][0] == 1:
         poly = pairs[0][1]
         return TracePoly._raw(poly._stored_terms, mode, poly._cleared_form)
+    if mode.symbolic:
+        out: dict[Partition, NPoly] = {}
+        for scale, poly in pairs:
+            _accumulate(out, poly._terms, scale)
+        return TracePoly._raw(out, mode)
     scaled = []
     d = 1
     for scale, poly in pairs:
@@ -261,18 +289,12 @@ class TracePoly:
 
     @classmethod
     def sum(cls, polys, mode: GroupMode) -> "TracePoly":
-        """Sum of ``polys``, all in ``mode``: one :func:`_combination` in a
-        numeric mode, one accumulation into a dict in the symbolic one."""
+        """Sum of ``polys``, all in ``mode``: one :func:`_combination`."""
         polys = list(polys)
         for poly in polys:
             if poly.mode != mode:
                 raise ValueError(f"mode mismatch: {poly.mode} vs {mode}")
-        if not mode.symbolic:
-            return _combination(((1, poly) for poly in polys), mode)
-        out: dict[Partition, NPoly] = {}
-        for poly in polys:
-            _accumulate(out, poly._terms)
-        return cls._raw(out, mode)
+        return _combination(((1, poly) for poly in polys), mode)
 
     @classmethod
     def power_sum(cls, m: int, mode: GroupMode = GENERAL) -> "TracePoly":
@@ -326,12 +348,7 @@ class TracePoly:
         return TracePoly.constant(other, self.mode)
 
     def __add__(self, other) -> "TracePoly":
-        rhs = self._rhs(other)
-        if not self.mode.symbolic:
-            return _combination(((1, self), (1, rhs)), self.mode)
-        out = dict(self._terms)
-        _accumulate(out, rhs._terms)
-        return TracePoly._raw(out, self.mode)
+        return _combination(((1, self), (1, self._rhs(other))), self.mode)
 
     __radd__ = __add__
 
@@ -351,13 +368,10 @@ class TracePoly:
         if isinstance(other, (int, Fraction, NPoly)):
             if not other:
                 return TracePoly.zero(self.mode)
-            if not self.mode.symbolic and not isinstance(other, NPoly):
+            if not isinstance(other, NPoly):
                 return _combination(((other, self),), self.mode)
-            scaled = {p: c * other for p, c in self._terms.items()}
-            # a rational scale keeps every coefficient's type; an NPoly one is coerced
-            if isinstance(other, NPoly):
-                return TracePoly(scaled, self.mode)
-            return TracePoly._raw(scaled, self.mode)
+            # an NPoly scale is coerced: a numeric mode takes only a constant one
+            return TracePoly({p: c * other for p, c in self._terms.items()}, self.mode)
         rhs = self._rhs(other)
         if self.mode.symbolic:
             out: dict[Partition, object] = {}

@@ -4,7 +4,10 @@ The symbolic Laplacian table covers every monomial of degree <= 4; the SO(4)
 order-4 matrix, its eigenvector list and the character table are the known
 closed-form results this package must reproduce exactly.  The plain
 product rule, term by term over the factors, is the independent route the
-grouped ``lap_partition`` is checked against; the three-case monomial
+grouped ``lap_partition`` is checked against; it reads D p_m and
+<grad p_m, grad p_m'> as ``lap_pm`` and ``grad_inner_pm`` built them in
+NPoly arithmetic before they printed the doubled integer table that
+``lap_partition`` reads, frozen here as well.  The three-case monomial
 Laplacian is the assembly ``lap_partition`` used before the grouped product
 rule, and it reads the closed form of D p_1^q that ``lap_p1_pow`` held
 before it became the product rule at (1^q).  The hand-derived SO(3) p_1^j
@@ -67,9 +70,7 @@ from sonlap import (
     TracePoly,
     character_so3,
     character_so4,
-    grad_inner_pm,
     lap_partition,
-    lap_pm,
 )
 
 F = Fraction
@@ -217,6 +218,45 @@ def so4_monomial_partition(l: int, m: int) -> Partition:
     return Partition.of(*([2] * m + [1] * l))
 
 
+def lap_pm_npoly(m: int) -> TracePoly:
+    """D p_m built term by term in :class:`NPoly`, as ``lap_pm`` built it
+    before it printed the doubled integer table of the product-rule pieces."""
+    n = NPoly.var()
+    if m == 0:
+        return TracePoly.zero(GENERAL)
+    if m == 1:
+        return TracePoly.monomial(Partition((1,)), (n - 1) * F(-1, 2), GENERAL)
+    terms: dict = {}
+
+    def add(part: Partition, coeff) -> None:
+        terms[part] = terms.get(part, NPoly(0)) + coeff
+
+    add(Partition.of(), n * F(m * (1 + (-1) ** m), 4))
+    for i in range((m - 1) // 2 + 1):
+        add(Partition((m - 2 * i,)), NPoly(m))
+    add(Partition((m,)), (n + 1) * F(-m, 2))
+    for j in range(1, m):
+        add(Partition.of(j, m - j), NPoly(F(-m, 2)))
+    return TracePoly(terms, GENERAL)
+
+
+def grad_inner_pm_npoly(m: int, mp: int) -> TracePoly:
+    """<grad p_m, grad p_m'> built in :class:`NPoly`, as ``grad_inner_pm``
+    built it before it printed the doubled integer table."""
+    if m < mp:
+        m, mp = mp, m
+    if mp == 0:
+        return TracePoly.zero(GENERAL)
+    half = F(m * mp, 2)
+    terms = {}
+    if m == mp:
+        terms[Partition.of()] = NPoly.var() * half
+    else:
+        terms[Partition((m - mp,))] = NPoly(half)
+    terms[Partition((m + mp,))] = NPoly(-half)
+    return TracePoly(terms, GENERAL)
+
+
 def lap_partition_product_rule(partition: Partition) -> TracePoly:
     """Laplacian of a trace monomial assembled term by term from the plain
     product rule over the factors p_{m_i}: the independent route that the
@@ -225,11 +265,11 @@ def lap_partition_product_rule(partition: Partition) -> TracePoly:
     out = TracePoly.zero(GENERAL)
     for i, mi in enumerate(parts):
         rest = Partition.of(*(parts[:i] + parts[i + 1:]))
-        out = out + TracePoly.monomial(rest, 1, GENERAL) * lap_pm(mi)
+        out = out + TracePoly.monomial(rest, 1, GENERAL) * lap_pm_npoly(mi)
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             rest = Partition.of(*(parts[:i] + parts[i + 1:j] + parts[j + 1:]))
-            out = out + TracePoly.monomial(rest, 2, GENERAL) * grad_inner_pm(parts[i], parts[j])
+            out = out + TracePoly.monomial(rest, 2, GENERAL) * grad_inner_pm_npoly(parts[i], parts[j])
     return out
 
 
@@ -240,7 +280,7 @@ def lap_p1_pow_closed_form(q: int) -> TracePoly:
     if q == 0:
         return TracePoly.zero(GENERAL)
     if q == 1:
-        return lap_pm(1)
+        return lap_pm_npoly(1)
     terms = {
         Partition((1,) * q): lin(F(q, 2), F(-q, 2)),
         Partition.of(2, *(1,) * (q - 2)): lin(F(-q * (q - 1), 2)),

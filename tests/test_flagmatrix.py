@@ -524,6 +524,15 @@ def test_spectrum_closed_refuses_n_for_the_group_targets(target):
         spectrum_closed(target, 2, n=5)
 
 
+def test_spectrum_closed_refuses_a_non_integer_dimension():
+    """The sphere's n is an integer: 2.5 used to raise a TypeError deep in
+    the Casimir sum; a numpy integer still works."""
+    with pytest.raises(ValueError, match="^dimension 2.5 is not an integer"):
+        spectrum_closed("sphere", 2, n=2.5)
+    np = pytest.importorskip("numpy")
+    assert spectrum_closed("sphere", 4, n=np.int64(5)) == spectrum_closed("sphere", 4, n=5)
+
+
 def test_spectrum_closed_so4_unordered_labels():
     entries = {e.eigenvalue: e.labels for e in spectrum_closed("so4", 8)}
     assert set(entries[F(-12)]) == {(4, 4), (6, 0)}

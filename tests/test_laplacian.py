@@ -27,9 +27,11 @@ from sonlap import (
 from sonlap.laplacian import lap_monomial
 from refdata import (
     WORKED_LAPLACIANS,
+    grad_inner_pm_npoly,
     lap_p1_pow_closed_form,
     lap_partition_product_rule,
     lap_partition_three_case,
+    lap_pm_npoly,
     reduced_column_via_general,
     so3_lap_power_hand,
     so4_lap_monomial_hand,
@@ -99,6 +101,36 @@ def test_grad_inner_two_one():
 @pytest.mark.parametrize("m", [0, 1, 5])
 def test_grad_inner_with_constant_is_zero(m):
     assert not grad_inner_pm(m, 0)
+
+
+def test_lap_pm_prints_the_frozen_npoly_form():
+    """lap_pm, the doubled integer table printed as a poly, is the NPoly form
+    it was built as: term for term and byte for byte."""
+    for m in range(41):
+        got, want = lap_pm(m), lap_pm_npoly(m)
+        assert got.terms == want.terms, m
+        assert got.pretty() == want.pretty(), m
+        assert got.to_json_text() == want.to_json_text(), m
+
+
+def test_grad_inner_pm_prints_the_frozen_npoly_form():
+    for m in range(21):
+        for mp in range(21):
+            got, want = grad_inner_pm(m, mp), grad_inner_pm_npoly(m, mp)
+            assert got.terms == want.terms, (m, mp)
+            assert got.pretty() == want.pretty(), (m, mp)
+            assert got.to_json_text() == want.to_json_text(), (m, mp)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_fixed_n_columns_are_the_substituted_symbolic_images(n):
+    """The numeric pieces, evaluated from the doubled table at N = n, give the
+    symbolic image substituted at n."""
+    mode = general_at(n)
+    for partition in enumerate_upto(10):
+        got, want = lap_monomial(partition, mode), lap_partition(partition).substitute_n(n)
+        assert got == want, partition
+        assert got.pretty() == want.pretty(), partition
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from sonlap import (
     general_at,
     lap,
     lap_partition,
+    lap_pm,
     random_son,
     rotation_from_angles,
     so,
@@ -212,11 +213,35 @@ def test_mode_mismatch_raises():
 
 @pytest.mark.parametrize(
     "tag, n",
-    [("so2", 2), ("so", None), ("so", 3), ("so4", 5), ("SO5", 5), ("so6", None), ("so05", 5), ("sl3", 3)],
+    [("so2", 2), ("so", None), ("so", 3), ("so4", 5), ("SO5", 5), ("so6", None), ("so05", 5), ("sl3", 3),
+     # n is an int: so5 at 5.0 used to equal so(5) and then fail in build_matrix
+     ("so5", 5.0), ("general", 4.5), ("general", F(4)), ("general", True)],
 )
 def test_mode_tags_are_validated(tag, n):
     with pytest.raises(ValueError):
         GroupMode(tag, n)
+
+
+@pytest.mark.parametrize("n", [4.7, F(9, 2), "4"])
+def test_general_at_refuses_a_non_integer_dimension(n):
+    """general_at(4.7) used to truncate to N = 4."""
+    with pytest.raises(ValueError, match="is not an integer"):
+        general_at(n)
+
+
+def test_substitute_n_refuses_a_non_integer_dimension():
+    """At 5/2 the coefficients used to be evaluated at 5/2 and the result
+    labelled general at N=2."""
+    p2 = lap_pm(2)
+    with pytest.raises(ValueError, match="is not an integer"):
+        p2.substitute_n(F(5, 2))
+    assert p2.substitute_n(2).pretty() == "-p_(2,0) - p_(1,1) + 2"
+
+
+def test_modes_accept_numpy_integer_dimensions():
+    np = pytest.importorskip("numpy")
+    for mode, want in ((general_at(np.int64(4)), general_at(4)), (so(np.int32(5)), so(5))):
+        assert mode == want and type(mode.n) is int
 
 
 def test_so_instances():
@@ -747,6 +772,49 @@ def test_kernel_matches_the_fraction_reference(n):
         kept = p._cleared_form
         if kept is not None:
             assert kept == tracepoly._cleared(TracePoly(p.terms, p.mode))
+
+
+def _random_symbolic_poly(rng, degree: int, size: int) -> TracePoly:
+    """Up to ``size`` general monomials of degree <= ``degree``, each with an
+    NPoly coefficient of degree <= 2 over mixed denominators."""
+    chosen = rng.sample(enumerate_upto(degree), size)
+    return TracePoly(
+        {p: NPoly({e: F(rng.randint(-30, 30), rng.choice(KERNEL_DENOMINATORS)) for e in range(rng.randint(1, 3))})
+         for p in chosen},
+        GENERAL,
+    )
+
+
+def test_kernel_sums_symbolic_polys_as_the_fraction_reference():
+    """In symbolic general mode the same kernel's sums, scalings by an int,
+    a Fraction and an NPoly, and lap give, term for term, what per-term NPoly
+    arithmetic gives; every coefficient stays a nonzero NPoly, no operand
+    changes, and neither an operand nor a result keeps a cleared form."""
+    rng = random.Random(3300)
+    for _ in range(12):
+        a, b, c = (_random_symbolic_poly(rng, 5, 7) for _ in range(3))
+        snapshot = {id(p): p.terms for p in (a, b, c)}
+        scale = rng.choice(SCALES)
+        npoly_scale = NPoly({0: F(rng.randint(1, 9), rng.randint(1, 4)), 1: F(rng.randint(-9, 9) or 1)})
+        sum_ab = a + b
+        cases = [
+            # forced cancellations: a and -a in one sum, b and -b in a + b - b
+            (TracePoly.sum([a, b, -a, c], GENERAL), fraction_sum([b, c])),
+            (a + b - b, a.terms),
+            (a * 3, {p: x * 3 for p, x in a.terms.items()}),
+            (a * scale, {p: x * scale for p, x in a.terms.items()}),
+            (a * npoly_scale, {p: x * npoly_scale for p, x in a.terms.items()}),
+            (lap(a), fraction_lap(a)),
+            (lap(sum_ab * N), fraction_lap(sum_ab * N)),
+        ]
+        for got, want in cases:
+            assert got.terms == want
+            assert all(type(x) is NPoly and x for x in got.terms.values()), got
+            assert got._cleared_form is None
+        for p in (a, b, c, sum_ab):
+            assert p._cleared_form is None
+        for p in (a, b, c):
+            assert p.terms == snapshot[id(p)]
 
 
 def test_kernel_results_compare_and_negate_exactly():
