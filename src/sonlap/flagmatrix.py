@@ -29,8 +29,11 @@ every higher order of the same (mode, basis), with nothing below its
 diagonal blocks, and a character's coordinates depend only on the basis
 elements up to its weight.  So a block's certificate holds for every order
 and is kept once per flag, in a store that every matrix :func:`build_matrix`
-makes for it shares.  A hand-built :class:`FlagMatrix` gets a store of its
-own, so it is certified itself.
+makes for it shares.  A value's eigenspace depends only on its labels, so
+the store keeps its normal form too, with the block of the value's last
+labels: it is reduced on the first query and only padded to the order
+after that, each call returning fresh lists.  A hand-built
+:class:`FlagMatrix` gets a store of its own, so it is certified itself.
 """
 
 from __future__ import annotations
@@ -211,10 +214,23 @@ def coordinates_general(poly: TracePoly, basis: FlagBasis) -> list[NPoly]:
 def _flag(mode: GroupMode, basis_id: str) -> dict:
     """The one store of certified blocks shared by every matrix
     :func:`build_matrix` makes for a flag, valid for every order built from
-    it: ``store[weight]`` is {eigenvalue: [(label, coordinates)]} of a
-    certified weight block, each label's character coordinates cut at the
-    block end."""
+    it: ``store[weight]`` is the :class:`_Block` of a certified weight block."""
     return {}
+
+
+@dataclass(frozen=True)
+class _Block:
+    """A certified weight block of a flag store.
+
+    ``roots`` is {eigenvalue: [(label, coordinates)]}, each label's
+    character coordinates cut at the block end.  ``spaces`` is {eigenvalue:
+    primitive basis vectors cut at the block end}: the eigenspace normal form
+    of each value whose last labels, at any order, are this block's, made on
+    the first query that needs it.
+    """
+
+    roots: dict
+    spaces: dict = field(default_factory=dict)
 
 
 def _zero(mode: GroupMode):
@@ -282,11 +298,12 @@ class FlagMatrix:
 
     ``entries`` reads as the dense rows, but each row holds only its nonzero
     entries (the flag matrices are nearly empty: 13 863 of 915^2 entries at
-    general k = 16).  Dense rows given by hand are converted to that form,
-    an ``int`` entry becoming a ``Fraction``; a row count or row length
-    other than the basis dimension is refused, and so is an entry that is
-    not exact: numeric modes take ``int`` and ``Fraction``, symbolic mode
-    takes ``NPoly``.
+    general k = 16).  Rows given by hand, dense or held sparse, are checked
+    cell by cell and converted to that form, an ``int`` entry becoming a
+    ``Fraction``; a row count or row length other than the basis dimension
+    is refused, and so is an entry that is not exact: numeric modes take
+    ``int`` and ``Fraction``, symbolic mode takes ``NPoly``.  So the rows of
+    another mode's matrix, zeros included, are refused too.
 
     Certified blocks are kept in ``flag``, the store of :func:`_flag`, shared
     by every order of one flag that :func:`build_matrix` makes: each order-k
@@ -309,11 +326,18 @@ class FlagMatrix:
         for i, row in enumerate(self.entries):
             if len(row) != dim:
                 raise ValueError(f"row {i} of a dim-{dim} flag matrix has {len(row)} entries")
-            if not isinstance(row, _Row):
-                cells = ((j, _exact(mode, v, i, j)) for j, v in enumerate(row))
-                row = _Row(dim, zero, {j: v for j, v in cells if v})
-            rows.append(row)
+            cells = ((j, _exact(mode, v, i, j)) for j, v in enumerate(row))
+            rows.append(_Row(dim, zero, {j: v for j, v in cells if v}))
         object.__setattr__(self, "entries", tuple(rows))
+
+    @classmethod
+    def _trusted(cls, basis: FlagBasis, rows: tuple[_Row, ...], flag: dict) -> "FlagMatrix":
+        """Wrap the exact sparse rows :func:`build_matrix` made, without checking them."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "basis", basis)
+        object.__setattr__(obj, "entries", rows)
+        object.__setattr__(obj, "flag", flag)
+        return obj
 
     @property
     def dim(self) -> int:
@@ -324,6 +348,15 @@ class FlagMatrix:
         """(label, character coordinates) of each eigenvalue's labels, from
         the certificate of :func:`_certified_blocks`."""
         return _certified_blocks(self)
+
+    @cached_property
+    def _spectrum(self) -> tuple[SpectrumEntry, ...]:
+        """The certified spectrum by descending eigenvalue, built once for
+        :func:`eigenvalues_exact` and :func:`match_characters` to read."""
+        labels = {eig: tuple(label for label, _ in pairs) for eig, pairs in self._eigenblocks.items()}
+        return tuple(
+            SpectrumEntry(eig, labels[eig], len(labels[eig])) for eig in sorted(labels, reverse=True)
+        )
 
     @cached_property
     def _integer_rows(self) -> list[tuple[int, dict[int, int]]]:
@@ -365,7 +398,7 @@ def build_matrix(mode: GroupMode, basis_id: str, k: int) -> FlagMatrix:
         raise ArithmeticError(f"block triangularity violated at entry ({i},{j}); reduction bug")
     zero = _zero(mode)
     rows = tuple(_Row(dim, zero, row_terms) for row_terms in terms)
-    return FlagMatrix(basis, rows, _flag(mode, basis_id))
+    return FlagMatrix._trusted(basis, rows, _flag(mode, basis_id))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +548,9 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
     they diagonalize M, the multiplicity of c is its number of labels and
     ker(M - cI) is their span.  A failed check is an inconsistency and
     raises, naming the block's weight.  Each block's result is kept in the
-    flag store, so a block is certified once per flag.
+    flag store, so a block is certified once per flag; the store's
+    :class:`_Block` also keeps, once :func:`eigenspace_exact` has made it,
+    the eigenspace normal form of each value whose last labels are there.
 
     Returns (label, character coordinates cut at the label's block end) of
     each eigenvalue's labels, in block order.
@@ -527,23 +562,23 @@ def _certified_blocks(matrix: FlagMatrix) -> dict[Fraction, list[tuple[object, l
     for start, end, weight in matrix.basis.block_ranges():
         block = matrix.flag.get(weight)
         if block is None:
-            block = {}
+            roots = {}
             for eig, label in _closed_candidates(mode, weight):
                 coords = coordinates(_label_character(mode, label).poly, matrix.basis)
                 if not _in_kernel(matrix, eig, coords):
                     raise ArithmeticError(
                         f"weight-{weight} block: the character of {label} escaped the eigenspace of {eig}"
                     )
-                block.setdefault(eig, []).append((label, coords[:end]))
-            for eig, pairs in block.items():
+                roots.setdefault(eig, []).append((label, coords[:end]))
+            for eig, pairs in roots.items():
                 parts = [_cleared(coords[start:end])[1] for _, coords in pairs]
                 if len(_rref(parts)[1]) < len(parts):
                     labels = [label for label, _ in pairs]
                     raise ArithmeticError(
                         f"weight-{weight} block: the characters of {labels} at {eig} are dependent"
                     )
-            matrix.flag[weight] = block
-        for eig, pairs in block.items():
+            block = matrix.flag[weight] = _Block(roots)
+        for eig, pairs in block.roots.items():
             found.setdefault(eig, []).extend(pairs)
     return found
 
@@ -555,8 +590,7 @@ def eigenvalues_exact(matrix: FlagMatrix) -> list[SpectrumEntry]:
     (see :func:`_certified_blocks`), in block order, and its geometric
     multiplicity is their number.
     """
-    labels = {eig: tuple(label for label, _ in pairs) for eig, pairs in matrix._eigenblocks.items()}
-    return [SpectrumEntry(eig, labels[eig], len(labels[eig])) for eig in sorted(labels, reverse=True)]
+    return list(matrix._spectrum)
 
 
 def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Fraction]]:
@@ -567,8 +601,10 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
     It is the row reduction from the right of the certified character
     coordinates (see :func:`_certified_blocks`), cut at the end of the
     eigenvalue's last block: the coordinates span the kernel, and that
-    reduction is the one normal form the kernel alone fixes.  Every call
-    returns fresh lists, zero-padded to the matrix.
+    reduction is the one normal form the kernel alone fixes.  The labels
+    up to that block are the same at every order that reaches it, so the
+    reduction is made on the first query and kept in the flag store with
+    that block; every call returns fresh lists, zero-padded to the matrix.
     """
     blocks = matrix._eigenblocks  # the symbolic flag is refused before the value is read
     eigenvalue = Fraction(eigenvalue)
@@ -576,10 +612,14 @@ def eigenspace_exact(matrix: FlagMatrix, eigenvalue: Fraction) -> list[list[Frac
     if not pairs:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
     end = len(pairs[-1][1])  # the labels of the last block come last
-    flipped = [[0] * (end - len(coords)) + _cleared(coords)[1][::-1] for _, coords in pairs]
+    spaces = matrix.flag[matrix.basis.weights[end - 1]].spaces
+    space = spaces.get(eigenvalue)
+    if space is None:
+        flipped = [[0] * (end - len(coords)) + _cleared(coords)[1][::-1] for _, coords in pairs]
+        # the rows come in pivot order, so by descending last nonzero entry once flipped back
+        space = spaces[eigenvalue] = [_primitive(row[::-1]) for row in reversed(_rref(flipped)[0])]
     pad = [Fraction(0)] * (matrix.dim - end)
-    # the rows come in pivot order, so by descending last nonzero entry once flipped back
-    return [_primitive(row[::-1]) + pad for row in reversed(_rref(flipped)[0])]
+    return [vec + pad for vec in space]
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +763,7 @@ def match_characters(matrix: FlagMatrix) -> list[tuple[SpectrumEntry, Character]
     mode = matrix.basis.mode
     return [
         (entry, _label_character(mode, label))
-        for entry in eigenvalues_exact(matrix)
+        for entry in matrix._spectrum
         for label in entry.labels
     ]
 

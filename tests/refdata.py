@@ -22,15 +22,17 @@ SO(4) character and the SO(4) Cayley-Hamilton recurrence with its p_3 seed --
 are frozen here too, as are the Faddeev-LeVerrier characteristic polynomial
 that the spectra were deflated from before the block nullity check, the
 eigenspace solve by one Fraction RREF of a leading principal submatrix that
-block back-substitution and then the character certificate replaced, and
-the full r x r Koike-Terada determinant that the leading l(lam) minor
-replaced.  The universal character's h-form over h_k summed by cycle type
-is the reference for the Newton-built determinants of fixed-N general
-mode.  The per-group rules that the rank rule r = N // 2 replaced -- the
-SO(3)/SO(4) block candidates, the ``so4`` basis order and the
-``spectrum_closed`` enumerations -- are frozen as well, and so is
-the recursive generator chain that enumerated partitions before the
-in-place next-partition step.  All of them serve as exact references.
+block back-substitution and then the character certificate replaced, the
+per-query row reduction of the certified character coordinates that the
+flag store's kept normal forms replaced, and the full r x r Koike-Terada
+determinant that the leading l(lam) minor replaced.  The universal
+character's h-form over h_k summed by cycle type is the reference for the
+Newton-built determinants of fixed-N general mode.  The per-group rules
+that the rank rule r = N // 2 replaced -- the SO(3)/SO(4) block
+candidates, the ``so4`` basis order and the ``spectrum_closed``
+enumerations -- are frozen as well, and so is the recursive generator
+chain that enumerated partitions before the in-place next-partition step.
+All of them serve as exact references.
 ``TracePoly.reduce`` as it stood before it read cached reduced monomials --
 one product ``constant(coeff) * p_{m_1} * p_{m_2} * ...`` of p_m table
 entries per term, summed -- and the term printer as it stood before it read
@@ -72,6 +74,7 @@ from sonlap import (
     character_so4,
     lap_partition,
 )
+from sonlap.flagmatrix import FlagMatrix
 
 F = Fraction
 
@@ -589,6 +592,61 @@ def leading_kernel_reference(matrix, eigenvalue: F) -> list:
         raise ArithmeticError(f"{eigenvalue} has an empty eigenspace; not an eigenvalue")
     pad = [F(0)] * (matrix.dim - end)
     return [_primitive_fraction(v + pad) for v in kernel]
+
+
+def _content_free_ints(ints: list) -> list:
+    g = math.gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _rref_integer(rows: list) -> list:
+    """Fraction-free Gauss-Jordan elimination of integer rows, each kept
+    primitive, as the eigenspaces ran it on every query."""
+    mat = [_content_free_ints(row) for row in rows]
+    nrows = len(mat)
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot_row = next((i for i in range(r, nrows) if mat[i][c]), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        top = mat[r]
+        for i in range(nrows):
+            if i != r and mat[i][c]:
+                g = math.gcd(top[c], mat[i][c])
+                s, t = top[c] // g, mat[i][c] // g
+                mat[i] = _content_free_ints([s * a - t * b for a, b in zip(mat[i], top)])
+        r += 1
+        if r == nrows:
+            break
+    return mat
+
+
+def _cleared_ints(vec: list) -> list:
+    denom = math.lcm(*(v.denominator for v in vec))
+    return [v.numerator * (denom // v.denominator) for v in vec]
+
+
+def eigenspaces_by_elimination(matrix) -> dict:
+    """{eigenvalue: basis} of every eigenvalue, each basis made as
+    ``eigenspace_exact`` made it on every query before the flag store kept
+    the normal forms: the certified character coordinates of the value's
+    labels, read from a copy of the matrix with a store of its own, are
+    flipped, row reduced from the right, made primitive with a positive
+    leading entry and zero-padded to the matrix."""
+    fresh = FlagMatrix(matrix.basis, matrix.entries)
+    out = {}
+    for eigenvalue, pairs in fresh._eigenblocks.items():
+        end = len(pairs[-1][1])
+        flipped = [[0] * (end - len(coords)) + _cleared_ints(coords)[::-1] for _, coords in pairs]
+        basis = []
+        for row in reversed(_rref_integer(flipped)):
+            ints = _content_free_ints(row[::-1])
+            if next(v for v in ints if v) < 0:
+                ints = [-v for v in ints]
+            basis.append([F(v) for v in ints] + [F(0)] * (matrix.dim - end))
+        out[eigenvalue] = basis
+    return out
 
 
 def orthogonal_character_full(mode, lam: tuple) -> TracePoly:

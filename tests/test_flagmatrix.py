@@ -42,6 +42,7 @@ from refdata import (
     char_poly,
     closed_candidates_per_group,
     descending_recursive,
+    eigenspaces_by_elimination,
     exact_value,
     block_values_reference,
     leading_kernel_reference,
@@ -378,6 +379,22 @@ def test_integer_entries_become_fractions():
     assert by_hand == matrix and matrix_to_json(by_hand) == matrix_to_json(matrix)
     assert eigenvalues_exact(by_hand) == eigenvalues_exact(matrix)
     assert match_characters(by_hand) == match_characters(matrix)
+
+
+@pytest.mark.parametrize(
+    "basis_mode, rows_mode, kind",
+    [(general_at(4), GENERAL, "NPoly, not int or Fraction"), (GENERAL, general_at(4), "Fraction, not NPoly")],
+    ids=["symbolic-rows-in-a-numeric-matrix", "numeric-rows-in-a-symbolic-matrix"],
+)
+def test_sparse_rows_of_another_mode_are_refused(basis_mode, rows_mode, kind):
+    """Rows taken from another mode's matrix are checked like dense rows by
+    hand, zeros included: refused naming the first cell, not left to fail
+    inside the spectrum or to put Fractions into a symbolic matrix."""
+    basis = build_matrix(basis_mode, "general", 2).basis
+    rows = build_matrix(rows_mode, "general", 2).entries
+    assert all(isinstance(row, flagmatrix._Row) for row in rows)
+    with pytest.raises(TypeError, match=rf"^entry \(0,0\) of a general flag matrix is a {kind}$"):
+        flagmatrix.FlagMatrix(basis, rows)
 
 
 def test_general_build_holds_no_dense_copy():
@@ -1193,7 +1210,9 @@ def test_flag_results_do_not_depend_on_the_order_of_the_walk(mode, basis_id, top
 def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
     """Walking k = 0..top of one flag from an empty store certifies each
     block once: each label's character is located and checked once, and each
-    distinct value of a block gets one rank check."""
+    distinct value of a block gets one rank check and one eigenspace
+    elimination, made at the first order whose last labels of the value are
+    that block's; later orders and repeat queries eliminate nothing."""
     flagmatrix._flag.cache_clear()
     matrices = [build_matrix(mode, basis_id, k) for k in range(top + 1)]
     checks, ranks, located = [], [], []
@@ -1228,8 +1247,46 @@ def test_each_flag_block_is_solved_once(monkeypatch, mode, basis_id, top):
     assert len(checks) == sum(map(len, candidates)) == len(labels)
     assert sorted(matrices[0].flag) == list(range(top + 1))
     assert len(located) == len(labels) == len({id(poly) for poly in located})
-    # one rank check per distinct value of each block, and one elimination per eigenspace query
-    assert len(ranks) == sum(len({eig for eig, _ in block}) for block in candidates) + queries
+    # one rank check and one eigenspace elimination per distinct value of each block
+    values = sum(len({eig for eig, _ in block}) for block in candidates)
+    assert len(ranks) == 2 * values < values + queries
+    for matrix in reversed(matrices):
+        for entry in eigenvalues_exact(matrix):
+            eigenspace_exact(matrix, entry.eigenvalue)
+    assert len(ranks) == 2 * values  # a repeat query eliminates nothing
+
+
+@pytest.mark.parametrize(
+    "mode, basis_id, top",
+    [
+        (SO3, "bprime", 24),
+        (SO3, "btrace", 24),
+        (SO4, "so4", 16),
+        (so(6), "so6", 10),
+        (general_at(4), "general", 8),
+    ],
+    ids=["so3-bprime", "so3-btrace", "so4", "so6", "general-4"],
+)
+def test_every_eigenspace_is_the_frozen_elimination(mode, basis_id, top):
+    """Every eigenspace at every order is the per-query elimination, on the
+    first query and on a repeat, whichever way the flag is walked; -18
+    repeats inside the weight-6 block of SO(6).  Editing a returned basis,
+    its vectors included, never reaches the store."""
+    expected = {k: eigenspaces_by_elimination(build_matrix(mode, basis_id, k)) for k in range(top + 1)}
+    shuffled = list(range(top + 1))
+    random.Random(34).shuffle(shuffled)
+    for order in (range(top + 1), range(top, -1, -1), shuffled):
+        flagmatrix._flag.cache_clear()
+        for k in order:
+            matrix = build_matrix(mode, basis_id, k)
+            assert [e.eigenvalue for e in eigenvalues_exact(matrix)] == sorted(expected[k], reverse=True)
+            for eigenvalue, basis in expected[k].items():
+                space = eigenspace_exact(matrix, eigenvalue)
+                assert space == basis, (list(order), k, eigenvalue)
+                space[0][-1] += 1
+                space[-1].append(F(1))
+                space.append(list(basis[0]))
+                assert eigenspace_exact(matrix, eigenvalue) == basis, (list(order), k, eigenvalue)
 
 
 def test_flag_store_hands_out_copies_and_keeps_hand_built_matrices_apart():
